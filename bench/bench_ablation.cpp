@@ -1,4 +1,4 @@
-// Ablations over the design choices DESIGN.md calls out:
+// Ablations over the executor's and planner's main design choices:
 //  (a) inner-kernel offload (BLAS hooks) on vs off,
 //  (b) sparse-aware vs dense-dims cache model inside the planner,
 //  (c) CSF-order restriction on vs off (search-space and plan quality),

@@ -4,8 +4,8 @@
 // SPLATT (hand-tuned CSF MTTKRP).
 //
 // Tensors are the FROSTT/DARPA stand-ins of tensor/generate.cpp at a
-// laptop-friendly scale (see DESIGN.md substitution table); --scale raises
-// fidelity toward the published sizes.
+// laptop-friendly scale (see tensor_presets() in tensor/generate.hpp);
+// --scale raises fidelity toward the published sizes.
 #include "bench_common.hpp"
 #include "util/cli.hpp"
 

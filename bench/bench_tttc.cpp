@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
   double t1 = 0;
   for (int r = 1; r <= *max_ranks; r *= 2) {
     DistSpttn dist(scaling_problem->bound, r);
-    const DistResult res = dist.run({}, nullptr, {});
+    ModeledComm comm(r);
+    const DistResult res = dist.run(comm, {}, nullptr, {});
     if (r == 1) t1 = res.time();
     scaling.add_row({std::to_string(r), res.grid.describe(),
                      strfmt("%.4f", res.max_local_seconds),

@@ -8,10 +8,6 @@
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-#ifdef SPTTN_WITH_MPI
-#include "dist/mpi_comm.hpp"
-#endif
-
 namespace spttn {
 
 CommBackend::CommBackend(int ranks, CommParams params)
@@ -186,28 +182,12 @@ std::unique_ptr<CommBackend> make_comm_backend(const std::string& name,
                                                int ranks, CommParams params) {
   if (name == "modeled") return std::make_unique<ModeledComm>(ranks, params);
   if (name == "shmem") return std::make_unique<ShmemComm>(ranks, params);
-  if (name == "mpi") {
-#ifdef SPTTN_WITH_MPI
-    return std::make_unique<MpiComm>(ranks, params);
-#else
-    throw Error(
-        "comm backend 'mpi' requires configuring with -DSPTTN_WITH_MPI=ON");
-#endif
-  }
   throw Error("unknown comm backend '" + name +
-              "' (available: modeled, shmem" +
-#ifdef SPTTN_WITH_MPI
-              ", mpi" +
-#endif
-              std::string(")"));
+              "' (available: modeled, shmem)");
 }
 
 std::vector<std::string> comm_backend_names() {
-  std::vector<std::string> names{"modeled", "shmem"};
-#ifdef SPTTN_WITH_MPI
-  names.push_back("mpi");
-#endif
-  return names;
+  return {"modeled", "shmem"};
 }
 
 }  // namespace spttn

@@ -6,7 +6,7 @@
 // (kind, payload bytes, seconds, modeled-vs-measured), so DistResult can
 // report a per-collective breakdown regardless of transport.
 //
-// Three implementations:
+// Two implementations:
 //  - ModeledComm: the alpha-beta cost model of dist/comm_model.hpp. No
 //    bytes move; seconds are charged analytically. This is the historical
 //    simulated transport, preserved bit-for-bit: DistResult::time() under
@@ -17,9 +17,6 @@
 //    execution), and the output all-reduce is a tiled rank-ordered fold
 //    over the per-rank partials. Seconds are *measured* wall-clock, which
 //    is what calibrates the alpha-beta constants against reality.
-//  - MpiComm (dist/mpi_comm.hpp, behind the SPTTN_WITH_MPI CMake option):
-//    collectives issued through MPI. Interface-complete scaffolding for a
-//    multi-process runtime; see the header for its current limits.
 //
 // Determinism contract: allreduce folds partials element-wise in ascending
 // rank order for every backend, so kernel outputs are bit-identical across
@@ -69,7 +66,7 @@ class CommBackend {
   CommBackend(const CommBackend&) = delete;
   CommBackend& operator=(const CommBackend&) = delete;
 
-  /// Stable backend identifier ("modeled", "shmem", "mpi").
+  /// Stable backend identifier ("modeled", "shmem").
   virtual std::string name() const = 0;
   /// True when collective seconds are charged to the alpha-beta model
   /// rather than measured around real buffer movement.
@@ -181,8 +178,8 @@ class ShmemComm final : public CommBackend {
   std::vector<std::vector<DenseTensor>> replicas_;
 };
 
-/// Construct a backend by name: "modeled", "shmem", or "mpi" (the latter
-/// only when built with -DSPTTN_WITH_MPI=ON; otherwise throws Error).
+/// Construct a backend by name: "modeled" or "shmem"; any other name
+/// throws Error.
 std::unique_ptr<CommBackend> make_comm_backend(const std::string& name,
                                                int ranks,
                                                CommParams params = {});

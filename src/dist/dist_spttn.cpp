@@ -1,7 +1,6 @@
 #include "dist/dist_spttn.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "analysis/plan_verifier.hpp"
 #include "exec/executor.hpp"
@@ -22,18 +21,9 @@ CommBreakdown DistResult::breakdown(CollectiveKind kind) const {
   return b;
 }
 
-DistSpttn::DistSpttn(const BoundKernel& bound, int ranks, CommParams params)
-    : bound_(&bound), ranks_(ranks), params_(params) {
+DistSpttn::DistSpttn(const BoundKernel& bound, int ranks)
+    : bound_(&bound), ranks_(ranks) {
   SPTTN_CHECK_MSG(ranks >= 1, "rank count must be positive, got " << ranks);
-  SPTTN_CHECK_MSG(std::isfinite(params.alpha_seconds) &&
-                      params.alpha_seconds >= 0.0,
-                  "CommParams::alpha_seconds must be finite and >= 0, got "
-                      << params.alpha_seconds);
-  SPTTN_CHECK_MSG(
-      std::isfinite(params.beta_seconds_per_byte) &&
-          params.beta_seconds_per_byte >= 0.0,
-      "CommParams::beta_seconds_per_byte must be finite and >= 0, got "
-          << params.beta_seconds_per_byte);
   SPTTN_CHECK_MSG(bound.coo != nullptr, "bound kernel has no sparse tensor");
   const CooTensor& coo = *bound.coo;
   SPTTN_CHECK_MSG(coo.is_sorted(), "sparse tensor must be sort_dedup()ed");
@@ -53,15 +43,6 @@ DistSpttn::DistSpttn(const BoundKernel& bound, int ranks, CommParams params)
     local_coo_[r].sort_dedup();
     local_nnz_[r] = local_coo_[r].nnz();
   }
-}
-
-DistResult DistSpttn::run(const PlannerOptions& options,
-                          DenseTensor* dense_out,
-                          std::span<double> sparse_out,
-                          int local_threads, bool concurrent_ranks) const {
-  ModeledComm comm(ranks_, params_);
-  return run(comm, options, dense_out, sparse_out, local_threads,
-             concurrent_ranks);
 }
 
 DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "dist/comm_backend.hpp"
-#include "dist/comm_model.hpp"
 #include "dist/grid.hpp"
 #include "exec/spttn.hpp"
 
@@ -37,7 +36,7 @@ struct CommBreakdown {
 struct DistResult {
   int ranks = 1;
   ProcGrid grid;
-  /// Name of the transport the run used ("modeled", "shmem", "mpi").
+  /// Name of the transport the run used ("modeled", "shmem").
   std::string backend = "modeled";
   /// True when comm seconds were charged to the alpha-beta model, false
   /// when they were measured around real buffer movement.
@@ -72,22 +71,13 @@ struct DistResult {
 /// re-searching per run.
 class DistSpttn {
  public:
-  /// `params` feeds ModeledComm charging (and backends constructed through
-  /// the backend-less run() overload); rejected unless finite and >= 0.
-  DistSpttn(const BoundKernel& bound, int ranks, CommParams params = {});
+  DistSpttn(const BoundKernel& bound, int ranks);
 
   const ProcGrid& grid() const { return grid_; }
   /// Nonzeros owned by each rank; sums to the global nnz.
   const std::vector<std::int64_t>& local_nnz() const { return local_nnz_; }
 
-  /// Execute over the historical modeled transport (constructs a
-  /// ModeledComm from this instance's CommParams). Bit-for-bit the
-  /// pre-backend behavior, including DistResult::time().
-  DistResult run(const PlannerOptions& options, DenseTensor* dense_out,
-                 std::span<double> sparse_out, int local_threads = 1,
-                 bool concurrent_ranks = false) const;
-
-  /// Execute over an explicit transport. For dense-output kernels the
+  /// Execute over the transport `comm`. For dense-output kernels the
   /// reduced result is written to `dense_out` (may be null to discard,
   /// e.g. for scaling benches); for sparse-output kernels the merged
   /// per-nonzero values go to `sparse_out` in global (sorted-COO) entry
@@ -118,7 +108,6 @@ class DistSpttn {
  private:
   const BoundKernel* bound_;
   int ranks_;
-  CommParams params_;
   ProcGrid grid_;
   std::vector<CooTensor> local_coo_;  ///< one partition per rank
   /// Global entry index of each rank's e-th local nonzero.

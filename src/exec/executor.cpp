@@ -859,32 +859,6 @@ struct ParTask {
   std::int64_t weight = 0;
 };
 
-/// Nonzero-balanced partition of a sparse root loop: `leaf_begin[i]` is the
-/// first leaf (nonzero) under root node i, so chunk boundaries chosen on it
-/// equalize work, not index ranges. Returns non-empty [begin, end) node
-/// ranges; at most `parts` of them.
-std::vector<std::pair<std::int64_t, std::int64_t>> partition_by_nnz(
-    const std::vector<std::int64_t>& leaf_begin, int parts) {
-  const auto extent = static_cast<std::int64_t>(leaf_begin.size()) - 1;
-  const std::int64_t total = leaf_begin.back();
-  std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-  std::int64_t begin = 0;
-  for (int c = 1; c <= parts && begin < extent; ++c) {
-    std::int64_t end;
-    if (c == parts) {
-      end = extent;
-    } else {
-      const std::int64_t target = total * c / parts;
-      end = std::lower_bound(leaf_begin.begin(), leaf_begin.end(), target) -
-            leaf_begin.begin();
-      end = std::clamp(end, begin, extent);
-    }
-    if (end > begin) chunks.emplace_back(begin, end);
-    begin = end;
-  }
-  return chunks;
-}
-
 /// First-leaf offsets for every node of a CSF level (plus an end sentinel):
 /// lb[i] is the first nonzero under node i at `level`, so lb[e] - lb[b]
 /// counts the nonzeros below node range [b, e).
@@ -903,8 +877,7 @@ std::vector<std::int64_t> leaf_offsets(const CsfTensor& csf, int level) {
 /// is cut into fixed-size tiles processed in parallel, and within a tile
 /// the partials fold into dst in task order. The float summation shape
 /// depends only on the partition shape (bit-identical run to run), while
-/// each lane's working set stays O(tile) — one pass over memory instead of
-/// the old pairwise tree's lg(P) full-length sweeps.
+/// each lane's working set stays O(tile) and memory is swept once.
 void reduce_partials(ThreadPool& pool,
                      std::vector<std::vector<double>>& parts,
                      std::int64_t len, double* dst) {
@@ -924,13 +897,15 @@ void reduce_partials(ThreadPool& pool,
 
 /// Parallel interpretation of the compiled program: top-level actions run
 /// in order (each parallel_apply is a barrier), and every safe root loop is
-/// partitioned across the process-wide work-stealing pool — by subtree
-/// nonzero count for sparse roots, evenly for dense roots. A region whose
-/// root partition is too coarse (extent below the lane budget) or too
-/// skewed (one subtree owning most of the work) is re-partitioned with a
-/// nested split: heavy root positions break into sub-ranges of the second
-/// loop level. Outputs write directly when tasks are disjoint in the
-/// partitioned indices, otherwise into per-task partials folded by a tiled
+/// partitioned across the process-wide work-stealing pool by one
+/// deterministic splitter. Root positions are weighted (subtree nnz for
+/// sparse roots, one iteration's work for dense roots) and cut at the
+/// weight prefixes c*W/B into at most B chunks. A chunk heavier than 1.25x
+/// the per-task target T = ceil(W/B) is re-walked when the region admits a
+/// nested split: positions heavier than T break into sub-ranges of the
+/// second loop level, lighter ones coalesce into runs of about T. Outputs
+/// write directly when the final tasks are disjoint in the partitioned
+/// indices, otherwise into per-task partials folded by a tiled
 /// deterministic reduction.
 void FusedExecutor::Impl::execute_parallel(
     Runtime& rt, const ExecArgs& args, int want_threads,
@@ -950,8 +925,8 @@ void FusedExecutor::Impl::execute_parallel(
           : 0;
   const std::int64_t sparse_out_len =
       rt.out_sparse_data != nullptr ? csf.nnz() : 0;
-  /// Static root chunks whose weight skew exceeds this trigger the nested
-  /// split (1.0 = perfectly balanced).
+  /// Root chunks heavier than this multiple of the per-task target are
+  /// re-walked with the nested second-level split.
   constexpr double kNestSkewThreshold = 1.25;
 
   for (std::size_t t = 0; t < top.size(); ++t) {
@@ -975,7 +950,8 @@ void FusedExecutor::Impl::execute_parallel(
     // Work geometry of the root space. Sparse roots weigh positions by
     // subtree nnz; dense roots weigh every position by the (uniform) work
     // of one iteration so that small-extent roots still expose enough
-    // total weight for the nested split to aim at.
+    // total weight for the nested split to aim at. prefix(p) is the
+    // weight of root positions [0, p).
     std::vector<std::int64_t> leaf_begin;  // sparse roots only
     std::int64_t extent = 0;
     std::int64_t dense_w_each = 1;
@@ -989,305 +965,148 @@ void FusedExecutor::Impl::execute_parallel(
                                      : std::max<std::int64_t>(inner->extent, 1);
       }
     }
-    const std::int64_t total_w =
-        root.sparse ? (leaf_begin.empty() ? 0 : leaf_begin.back())
-                    : extent * dense_w_each;
-    const auto node_weight = [&](std::int64_t p) {
-      return root.sparse ? leaf_begin[static_cast<std::size_t>(p + 1)] -
-                               leaf_begin[static_cast<std::size_t>(p)]
-                         : dense_w_each;
+    const auto prefix = [&](std::int64_t p) {
+      return root.sparse ? leaf_begin[static_cast<std::size_t>(p)]
+                         : p * dense_w_each;
     };
+    const std::int64_t total_w = prefix(extent);
     if (extent == 0 || total_w == 0) {
       run_action(rt, a);
       continue;
     }
 
-    // Every task pays a Runtime (private-buffer allocation), and tasks
-    // beyond the pool's lanes only help by smoothing weight imbalance the
-    // stealing pool can absorb, so budget disjoint-write regions at a few
-    // tasks per lane. Regions whose output needs per-task partials also
-    // pay a full output copy per task and are budgeted at the lane count.
+    // Task budget B. Every task pays a Runtime (private-buffer
+    // allocation), and tasks beyond the pool's lanes only help by
+    // smoothing weight imbalance the stealing pool can absorb, so
+    // disjoint-write regions get a few tasks per lane. Regions whose root
+    // chunks already need per-task output partials also pay a full output
+    // copy per task and get one task per lane.
     const bool flat_partials =
         (meta.writes_out_dense && !meta.out_dense_rooted) ||
         (meta.writes_out_sparse && !root.sparse);
-    const int flat_budget = std::min(
-        want_threads, flat_partials ? pool.size() : 4 * pool.size());
-    const std::int64_t requested_eff =
-        std::min<std::int64_t>(flat_budget, total_w);
+    const std::int64_t budget = std::min<std::int64_t>(
+        std::min(want_threads, flat_partials ? pool.size() : 4 * pool.size()),
+        total_w);
+    const std::int64_t target = (total_w + budget - 1) / budget;
 
-    // Static nnz-balanced (or even) root chunking.
-    std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-    if (root.sparse) {
-      chunks = partition_by_nnz(leaf_begin, flat_budget);
-    } else {
-      const auto parts = std::min<std::int64_t>(flat_budget, extent);
-      for (std::int64_t c = 0; c < parts; ++c) {
-        const std::int64_t b = extent * c / parts;
-        const std::int64_t e = extent * (c + 1) / parts;
-        if (e > b) chunks.emplace_back(b, e);
-      }
-    }
     std::vector<ParTask> tasks;
-    tasks.reserve(chunks.size());
-    std::int64_t max_chunk_w = 0;
-    for (const auto& [b, e] : chunks) {
-      ParTask task;
-      task.root_begin = b;
-      task.root_end = e;
-      task.weight = root.sparse
-                        ? leaf_begin[static_cast<std::size_t>(e)] -
-                              leaf_begin[static_cast<std::size_t>(b)]
-                        : (e - b) * dense_w_each;
-      max_chunk_w = std::max(max_chunk_w, task.weight);
-      tasks.push_back(task);
-    }
-    // True imbalance of the static partition measured against an even
-    // `requested_eff`-way split — a single mega-chunk shows up as ~lanes
-    // instead of hiding behind a chunk-count denominator of one.
-    const double static_imbalance =
-        requested_eff > 1 ? static_cast<double>(max_chunk_w) *
-                                static_cast<double>(requested_eff) /
-                                static_cast<double>(total_w)
-                          : 1.0;
+    std::vector<std::int64_t> inner_leaf;  // filled by the first inner cut
 
-    // Decide whether to re-partition with the nested second-level split:
-    // the static chunking failed to produce the requested parallelism
-    // (small/skewed root) and the region admits it. Should the rebuild not
-    // actually improve on the static chunking (e.g. the nested partials
-    // budget is a single lane), the flat chunks below stay in effect.
-    const bool want_nested =
-        meta.nest_safe && inner != nullptr && requested_eff > 1 &&
-        (static_cast<std::int64_t>(tasks.size()) < requested_eff ||
-         static_imbalance > kNestSkewThreshold);
-    bool has_nested = false;
-    if (want_nested) {
-      std::vector<ParTask> nested_tasks;
-      // Rebuild the task list from scratch: heavy root positions split
-      // into second-level sub-ranges aimed at `target` weight each; light
-      // positions coalesce into contiguous chunks of ~target weight. The
-      // shape depends only on the CSF structure and the budget, so the
-      // partition (and therefore the reduction shape) is deterministic.
-      const bool nested_partials =
-          (meta.writes_out_dense &&
-           !(meta.out_dense_rooted && meta.out_dense_inner_rooted)) ||
-          (meta.writes_out_sparse && !(root.sparse && inner->sparse));
-      const std::int64_t budget = std::max<std::int64_t>(
-          1, std::min<std::int64_t>(
-                 std::min(want_threads,
-                          nested_partials ? pool.size() : 4 * pool.size()),
-                 total_w));
-      const std::int64_t target = (total_w + budget - 1) / budget;
-      // Leaf offsets one level below the root for nnz-balanced inner cuts.
-      std::vector<std::int64_t> inner_leaf;
-      if (inner->sparse) {
+    // A root position heavier than the target: cut the second loop level
+    // into ceil(w / T) weight-balanced sub-ranges (nnz-balanced for sparse
+    // inners, even for dense ones).
+    const auto split_position = [&](std::int64_t p, std::int64_t w) {
+      std::int64_t ib = 0;
+      std::int64_t ie = inner->extent;
+      if (inner->sparse && root.sparse) {
+        const auto ptr = csf.level_ptr(root.csf_level);
+        ib = ptr[static_cast<std::size_t>(p)];
+        ie = ptr[static_cast<std::size_t>(p + 1)];
+      } else if (inner->sparse) {
+        ie = csf.num_nodes(inner->csf_level);
+      }
+      const std::int64_t cap = ie - ib;
+      const std::int64_t pieces = std::clamp<std::int64_t>(
+          (w + target - 1) / target, 1, std::max<std::int64_t>(cap, 1));
+      if (pieces < 2) {
+        tasks.push_back({p, p + 1, -1, -1, w});
+        return;
+      }
+      if (inner->sparse && inner_leaf.empty()) {
         inner_leaf = leaf_offsets(csf, inner->csf_level);
       }
-      const auto inner_range = [&](std::int64_t p) {
-        if (!inner->sparse) {
-          return std::pair<std::int64_t, std::int64_t>{0, inner->extent};
+      std::int64_t prev = ib;
+      for (std::int64_t c = 1; c <= pieces && prev < ie; ++c) {
+        std::int64_t end = ie;
+        if (c < pieces && inner->sparse) {
+          const std::int64_t goal =
+              inner_leaf[static_cast<std::size_t>(ib)] +
+              (inner_leaf[static_cast<std::size_t>(ie)] -
+               inner_leaf[static_cast<std::size_t>(ib)]) *
+                  c / pieces;
+          end = std::lower_bound(inner_leaf.begin() + ib,
+                                 inner_leaf.begin() + ie, goal) -
+                inner_leaf.begin();
+        } else if (c < pieces) {
+          end = ib + cap * c / pieces;
         }
-        if (!root.sparse) {
-          return std::pair<std::int64_t, std::int64_t>{
-              0, csf.num_nodes(inner->csf_level)};
+        end = std::clamp(end, prev, ie);
+        if (end > prev) {
+          const std::int64_t piece_w =
+              inner->sparse ? inner_leaf[static_cast<std::size_t>(end)] -
+                                  inner_leaf[static_cast<std::size_t>(prev)]
+                            : w * (end - prev) / cap;
+          tasks.push_back({p, p + 1, prev, end, piece_w});
         }
-        const auto ptr = csf.level_ptr(root.csf_level);
-        return std::pair<std::int64_t, std::int64_t>{
-            ptr[static_cast<std::size_t>(p)],
-            ptr[static_cast<std::size_t>(p + 1)]};
-      };
-      const auto split_heavy = [&](std::int64_t p, std::int64_t w,
-                                   std::int64_t tgt,
-                                   std::vector<ParTask>* out) {
-        const auto [ib, ie] = inner_range(p);
-        const std::int64_t cap = ie - ib;
-        const std::int64_t pieces = std::clamp<std::int64_t>(
-            (w + tgt - 1) / tgt, 1, std::max<std::int64_t>(cap, 1));
-        if (pieces < 2) {
-          ParTask task;
-          task.root_begin = p;
-          task.root_end = p + 1;
-          task.weight = w;
-          out->push_back(task);
-          return;
-        }
-        has_nested = true;
-        std::int64_t prev = ib;
-        for (std::int64_t c = 1; c <= pieces && prev < ie; ++c) {
-          std::int64_t end;
-          if (c == pieces) {
-            end = ie;
-          } else if (inner->sparse) {
-            const std::int64_t goal =
-                inner_leaf[static_cast<std::size_t>(ib)] +
-                (inner_leaf[static_cast<std::size_t>(ie)] -
-                 inner_leaf[static_cast<std::size_t>(ib)]) *
-                    c / pieces;
-            end = std::lower_bound(inner_leaf.begin() + ib,
-                                   inner_leaf.begin() + ie, goal) -
-                  inner_leaf.begin();
-            end = std::clamp(end, prev, ie);
-          } else {
-            end = ib + cap * c / pieces;
-            end = std::clamp(end, prev, ie);
-          }
-          if (end > prev) {
-            ParTask task;
-            task.root_begin = p;
-            task.root_end = p + 1;
-            task.inner_begin = prev;
-            task.inner_end = end;
-            task.weight =
-                inner->sparse
-                    ? inner_leaf[static_cast<std::size_t>(end)] -
-                          inner_leaf[static_cast<std::size_t>(prev)]
-                    : w * (end - prev) / std::max<std::int64_t>(cap, 1);
-            out->push_back(task);
-          }
-          prev = end;
-        }
-      };
-      std::int64_t run_begin = 0;
+        prev = end;
+      }
+    };
+
+    // Re-walk of a heavy chunk [b, e): heavy positions split at the second
+    // level, runs of light positions close once they reach the target.
+    const auto rewalk = [&](std::int64_t b, std::int64_t e) {
+      std::int64_t run_begin = b;
       std::int64_t run_w = 0;
-      const auto flush_run = [&](std::int64_t end_exclusive) {
-        if (run_begin < end_exclusive && run_w > 0) {
-          ParTask task;
-          task.root_begin = run_begin;
-          task.root_end = end_exclusive;
-          task.weight = run_w;
-          nested_tasks.push_back(task);
-        }
-        run_begin = end_exclusive;
+      const auto flush = [&](std::int64_t end) {
+        if (run_w > 0) tasks.push_back({run_begin, end, -1, -1, run_w});
+        run_begin = end;
         run_w = 0;
       };
-      for (std::int64_t p = 0; p < extent; ++p) {
-        const std::int64_t w = node_weight(p);
+      for (std::int64_t p = b; p < e; ++p) {
+        const std::int64_t w = prefix(p + 1) - prefix(p);
         if (w > target) {
-          flush_run(p);
-          split_heavy(p, w, target, &nested_tasks);
+          flush(p);
+          split_position(p, w);
           run_begin = p + 1;
           continue;
         }
         run_w += w;
-        if (run_w >= target) flush_run(p + 1);
+        if (run_w >= target) flush(p + 1);
       }
-      flush_run(extent);
-      // Adopt the rebuild only when it improves the worst task — the flat
-      // direct-write budget (4x lanes) often holds *more* tasks than the
-      // partials-capped rebuild, so comparing counts would keep a
-      // serialized mega-chunk just because the balanced partition is
-      // smaller. Same output routing → any strict improvement wins; a
-      // switch from direct writes to per-task partials additionally pays
-      // an output copy per task plus the reduction pass, so it must beat
-      // the flat partition by the skew threshold. A degenerate rebuild
-      // (e.g. a one-lane partials budget) keeps the flat chunks.
-      std::int64_t nested_max_w = 0;
-      for (const ParTask& task : nested_tasks) {
-        nested_max_w = std::max(nested_max_w, task.weight);
+      flush(e);
+    };
+
+    // Cut the root positions at the weight prefixes c*W/B, each cut on the
+    // first position boundary at or past its goal. The shape depends only
+    // on the CSF structure and the budget, so the partition (and with it
+    // the reduction order) is deterministic.
+    std::int64_t begin = 0;
+    for (std::int64_t c = 1; c <= budget && begin < extent; ++c) {
+      std::int64_t end = extent;
+      if (c < budget) {
+        const std::int64_t goal = total_w * c / budget;
+        end = root.sparse
+                  ? std::lower_bound(leaf_begin.begin(), leaf_begin.end(),
+                                     goal) -
+                        leaf_begin.begin()
+                  : (goal + dense_w_each - 1) / dense_w_each;
+        end = std::clamp(end, begin, extent);
       }
-      const bool same_routing = !nested_partials || flat_partials;
-      const bool adopt =
-          has_nested && nested_tasks.size() >= 2 &&
-          (same_routing ? nested_max_w < max_chunk_w
-                        : static_cast<double>(nested_max_w) *
-                                  kNestSkewThreshold <
-                              static_cast<double>(max_chunk_w));
-      if (adopt) {
-        tasks = std::move(nested_tasks);
+      if (end == begin) continue;
+      const std::int64_t w = prefix(end) - prefix(begin);
+      if (meta.nest_safe && static_cast<double>(w) >
+                                kNestSkewThreshold *
+                                    static_cast<double>(target)) {
+        rewalk(begin, end);
       } else {
-        has_nested = false;
-        // Skew-aware heavy-chunk re-split (ROADMAP carried item). The
-        // from-scratch rebuild above aims at the *partials* budget, which
-        // can be far coarser than the flat chunking (direct-write regions
-        // budget 4x the lanes, partials regions one task per lane); when
-        // the flat partition already holds enough chunks but one of them
-        // dwarfs the rest, the rebuild often degenerates (the heavy node
-        // stays below the coarse target, nothing splits) and we used to
-        // keep the skewed flat chunks and serialize behind the mega-chunk.
-        // Instead, keep the light flat chunks and re-split only the heavy
-        // ones against the flat partition's own per-task target.
-        if (static_imbalance > kNestSkewThreshold) {
-          const std::int64_t flat_target =
-              (total_w + requested_eff - 1) / requested_eff;
-          std::vector<ParTask> resplit;
-          for (const ParTask& task : tasks) {
-            if (task.weight <= flat_target) {
-              resplit.push_back(task);
-              continue;
-            }
-            // Walk the heavy chunk's root positions: heavy positions split
-            // at the inner level, light runs coalesce to ~flat_target —
-            // the scratch rebuild's shape, confined to this chunk.
-            std::int64_t rb = task.root_begin;
-            std::int64_t rw = 0;
-            const auto flush = [&](std::int64_t end_exclusive) {
-              if (rb < end_exclusive && rw > 0) {
-                ParTask piece;
-                piece.root_begin = rb;
-                piece.root_end = end_exclusive;
-                piece.weight = rw;
-                resplit.push_back(piece);
-              }
-              rb = end_exclusive;
-              rw = 0;
-            };
-            for (std::int64_t p = task.root_begin; p < task.root_end; ++p) {
-              const std::int64_t w = node_weight(p);
-              if (w > flat_target) {
-                flush(p);
-                if (meta.nest_safe && inner != nullptr) {
-                  split_heavy(p, w, flat_target, &resplit);
-                } else {
-                  ParTask piece;
-                  piece.root_begin = p;
-                  piece.root_end = p + 1;
-                  piece.weight = w;
-                  resplit.push_back(piece);
-                }
-                rb = p + 1;
-                continue;
-              }
-              rw += w;
-              if (rw >= flat_target) flush(p + 1);
-            }
-            flush(task.root_end);
-          }
-          std::int64_t resplit_max_w = 0;
-          for (const ParTask& task : resplit) {
-            resplit_max_w = std::max(resplit_max_w, task.weight);
-          }
-          // split_heavy set has_nested iff the re-split produced inner
-          // pieces; adoption mirrors the scratch rebuild — same routing
-          // takes any strict improvement, a direct-write → partials switch
-          // must clear the skew threshold.
-          const bool resplit_same_routing =
-              !has_nested || !nested_partials || flat_partials;
-          const bool resplit_adopt =
-              resplit.size() >= 2 &&
-              (resplit_same_routing
-                   ? resplit_max_w < max_chunk_w
-                   : static_cast<double>(resplit_max_w) * kNestSkewThreshold <
-                         static_cast<double>(max_chunk_w));
-          if (resplit_adopt) {
-            tasks = std::move(resplit);
-          } else {
-            has_nested = false;
-          }
-        }
+        tasks.push_back({begin, end, -1, -1, w});
       }
+      begin = end;
     }
 
     const auto n_tasks = static_cast<std::int64_t>(tasks.size());
     if (n_tasks < 2) {
       // Could not be split (single position, or all weight in unsplittable
-      // work). Record the true skew of the attempted partition so the
+      // work). Report the skew against an even B-way split so the
       // serialization is observable, then run in place.
-      if (requested_eff > 1) {
-        st.partition_imbalance =
-            std::max(st.partition_imbalance, static_imbalance);
-      }
+      st.partition_imbalance =
+          std::max(st.partition_imbalance, static_cast<double>(budget));
       run_action(rt, a);
       continue;
     }
+    const bool has_nested =
+        std::any_of(tasks.begin(), tasks.end(),
+                    [](const ParTask& task) { return task.inner_begin >= 0; });
 
     // Output routing. Tasks disjoint in the root index write dense outputs
     // strided by the root directly; nested tasks additionally need the
@@ -1358,10 +1177,10 @@ void FusedExecutor::Impl::execute_parallel(
 
     ++st.parallel_regions;
     if (has_nested) ++st.nested_regions;
-    // Fragmentation in the nested rebuild (heavy nodes interrupting light
-    // runs) may emit a few more tasks than the lane budget; the surplus
-    // only smooths imbalance, so the reported width honors the caller's
-    // threads_used <= threads_requested contract.
+    // A re-walk (heavy positions interrupting light runs) may emit a few
+    // more tasks than the budget; the surplus only smooths imbalance, so
+    // the reported width honors the caller's threads_used <=
+    // threads_requested contract.
     st.threads_used = std::max(
         st.threads_used,
         static_cast<int>(std::min<std::int64_t>(n_tasks, want_threads)));

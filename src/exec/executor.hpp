@@ -53,23 +53,21 @@ struct ExecStats {
   /// sequential and the parallel path.
   bool populated = false;
   int threads_requested = 1;
-  /// Widest work partitioning of any root-loop region (task count, capped
-  /// at threads_requested — nested fragmentation may emit a few surplus
-  /// tasks that only smooth imbalance; 1 when everything executed
-  /// sequentially). No longer saturates at the root
-  /// extent: regions whose root is too small or too skewed split across
-  /// the second loop level. Actual concurrency is additionally bounded by
-  /// the process pool's lane count — regions needing per-task output
-  /// partials are budgeted at that; disjoint-write regions may carry more
-  /// tasks than lanes (the work-stealing pool balances them).
+  /// Widest work partitioning of any root-loop region: its task count,
+  /// capped at threads_requested (1 when everything executed
+  /// sequentially). The splitter aims each region at a budget of B tasks
+  /// (see ExecArgs::num_threads); a re-walked heavy chunk may emit a few
+  /// more, which only smooth imbalance. Actual concurrency is additionally
+  /// bounded by the process pool's lane count.
   int threads_used = 1;
   /// Top-level loops executed through the thread pool (>= 2 tasks).
   int parallel_regions = 0;
   /// Top-level loops that requested threads but could not be partitioned
   /// safely (e.g. a cross-root buffer not indexed by the root loop).
   int fallback_regions = 0;
-  /// Parallel regions that engaged the nested second-level split (root
-  /// extent below the lane budget, or root-chunk skew above threshold).
+  /// Parallel regions where at least one task is a sub-range of the
+  /// second loop level (a root position heavier than the per-task target
+  /// was split while re-walking a heavy chunk).
   int nested_regions = 0;
   /// Top-level loop regions in the compiled program (filled on both the
   /// sequential and parallel paths).
@@ -77,10 +75,8 @@ struct ExecStats {
   /// Max over root regions of (largest task weight) / (mean task weight),
   /// where weight is subtree nnz for sparse roots and iteration count for
   /// dense roots; 1.0 when balanced or when there was no work to split.
-  /// A region that a multi-lane request failed to split at all reports its
-  /// weight skew against the *requested* partition (mean = total /
-  /// requested lanes), so a serialized mega-chunk is visible instead of
-  /// hiding behind the old always-1.0 default.
+  /// A region left as a single task reports its task budget B (its skew
+  /// against an even B-way split), so a serialized region stays visible.
   double partition_imbalance = 1.0;
   /// Tier this execution was driven on (echoes ExecArgs::tier).
   ExecTier tier = ExecTier::kInterpret;
@@ -107,17 +103,26 @@ struct ExecArgs {
   /// Accumulate into the output instead of zeroing it first.
   bool accumulate = false;
   /// Lanes of parallelism for the root loop(s), served by the process-wide
-  /// work-stealing ThreadPool. Sparse root loops are partitioned by subtree
-  /// nonzero count (not equal index ranges); dense root loops split evenly;
-  /// multi-root forests parallelize each root loop with a barrier between
-  /// roots. A root whose extent is below the lane budget, or whose chunks
-  /// are skewed (one subtree owning most nonzeros), is additionally split
-  /// across the second loop level into finer tasks the pool balances
-  /// dynamically. Workers own private intermediates; cross-root buffers
-  /// stay shared with disjoint writes; outputs either write disjoint
-  /// slices directly or go through per-task partials folded by a tiled
-  /// deterministic reduction (same partition shape => bit-identical
-  /// results run to run). 1 = sequential.
+  /// work-stealing ThreadPool; 1 = sequential. One deterministic splitter
+  /// partitions every safe root loop, and multi-root forests parallelize
+  /// each root loop with a barrier between roots:
+  ///  - Root positions are weighted (subtree nonzero count for sparse
+  ///    roots, one iteration's work for dense roots; total W) and cut at
+  ///    the weight prefixes c*W/B into at most B = min(num_threads, lanes
+  ///    or 4x lanes, W) chunks: one per lane when root chunks already need
+  ///    per-task output partials, four per lane otherwise.
+  ///  - A chunk heavier than 1.25x the per-task target T = ceil(W/B) is
+  ///    re-walked when the region admits a nested split
+  ///    (ParallelRegionInfo::nest_safe): positions heavier than T split
+  ///    across the second loop level, lighter ones coalesce into runs of
+  ///    about T.
+  /// Workers own private intermediates; cross-root buffers stay shared
+  /// with disjoint writes; outputs either write disjoint slices directly or
+  /// go through per-task partials folded by a tiled deterministic
+  /// reduction (same partition shape => bit-identical results run to run).
+  /// A second-level split can turn a direct-write region into a partials
+  /// region; it keeps the direct-write budget, so it may allocate up to
+  /// B <= 4x lanes output partials.
   int num_threads = 1;
   /// Optional out-param receiving per-execution diagnostics.
   ExecStats* stats = nullptr;

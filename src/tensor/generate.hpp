@@ -4,7 +4,7 @@
 // sparsity. The datasets are not redistributable here, so we substitute
 // generators that reproduce the statistics the algorithms actually depend
 // on: mode sizes and the per-CSF-level nonzero counts nnz(I1...Ik)
-// (see DESIGN.md, substitution table).
+// (see tensor_presets() below for the catalog of dataset stand-ins).
 #pragma once
 
 #include <cstdint>

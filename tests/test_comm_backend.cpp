@@ -256,9 +256,7 @@ TEST(CommBackend, RejectsRankMismatchAndUnknownNames) {
   DenseTensor out = make_output(inst->bound);
   EXPECT_THROW(dist.run(comm, {}, &out, {}), Error);
   EXPECT_THROW(make_comm_backend("infiniband", 2), Error);
-#ifndef SPTTN_WITH_MPI
   EXPECT_THROW(make_comm_backend("mpi", 2), Error);
-#endif
   const auto names = comm_backend_names();
   ASSERT_GE(names.size(), 2u);
   for (const std::string& n : names) {
@@ -267,21 +265,20 @@ TEST(CommBackend, RejectsRankMismatchAndUnknownNames) {
 }
 
 TEST(CommParamsValidation, RejectsNegativeAndNaNConstants) {
-  const auto inst = testing::make_instance(paper_kernels()[0], 7800);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const auto reject = [&](double alpha, double beta) {
     CommParams p;
     p.alpha_seconds = alpha;
     p.beta_seconds_per_byte = beta;
-    EXPECT_THROW(DistSpttn(inst->bound, 2, p), Error);
+    EXPECT_THROW(ModeledComm(2, p), Error);
   };
   reject(-1e-6, 1e-10);
   reject(1e-6, -1e-10);
   reject(nan, 1e-10);
   reject(1e-6, nan);
   reject(inf, 1e-10);
-  // Backends validate too (they can be built without a DistSpttn).
+  // Every backend validates through the shared CommBackend constructor.
   CommParams bad;
   bad.alpha_seconds = nan;
   EXPECT_THROW(ModeledComm(2, bad), Error);
@@ -292,7 +289,7 @@ TEST(CommParamsValidation, RejectsNegativeAndNaNConstants) {
   CommParams zero;
   zero.alpha_seconds = 0.0;
   zero.beta_seconds_per_byte = 0.0;
-  EXPECT_NO_THROW(DistSpttn(inst->bound, 2, zero));
+  EXPECT_NO_THROW(ModeledComm(2, zero));
 }
 
 // ShmemComm's clock is real: on payloads this size the measured seconds

@@ -137,11 +137,12 @@ TEST_P(DistEquivalence, MatchesSequentialResult) {
       2222 + kernel_idx);
   const Kernel& k = inst->bound.kernel;
   DistSpttn dist(inst->bound, ranks);
+  ModeledComm comm(ranks);
   const PlannerOptions opts;
   if (k.output_is_sparse()) {
     std::vector<double> got(static_cast<std::size_t>(inst->sparse.nnz()));
     std::vector<double> want(got.size());
-    const DistResult r = dist.run(opts, nullptr, got);
+    const DistResult r = dist.run(comm, opts, nullptr, got);
     reference_execute(k, inst->sparse, inst->dense_slots(), nullptr, want);
     for (std::size_t e = 0; e < got.size(); ++e) {
       ASSERT_NEAR(got[e], want[e], 1e-9);
@@ -150,7 +151,7 @@ TEST_P(DistEquivalence, MatchesSequentialResult) {
   } else {
     DenseTensor got = make_output(inst->bound);
     DenseTensor want = make_output(inst->bound);
-    const DistResult r = dist.run(opts, &got, {});
+    const DistResult r = dist.run(comm, opts, &got, {});
     reference_execute(k, inst->sparse, inst->dense_slots(), &want, {});
     ASSERT_LT(want.max_abs_diff(got), 1e-9);
     EXPECT_EQ(r.ranks, ranks);
@@ -179,20 +180,21 @@ TEST(DistSpttn, HybridLocalThreadsMatchesSingleThreaded) {
         3333 + kernel_idx);
     const Kernel& k = inst->bound.kernel;
     DistSpttn dist(inst->bound, 3);
+    ModeledComm comm(3);
     const PlannerOptions opts;
     if (k.output_is_sparse()) {
       std::vector<double> got(static_cast<std::size_t>(inst->sparse.nnz()));
       std::vector<double> want(got.size());
-      dist.run(opts, nullptr, want, /*local_threads=*/1);
-      dist.run(opts, nullptr, got, /*local_threads=*/4);
+      dist.run(comm, opts, nullptr, want, /*local_threads=*/1);
+      dist.run(comm, opts, nullptr, got, /*local_threads=*/4);
       for (std::size_t e = 0; e < got.size(); ++e) {
         ASSERT_NEAR(got[e], want[e], 1e-12);
       }
     } else {
       DenseTensor got = make_output(inst->bound);
       DenseTensor want = make_output(inst->bound);
-      dist.run(opts, &want, {}, /*local_threads=*/1);
-      dist.run(opts, &got, {}, /*local_threads=*/4);
+      dist.run(comm, opts, &want, {}, /*local_threads=*/1);
+      dist.run(comm, opts, &got, {}, /*local_threads=*/4);
       ASSERT_LT(want.max_abs_diff(got), 1e-12);
     }
   }
@@ -213,13 +215,14 @@ TEST(DistSpttn, ConcurrentRanksBitIdenticalToSequential) {
     for (int ranks : {2, 5}) {
       SCOPED_TRACE("ranks=" + std::to_string(ranks));
       DistSpttn dist(inst->bound, ranks);
+      ModeledComm comm(ranks);
       const PlannerOptions opts;
       if (k.output_is_sparse()) {
         std::vector<double> want(static_cast<std::size_t>(inst->sparse.nnz()));
         std::vector<double> got(want.size());
-        dist.run(opts, nullptr, want, /*local_threads=*/1,
+        dist.run(comm, opts, nullptr, want, /*local_threads=*/1,
                  /*concurrent_ranks=*/false);
-        dist.run(opts, nullptr, got, /*local_threads=*/1,
+        dist.run(comm, opts, nullptr, got, /*local_threads=*/1,
                  /*concurrent_ranks=*/true);
         for (std::size_t e = 0; e < want.size(); ++e) {
           ASSERT_EQ(want[e], got[e]);
@@ -227,9 +230,9 @@ TEST(DistSpttn, ConcurrentRanksBitIdenticalToSequential) {
       } else {
         DenseTensor want = make_output(inst->bound);
         DenseTensor got = make_output(inst->bound);
-        dist.run(opts, &want, {}, /*local_threads=*/1,
+        dist.run(comm, opts, &want, {}, /*local_threads=*/1,
                  /*concurrent_ranks=*/false);
-        dist.run(opts, &got, {}, /*local_threads=*/1,
+        dist.run(comm, opts, &got, {}, /*local_threads=*/1,
                  /*concurrent_ranks=*/true);
         ASSERT_EQ(want.max_abs_diff(got), 0.0);
       }
@@ -244,11 +247,14 @@ TEST(DistSpttn, ConcurrentRanksWithLocalThreadsMatch) {
   testing::ScopedLanes lanes(4);
   const auto inst = testing::make_instance(paper_kernels()[0], 4545);
   DistSpttn dist(inst->bound, 3);
+  ModeledComm comm(3);
   const PlannerOptions opts;
   DenseTensor want = make_output(inst->bound);
   DenseTensor got = make_output(inst->bound);
-  dist.run(opts, &want, {}, /*local_threads=*/4, /*concurrent_ranks=*/false);
-  dist.run(opts, &got, {}, /*local_threads=*/4, /*concurrent_ranks=*/true);
+  dist.run(comm, opts, &want, {}, /*local_threads=*/4,
+           /*concurrent_ranks=*/false);
+  dist.run(comm, opts, &got, {}, /*local_threads=*/4,
+           /*concurrent_ranks=*/true);
   EXPECT_EQ(want.max_abs_diff(got), 0.0);
 }
 
@@ -263,8 +269,9 @@ TEST(DistSpttn, PartitionCoversAllNonzeros) {
 TEST(DistSpttn, CommChargedForFactorsAndOutput) {
   const auto inst = testing::make_instance(paper_kernels()[0], 910);
   DistSpttn dist(inst->bound, 4);
+  ModeledComm comm(4);
   DenseTensor out = make_output(inst->bound);
-  const DistResult r = dist.run({}, &out, {});
+  const DistResult r = dist.run(comm, {}, &out, {});
   EXPECT_GT(r.comm_seconds, 0.0);
   EXPECT_GT(r.comm_bytes, 0);
   EXPECT_GE(r.imbalance, 1.0);
@@ -273,14 +280,15 @@ TEST(DistSpttn, CommChargedForFactorsAndOutput) {
 TEST(DistSpttn, SparseOutputNeedsNoReduction) {
   const auto inst = testing::make_instance(paper_kernels()[4], 911);  // tttp
   DistSpttn dist4(inst->bound, 4);
+  ModeledComm comm(4);
   std::vector<double> out(static_cast<std::size_t>(inst->sparse.nnz()));
-  const DistResult r = dist4.run({}, nullptr, out);
+  const DistResult r = dist4.run(comm, {}, nullptr, out);
   // Factors still move, but no output all-reduce: comm volume is below an
   // equivalent dense-output kernel's.
   const auto inst2 = testing::make_instance(paper_kernels()[0], 911);
   DistSpttn distm(inst2->bound, 4);
   DenseTensor dense_out = make_output(inst2->bound);
-  const DistResult rm = distm.run({}, &dense_out, {});
+  const DistResult rm = distm.run(comm, {}, &dense_out, {});
   EXPECT_GT(rm.comm_bytes, 0);
   EXPECT_GE(rm.comm_seconds, 0.0);
   EXPECT_GT(r.comm_bytes, 0);
@@ -289,8 +297,9 @@ TEST(DistSpttn, SparseOutputNeedsNoReduction) {
 TEST(DistSpttn, SingleRankHasNoComm) {
   const auto inst = testing::make_instance(paper_kernels()[0], 912);
   DistSpttn dist(inst->bound, 1);
+  ModeledComm comm(1);
   DenseTensor out = make_output(inst->bound);
-  const DistResult r = dist.run({}, &out, {});
+  const DistResult r = dist.run(comm, {}, &out, {});
   EXPECT_DOUBLE_EQ(r.comm_seconds, 0.0);
   EXPECT_DOUBLE_EQ(r.imbalance, 1.0);
 }

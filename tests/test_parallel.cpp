@@ -3,6 +3,8 @@
 // outputs, sparse and dense root loops).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/executor.hpp"
 #include "exec/schedules.hpp"
 #include "test_helpers.hpp"
@@ -352,12 +354,10 @@ TEST(Parallel, SingleHeavySliceDoesNotHideSerialization) {
   EXPECT_GE(stats.nested_regions, 1);
 }
 
-// Regression for the adoption-by-count bug: a root slice owning ~50% of
-// the nonzeros makes the flat direct-write chunking (4x-lane budget)
-// produce MORE tasks than the partials-capped nested rebuild, so the old
-// `nested_tasks.size() >= tasks.size()` test discarded the balanced
-// partition and kept the serialized mega-chunk. The rebuild must be
-// adopted on worst-task weight instead.
+// A root slice owning ~50% of the nonzeros lands in one prefix chunk far
+// above the per-task target of the 4x-lane direct-write budget. The
+// splitter must re-walk that chunk and split the slice at the second
+// level rather than serialize behind the mega-chunk.
 TEST(Parallel, ModerateSkewAdoptsSmallerBalancedRebuild) {
   ScopedLanes lanes(4);
   CooTensor t({64, 48, 24});
@@ -405,16 +405,12 @@ TEST(Parallel, ModerateSkewAdoptsSmallerBalancedRebuild) {
   EXPECT_LT(seq.max_abs_diff(par), 1e-12);
 }
 
-// Regression for the degenerate-rebuild gap: a root slice owning ~22% of
-// the nonzeros is heavy enough to trip the skew threshold (imbalance
-// ~3.5 under the 4x-lane flat budget) yet LIGHTER than the partials-capped
-// rebuild target (total/4), so the from-scratch nested rebuild splits
-// nothing and used to give up — keeping the skewed flat partition and
-// serializing behind the mega-chunk. The heavy-chunk re-split fallback
-// must now carve that chunk against the flat partition's own per-task
-// target: nested split engages, the executed imbalance drops well below
-// the unfixed ~2.6, and results still land on sequential bit-for-bit at
-// a fixed thread count.
+// A root slice owning ~22% of the nonzeros is heavy against the 4x-lane
+// budget's per-task target (total/16) yet lighter than one lane's share
+// (total/4). The splitter must carve it against the per-task target, not
+// a per-lane one: the nested split engages, the executed imbalance drops
+// well below the unsplit ~2.6, and results still land on sequential
+// bit-for-bit at a fixed thread count.
 TEST(Parallel, ModerateSkewResplitsHeavyChunkWhenRebuildDegenerates) {
   ScopedLanes lanes(4);
   CooTensor t({65, 48, 24});
@@ -459,8 +455,8 @@ TEST(Parallel, ModerateSkewResplitsHeavyChunkWhenRebuildDegenerates) {
       << stats.partition_imbalance;
   EXPECT_GT(stats.threads_used, 1);
   EXPECT_EQ(stats.fallback_regions, 0);
-  // Unfixed, the flat partition rides the ~22% mega-chunk: imbalance
-  // max_w * tasks / total ~= 2.6. The re-split caps tasks near the flat
+  // Unsplit, the partition rides the ~22% mega-chunk: imbalance
+  // max_w * tasks / total ~= 2.6. The split caps tasks near the
   // per-task target.
   EXPECT_LT(stats.partition_imbalance, 2.0);
   EXPECT_LT(seq.max_abs_diff(par), 1e-12);
@@ -553,6 +549,118 @@ TEST(Parallel, NestedPartitionDeterminismOnSmallRoots) {
     }
     args.num_threads = 1;
     args.stats = nullptr;
+  }
+}
+
+// An unskewed region keeps the plain prefix cut: at 2 lanes and 2 threads
+// the root splits once, on the first root boundary at or past nnz/2, and
+// neither chunk is heavy enough (1.25x the per-task target) to be
+// re-walked — not even the first, whose single root position outweighs
+// the target. Pinned for direct writes (MTTKRP mode 0), per-task partials
+// (MTTKRP mode 1) and a sparse output (TTTP-3) over the same CSF.
+TEST(Parallel, UnskewedRegionKeepsPrefixCut) {
+  ScopedLanes lanes(2);
+  // Slice 0 holds every 2nd (j, k) cell (160 nonzeros, ~54%); slice i >= 1
+  // every (i + 15)-th (14 to 20 nonzeros each).
+  CooTensor t({9, 20, 16});
+  Rng rng(51);
+  for (std::int64_t i = 0; i < 9; ++i) {
+    for (std::int64_t j = 0; j < 20; ++j) {
+      for (std::int64_t k = 0; k < 16; ++k) {
+        if ((j * 16 + k) % (i == 0 ? 2 : i + 15) == 0) {
+          t.push_back({i, j, k}, rng.next_double() - 0.5);
+        }
+      }
+    }
+  }
+  t.sort_dedup();
+  const DenseTensor f9 = random_dense({9, 4}, rng);
+  const DenseTensor f20 = random_dense({20, 4}, rng);
+  const DenseTensor f16 = random_dense({16, 4}, rng);
+
+  struct Case {
+    std::string expr;
+    std::vector<const DenseTensor*> dense;
+    bool partials;  ///< root chunks write the output through partials
+  };
+  const std::vector<Case> cases = {
+      {"A(i,r) = T(i,j,k)*B(j,r)*C(k,r)", {&f20, &f16}, false},
+      {"A(j,r) = T(i,j,k)*B(i,r)*C(k,r)", {&f9, &f16}, true},
+      {"S(i,j,k) = T(i,j,k)*U(i,r)*V(j,r)*W(k,r)", {&f9, &f20, &f16}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expr);
+    const BoundKernel bound = spttn::bind(c.expr, t, c.dense);
+    const CsfTensor& csf = bound.csf;
+    const std::int64_t nnz = csf.nnz();
+
+    // First nonzero under each level-0 node, and the 2-way prefix cut.
+    std::vector<std::int64_t> first_leaf(
+        static_cast<std::size_t>(csf.num_nodes(0)) + 1);
+    for (std::size_t p = 0; p < first_leaf.size(); ++p) {
+      auto node = static_cast<std::int64_t>(p);
+      for (int lvl = 0; lvl + 1 < csf.order(); ++lvl) {
+        node = csf.level_ptr(lvl)[static_cast<std::size_t>(node)];
+      }
+      first_leaf[p] = node;
+    }
+    const auto cut = static_cast<std::size_t>(
+        std::lower_bound(first_leaf.begin(), first_leaf.end(), nnz / 2) -
+        first_leaf.begin());
+    ASSERT_GT(cut, 0u);
+    ASSERT_LT(cut + 1, first_leaf.size());
+    const std::int64_t heavier =
+        std::max(first_leaf[cut], nnz - first_leaf[cut]);
+    ASSERT_LE(static_cast<double>(heavier),
+              1.25 * static_cast<double>((nnz + 1) / 2))
+        << "precondition: the cut must leave both chunks unskewed";
+
+    const Plan plan = plan_kernel(bound);
+    FusedExecutor exec(bound.kernel, plan);
+    const auto regions = exec.parallel_regions();
+    ASSERT_EQ(regions.size(), 1u);
+    ASSERT_TRUE(regions[0].sparse) << "root is not the CSF level-0 loop";
+    ASSERT_TRUE(regions[0].par_safe);
+    ASSERT_EQ(regions[0].writes_out_dense && !regions[0].out_dense_rooted,
+              c.partials);
+
+    ExecArgs args;
+    args.sparse = &csf;
+    args.dense = bound.dense;
+    std::vector<double> seq_vals;
+    std::vector<double> par_vals;
+    DenseTensor seq_out;
+    DenseTensor par_out;
+    if (bound.kernel.output_is_sparse()) {
+      seq_vals.assign(static_cast<std::size_t>(nnz), 0.0);
+      par_vals = seq_vals;
+      args.out_sparse = seq_vals;
+    } else {
+      seq_out = make_output(bound);
+      par_out = make_output(bound);
+      args.out_dense = &seq_out;
+    }
+    exec.execute(args);
+    if (bound.kernel.output_is_sparse()) {
+      args.out_sparse = par_vals;
+    } else {
+      args.out_dense = &par_out;
+    }
+    args.num_threads = 2;
+    ExecStats stats;
+    args.stats = &stats;
+    exec.execute(args);
+
+    EXPECT_EQ(stats.parallel_regions, 1);
+    EXPECT_EQ(stats.nested_regions, 0);
+    EXPECT_EQ(stats.threads_used, 2);
+    EXPECT_EQ(stats.partition_imbalance,
+              static_cast<double>(heavier) * 2.0 / static_cast<double>(nnz));
+    if (bound.kernel.output_is_sparse()) {
+      EXPECT_EQ(seq_vals, par_vals);
+    } else {
+      EXPECT_LT(seq_out.max_abs_diff(par_out), 1e-12);
+    }
   }
 }
 
