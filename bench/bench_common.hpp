@@ -112,11 +112,10 @@ struct Output {
 };
 
 /// SpTTN-Cyclops: plan (excluded from timing, reported separately) + fused
-/// execution on the requested tier (lowered by default, matching ExecArgs).
+/// execution.
 inline RunResult run_spttn(const Problem& p, int reps,
                            const PlannerOptions& options = {},
-                           Plan* plan_out = nullptr,
-                           ExecTier tier = ExecTier::kLowered) {
+                           Plan* plan_out = nullptr) {
   RunResult r;
   try {
     const Plan plan = plan_kernel(p.bound, options);
@@ -128,7 +127,6 @@ inline RunResult run_spttn(const Problem& p, int reps,
     args.dense = p.bound.dense;
     args.out_dense = o.sparse_vals.empty() ? &o.dense : nullptr;
     args.out_sparse = o.sparse_vals;
-    args.tier = tier;
     r.seconds = time_median([&] { exec.execute(args); }, reps);
     r.ok = true;
   } catch (const Error& e) {

@@ -1,9 +1,8 @@
-// Execution-tier benchmark: the four paper kernel families (MTTKRP-3/4,
-// TTMc-3, TTTP-3) timed on ONE planned FusedExecutor under both tiers —
-// the recursive interpreter and the lowered flat program — against the
-// hand-specialized kernels of specialized.cpp as the tight-loop ceiling.
-// The lowered column is the tier the KernelCache serves by default; the
-// specialized column bounds how much headroom remains.
+// Kernel benchmark: the four paper kernel families (MTTKRP-3/4, TTMc-3,
+// TTTP-3) timed on one planned FusedExecutor (its lowered program, the one
+// driver every execution runs) against the hand-specialized kernels of
+// specialized.cpp as the tight-loop ceiling; the specialized column bounds
+// how much headroom remains.
 //
 //   bench_kernels                     # table on stdout
 //   bench_kernels --json=out.json     # also emit the machine-readable run
@@ -23,24 +22,9 @@ namespace {
 struct KernelRow {
   std::string kernel;
   std::int64_t nnz = 0;
-  int lowered_regions = 0;
-  double interp_s = 0;
   double lowered_s = 0;
   double spec_s = 0;  // 0 when no specialized implementation applies
 };
-
-/// Time one executor under a tier; the plan (and the partitioning it
-/// implies) is shared across tiers so the comparison isolates dispatch.
-double time_tier(FusedExecutor& exec, const Problem& p, Output& o,
-                 ExecTier tier, int reps) {
-  ExecArgs args;
-  args.sparse = &p.bound.csf;
-  args.dense = p.bound.dense;
-  args.out_dense = o.sparse_vals.empty() ? &o.dense : nullptr;
-  args.out_sparse = o.sparse_vals;
-  args.tier = tier;
-  return time_median([&] { exec.execute(args); }, reps);
-}
 
 }  // namespace
 
@@ -74,28 +58,23 @@ int main(int argc, char** argv) {
   };
 
   std::vector<KernelRow> rows;
-  Table table(strfmt("Execution tiers — interpreted vs lowered vs "
-                     "specialized, R=%lld",
+  Table table(strfmt("Fused execution vs hand-specialized kernels, R=%lld",
                      static_cast<long long>(*rank)));
-  table.set_header({"kernel", "nnz", "regions", "interp[s]", "lowered[s]",
-                    "spec[s]", "lowered vs interp", "spec vs lowered"});
+  table.set_header({"kernel", "nnz", "lowered[s]", "spec[s]",
+                    "spec vs lowered"});
   for (const Spec& s : specs) {
     Rng rng(static_cast<std::uint64_t>(*seed) ^
             hash_mix(s.name.size() * 31));
     CooTensor t = random_coo(*s.dims, *nnz, rng);
     auto p = make_problem(s.expr, std::move(t), ranks, rng);
 
-    const Plan plan = plan_kernel(p->bound, {});
-    FusedExecutor exec(p->kernel(), plan);
+    const int r = static_cast<int>(*reps);
     Output o = Output::make(*p);
 
     KernelRow row;
     row.kernel = s.name;
     row.nnz = p->sparse.nnz();
-    row.lowered_regions = exec.lowered_regions();
-    const int r = static_cast<int>(*reps);
-    row.interp_s = time_tier(exec, *p, o, ExecTier::kInterpret, r);
-    row.lowered_s = time_tier(exec, *p, o, ExecTier::kLowered, r);
+    row.lowered_s = run_spttn(*p, r).seconds;
 
     // The hand-specialized ceilings (specialized.cpp).
     if (s.name == "mttkrp3") {
@@ -134,17 +113,12 @@ int main(int argc, char** argv) {
     };
     table.add_row({row.kernel,
                    human_count(static_cast<double>(row.nnz)),
-                   std::to_string(row.lowered_regions),
-                   strfmt("%.4f", row.interp_s),
                    strfmt("%.4f", row.lowered_s),
                    row.spec_s > 0 ? strfmt("%.4f", row.spec_s) : "-",
-                   ratio(row.interp_s, row.lowered_s),
                    ratio(row.lowered_s, row.spec_s)});
     rows.push_back(row);
   }
-  table.add_note("one plan per kernel; both tiers share the executor, the "
-                 "partitioning, and the accumulation order (bit-identical "
-                 "outputs)");
+  table.add_note("one default plan per kernel, planned outside the timing");
   table.print(std::cout);
 
   if (!json->empty()) {
@@ -156,13 +130,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const KernelRow& r = rows[i];
       os << "    {\"kernel\": \"" << r.kernel << "\", \"nnz\": " << r.nnz
-         << ", \"lowered_regions\": " << r.lowered_regions
-         << ", \"interpreted_s\": " << strfmt("%.6f", r.interp_s)
          << ", \"lowered_s\": " << strfmt("%.6f", r.lowered_s)
          << ", \"specialized_s\": "
          << (r.spec_s > 0 ? strfmt("%.6f", r.spec_s) : std::string("null"))
-         << ", \"lowered_speedup\": "
-         << strfmt("%.3f", r.lowered_s > 0 ? r.interp_s / r.lowered_s : 0)
          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

@@ -1,5 +1,8 @@
 #include "analysis/kernel_suite.hpp"
 
+#include <cstdio>
+#include <cstring>
+
 #include "tensor/generate.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -125,6 +128,50 @@ const std::vector<LintOptionSet>& lint_option_sets() {
     return s;
   }();
   return sets;
+}
+
+const std::vector<SuiteKernel>& golden_networks() {
+  static const std::vector<SuiteKernel> nets = [] {
+    const auto to_suite = [](const GeneratedNetwork& net) {
+      return SuiteKernel{net.name, net.expr, net.dims, 0.05};
+    };
+    Rng r7(1070);
+    Rng r8(1082);
+    return std::vector<SuiteKernel>{
+        to_suite(random_network(7, 3, 3, r7)),
+        to_suite(random_network(8, 3, 3, r8)),
+        to_suite(tensor_train_network(8, 3, 2)),
+    };
+  }();
+  return nets;
+}
+
+const LintOptionSet& golden_network_options() {
+  static const LintOptionSet set = [] {
+    PlannerOptions o;
+    o.strategy = StrategyKind::kAnytime;
+    o.budget.max_nodes = 4096;
+    return LintOptionSet{"anytime-4096", o};
+  }();
+  return set;
+}
+
+std::string golden_output_line(const std::string& kernel,
+                               const std::string& option_set, int threads,
+                               std::span<const double> out) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const double v : out) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof bytes);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return kernel + " " + option_set + " " + std::to_string(threads) + " " +
+         std::to_string(out.size()) + " " + hex;
 }
 
 }  // namespace spttn

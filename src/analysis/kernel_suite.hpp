@@ -59,9 +59,29 @@ struct LintOptionSet {
 
 /// The planner option sets spttn_lint sweeps (default, bound1 forcing the
 /// relaxation loop, one per alternative cost model, and the anytime
-/// strategy uncapped and node-budgeted). Shared with the
-/// lowered-vs-interpreted differential tests so "every paper kernel under
-/// every lint option set" means the same sweep everywhere.
+/// strategy uncapped and node-budgeted). Shared with the golden output
+/// rows so "every paper kernel under every lint option set" means the same
+/// sweep everywhere.
 const std::vector<LintOptionSet>& lint_option_sets();
+
+/// Generated networks beyond the paper suite that the golden output rows
+/// also pin, at sparsity 0.05: random_network(7, 3, 3, Rng(1070)),
+/// random_network(8, 3, 3, Rng(1082)) and tensor_train_network(8, 3, 2) —
+/// deep operands, long collapsed chains and top-level scalar terms.
+const std::vector<SuiteKernel>& golden_networks();
+/// The option set the golden networks are planned under: the anytime
+/// strategy with a 4096-node budget (deterministic, no wall clock).
+const LintOptionSet& golden_network_options();
+
+/// One row of the golden output table (tests/golden/outputs.txt):
+/// "<kernel> <option set> <threads> <element count> <hash>", where the hash
+/// is the 64-bit FNV-1a of the output's raw IEEE-754 bytes as 16 hex
+/// digits. The table holds each suite kernel under each lint option set and
+/// each golden network, at instance seed 42 and 1 and 4 threads; the
+/// 4-thread partitions depend on the pool's lane count, so rows are
+/// recorded with the global pool pinned to 4 lanes.
+std::string golden_output_line(const std::string& kernel,
+                               const std::string& option_set, int threads,
+                               std::span<const double> out);
 
 }  // namespace spttn

@@ -1,12 +1,12 @@
-// Compiled-program IR shared between the interpreter (executor.cpp) and the
-// lowering tier (lower.cpp / lowered_program.cpp).
+// Compiled-program IR: the executor's structural view of one loop nest.
 //
 // FusedExecutor::Impl::compile flattens a LoopTree into these structs: loops
 // tagged as CSF traversals or dense ranges, terms with pre-split strided
 // accesses (outer indices resolved per iteration, trailing collapsed dense
-// loops as `inner` strides). The interpreter walks them directly; the
-// lowerer consumes a read-only CompiledView of the same program and emits a
-// further-specialized flat form.
+// loops as `inner` strides). Nothing executes this form: the lowerer
+// (lower.cpp) consumes a read-only CompiledView of it and emits the flat
+// program the executor runs, and the executor's parallel-safety analysis
+// (cross-checked by the plan verifier) reads the access strides here.
 #pragma once
 
 #include <cstdint>

@@ -8,13 +8,14 @@
 #include "exec/kernels.hpp"
 #include "exec/lower.hpp"
 #include "exec/lowered_program.hpp"
+#include "util/checked.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spttn {
 
-// The compiled-program IR lives in exec/compiled_program.hpp, shared with
-// the lowering tier; the interpreter below keeps its unqualified spelling.
+// The compiled-program IR lives in exec/compiled_program.hpp; it is the
+// input to the lowerer and to the parallel-safety analysis below.
 using cprog::Base;
 using cprog::CAccess;
 using cprog::CActionRef;
@@ -33,9 +34,8 @@ struct FusedExecutor::Impl {
   int offloaded_terms = 0;
   int collapsed_loops = 0;
 
-  /// Lowered form of the same program (lower.cpp), built at construction.
-  /// Execution picks the tier per call (ExecArgs::tier); `low.loop_of`
-  /// says which loops have a lowered implementation.
+  /// The program every execution runs (lower.cpp): low.loops[i] lowers
+  /// loops[i] and low.top[t] lowers top[t].
   lowered::LoweredProgram low;
 
   bool collapse_dense = true;
@@ -72,54 +72,56 @@ struct FusedExecutor::Impl {
   int num_root_regions = 0;       ///< top-level kLoop actions
   /// Buffers that carry values across top-level actions (or are written in
   /// a non-parallelizable position); they live in storage shared by all
-  /// workers. Non-shared buffers are private per worker runtime.
+  /// workers. Non-shared buffers are private per worker state.
   std::vector<char> buffer_shared;
 
-  /// Mutable per-execution (and per-thread) state. The compiled program
-  /// above is immutable during execution, so parallel workers share it and
-  /// own one Runtime each.
-  struct Runtime {
-    std::vector<std::int64_t> idx_val;
-    std::vector<std::int64_t> csf_node;
-    std::vector<std::vector<double>> owned;  // storage for private buffers
-    std::vector<double*> buffers;            // per producing term
+  /// Tensors one execution binds (validated by execute()).
+  struct Binding {
     const CsfTensor* csf = nullptr;
-    std::vector<const double*> dense_data;
-    double* out_dense_data = nullptr;
-    double* out_sparse_data = nullptr;
-    /// Tier for this execution (copied from ExecArgs; worker runtimes
-    /// inherit it so parallel tasks dispatch identically).
-    ExecTier tier = ExecTier::kInterpret;
+    std::vector<const double*> dense;  // per kernel input
+    double* out_dense = nullptr;
+    double* out_sparse = nullptr;
   };
 
-  /// Bind the lowered program to one runtime: resolve every interned slot
-  /// to its base pointer. Cheap (slots are few); built at each lowered
-  /// region dispatch.
-  lowered::ExecCtx make_ctx(Runtime& rt) const {
+  /// Build one worker's state and bind every slot of the lowered program
+  /// once. Buffers marked shared alias `shared` storage (one allocation
+  /// all workers see, writes disjoint by construction); the rest are
+  /// private zero-initialized copies. Pass null to own everything
+  /// (sequential execution). The program above is immutable during
+  /// execution, so parallel workers share it and own one state each.
+  lowered::ExecCtx make_ctx(const Binding& b,
+                            std::vector<std::vector<double>>* shared) const {
     lowered::ExecCtx ctx;
-    ctx.idx_val = rt.idx_val.data();
-    ctx.csf_node = rt.csf_node.data();
-    ctx.csf = rt.csf;
-    ctx.leaf_level = static_cast<std::int32_t>(rt.csf_node.size()) - 1;
+    ctx.csf = b.csf;
+    ctx.idx_val.assign(static_cast<std::size_t>(kernel.num_indices()), 0);
+    ctx.csf_node.assign(static_cast<std::size_t>(kernel.sparse_ref().order()),
+                        0);
+    ctx.owned.resize(buffer_len.size());
+    ctx.table.resize(low.slots.size());
     for (std::size_t s = 0; s < low.slots.size(); ++s) {
-      const lowered::SlotSource& src = low.slots[s];
+      const auto id = static_cast<std::size_t>(low.slots[s].id);
       double* p = nullptr;
-      switch (src.base) {
+      switch (low.slots[s].base) {
         case Base::kDense:
-          p = const_cast<double*>(
-              rt.dense_data[static_cast<std::size_t>(src.id)]);
+          p = const_cast<double*>(b.dense[id]);
           break;
         case Base::kBuffer:
-          p = rt.buffers[static_cast<std::size_t>(src.id)];
+          if (shared != nullptr && buffer_shared[id]) {
+            p = (*shared)[id].data();
+          } else {
+            ctx.owned[id].assign(static_cast<std::size_t>(buffer_len[id]),
+                                 0.0);
+            p = ctx.owned[id].data();
+          }
           break;
         case Base::kSparseVal:
-          p = const_cast<double*>(rt.csf->vals().data());
+          p = const_cast<double*>(b.csf->vals().data());
           break;
         case Base::kOutDense:
-          p = rt.out_dense_data;
+          p = b.out_dense;
           break;
         case Base::kOutSparse:
-          p = rt.out_sparse_data;
+          p = b.out_sparse;
           break;
       }
       ctx.table[s] = p;
@@ -127,45 +129,8 @@ struct FusedExecutor::Impl {
     return ctx;
   }
 
-  /// Tier dispatch for one loop over [begin, end): the single point both
-  /// the sequential walk and every parallel task (root chunks and nested
-  /// second-level splits) go through, so partitioning is tier-agnostic.
-  void run_loop_range(Runtime& rt, int loop_id, std::int64_t begin,
-                      std::int64_t end) const {
-    const std::int32_t li = low.loop_of[static_cast<std::size_t>(loop_id)];
-    if (rt.tier == ExecTier::kLowered && li >= 0) {
-      lowered::ExecCtx ctx = make_ctx(rt);
-      lowered::run_loop(low, ctx, li, begin, end);
-      return;
-    }
-    run_loop(rt, loops[static_cast<std::size_t>(loop_id)], begin, end);
-  }
-
   cprog::CompiledView view() const {
     return {loops, terms, top, buffer_len, kernel.sparse_ref().order()};
-  }
-
-  /// Build a runtime. Buffers marked shared alias `shared` storage (one
-  /// allocation all workers see, writes disjoint by construction); the rest
-  /// are private zero-initialized copies. Pass null to own everything
-  /// (sequential execution).
-  Runtime make_runtime(std::vector<std::vector<double>>* shared) const {
-    Runtime rt;
-    rt.idx_val.assign(static_cast<std::size_t>(kernel.num_indices()), 0);
-    rt.csf_node.assign(static_cast<std::size_t>(kernel.sparse_ref().order()),
-                       0);
-    rt.owned.resize(buffer_len.size());
-    rt.buffers.assign(buffer_len.size(), nullptr);
-    for (std::size_t b = 0; b < buffer_len.size(); ++b) {
-      if (buffer_len[b] == 0) continue;
-      if (shared != nullptr && buffer_shared[b]) {
-        rt.buffers[b] = (*shared)[b].data();
-      } else {
-        rt.owned[b].assign(static_cast<std::size_t>(buffer_len[b]), 0.0);
-        rt.buffers[b] = rt.owned[b].data();
-      }
-    }
-    return rt;
   }
 
   void compile(const LoopOrder& order);
@@ -180,18 +145,10 @@ struct FusedExecutor::Impl {
                     const std::vector<std::int64_t>& strides,
                     const std::vector<int>& inner_chain, CAccess* access);
 
-  void run_actions(Runtime& rt, const std::vector<CActionRef>& body) const;
-  void run_action(Runtime& rt, const CActionRef& a) const;
-  void run_loop(Runtime& rt, const CLoop& loop, std::int64_t begin,
-                std::int64_t end) const;
-  void execute_parallel(Runtime& rt, const ExecArgs& args, int want_threads,
+  void execute_parallel(lowered::ExecCtx& ctx, const Binding& bind,
+                        const ExecArgs& args, int want_threads,
                         std::vector<std::vector<double>>& shared_bufs,
                         ExecStats* stats) const;
-  void run_term(Runtime& rt, const CTerm& t) const;
-  void run_inner(const CTerm& t, std::size_t level, const double* lhs,
-                 const double* rhs, double* out) const;
-  const double* resolve(const Runtime& rt, const CAccess& a) const;
-  double* resolve_mut(const Runtime& rt, const CAccess& a) const;
 };
 
 FusedExecutor::FusedExecutor(const Kernel& kernel,
@@ -204,7 +161,7 @@ FusedExecutor::FusedExecutor(const Kernel& kernel,
   impl_->tree = LoopTree::build(kernel, path, order);
   impl_->compile(order);
   impl_->analyze_parallel();
-  impl_->low = lower_program(impl_->view(), LowerLimits{});
+  impl_->low = lower_program(impl_->view());
 }
 
 FusedExecutor::FusedExecutor(const Kernel& kernel, const Plan& plan)
@@ -220,10 +177,6 @@ const LoopTree& FusedExecutor::tree() const { return impl_->tree; }
 int FusedExecutor::offloaded_terms() const { return impl_->offloaded_terms; }
 int FusedExecutor::collapsed_loops() const { return impl_->collapsed_loops; }
 bool FusedExecutor::collapse_dense() const { return impl_->collapse_dense; }
-
-int FusedExecutor::lowered_regions() const {
-  return impl_->low.lowered_root_regions;
-}
 
 std::size_t FusedExecutor::program_bytes() const {
   const Impl& im = *impl_;
@@ -246,10 +199,6 @@ std::size_t FusedExecutor::program_bytes() const {
   b += im.buffer_shared.capacity() * sizeof(char);
   b += im.low.bytes();
   return b;
-}
-
-void FusedExecutor::relower(const LowerLimits& limits) {
-  impl_->low = lower_program(impl_->view(), limits);
 }
 
 std::vector<FusedExecutor::ParallelRegionInfo>
@@ -291,7 +240,7 @@ std::vector<std::int64_t> FusedExecutor::Impl::strides_for(
   std::int64_t s = 1;
   for (std::size_t m = idx_order.size(); m-- > 0;) {
     strides[m] = s;
-    s *= dims[m];
+    s = checked_mul(s, dims[m]);
   }
   return strides;
 }
@@ -369,7 +318,7 @@ CAccess FusedExecutor::Impl::make_out_access(
 
 void FusedExecutor::Impl::compile(const LoopOrder& order) {
   (void)order;
-  // Record buffer sizes (storage itself lives in each Runtime).
+  // Record buffer sizes (storage itself lives in each worker state).
   buffer_len.assign(static_cast<std::size_t>(path.num_terms()), 0);
   for (const BufferSpec& spec : tree.buffers()) {
     if (spec.producer < 0) continue;
@@ -612,130 +561,6 @@ void FusedExecutor::Impl::analyze_parallel() {
   }
 }
 
-const double* FusedExecutor::Impl::resolve(const Runtime& rt,
-                                           const CAccess& a) const {
-  const double* base = nullptr;
-  switch (a.base) {
-    case Base::kDense:
-      base = rt.dense_data[static_cast<std::size_t>(a.id)];
-      break;
-    case Base::kBuffer:
-      base = rt.buffers[static_cast<std::size_t>(a.id)];
-      break;
-    case Base::kSparseVal:
-      return rt.csf->vals().data() + rt.csf_node.back();
-    case Base::kOutDense:
-      base = rt.out_dense_data;
-      break;
-    case Base::kOutSparse:
-      return rt.out_sparse_data + rt.csf_node.back();
-  }
-  std::int64_t off = 0;
-  for (const auto& [id, stride] : a.outer) {
-    off += rt.idx_val[static_cast<std::size_t>(id)] * stride;
-  }
-  return base + off;
-}
-
-double* FusedExecutor::Impl::resolve_mut(const Runtime& rt,
-                                         const CAccess& a) const {
-  return const_cast<double*>(resolve(rt, a));
-}
-
-void FusedExecutor::Impl::run_inner(const CTerm& t, std::size_t level,
-                                    const double* lhs, const double* rhs,
-                                    double* out) const {
-  const std::size_t depth = t.extent.size();
-  if (level == depth) {
-    *out += *lhs * *rhs;
-    return;
-  }
-  const std::int64_t n = t.extent[level];
-  const std::int64_t sl = t.lhs.inner[level];
-  const std::int64_t sr = t.rhs.inner[level];
-  const std::int64_t so = t.out.inner[level];
-  if (level + 1 == depth) {
-    // Innermost loop: dispatch to a strided BLAS-style kernel.
-    if (so == 0) {
-      *out += xdot(n, lhs, sl, rhs, sr);
-    } else if (sl == 0) {
-      xaxpy(n, *lhs, rhs, sr, out, so);
-    } else if (sr == 0) {
-      xaxpy(n, *rhs, lhs, sl, out, so);
-    } else {
-      xhad(n, 1.0, lhs, sl, rhs, sr, out, so);
-    }
-    return;
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    run_inner(t, level + 1, lhs + i * sl, rhs + i * sr, out + i * so);
-  }
-}
-
-void FusedExecutor::Impl::run_term(Runtime& rt, const CTerm& t) const {
-  run_inner(t, 0, resolve(rt, t.lhs), resolve(rt, t.rhs),
-            resolve_mut(rt, t.out));
-}
-
-void FusedExecutor::Impl::run_loop(Runtime& rt, const CLoop& loop,
-                                   std::int64_t begin,
-                                   std::int64_t end) const {
-  if (loop.sparse) {
-    const int lvl = loop.csf_level;
-    const auto idx = rt.csf->level_idx(lvl);
-    for (std::int64_t n = begin; n < end; ++n) {
-      rt.idx_val[static_cast<std::size_t>(loop.index)] =
-          idx[static_cast<std::size_t>(n)];
-      rt.csf_node[static_cast<std::size_t>(lvl)] = n;
-      run_actions(rt, loop.body);
-    }
-  } else {
-    auto& v = rt.idx_val[static_cast<std::size_t>(loop.index)];
-    for (std::int64_t i = begin; i < end; ++i) {
-      v = i;
-      run_actions(rt, loop.body);
-    }
-  }
-}
-
-void FusedExecutor::Impl::run_action(Runtime& rt, const CActionRef& a) const {
-  switch (a.kind) {
-    case CActionRef::Kind::kTerm:
-      run_term(rt, terms[static_cast<std::size_t>(a.id)]);
-      break;
-    case CActionRef::Kind::kReset:
-      xzero(buffer_len[static_cast<std::size_t>(a.id)],
-            rt.buffers[static_cast<std::size_t>(a.id)], 1);
-      break;
-    case CActionRef::Kind::kLoop: {
-      const CLoop& loop = loops[static_cast<std::size_t>(a.id)];
-      std::int64_t begin = 0;
-      std::int64_t end = 0;
-      if (loop.sparse) {
-        const int lvl = loop.csf_level;
-        if (lvl == 0) {
-          end = rt.csf->num_nodes(0);
-        } else {
-          const auto ptr = rt.csf->level_ptr(lvl - 1);
-          const std::int64_t parent =
-              rt.csf_node[static_cast<std::size_t>(lvl - 1)];
-          begin = ptr[static_cast<std::size_t>(parent)];
-          end = ptr[static_cast<std::size_t>(parent + 1)];
-        }
-      } else {
-        end = loop.extent;
-      }
-      run_loop_range(rt, a.id, begin, end);
-      break;
-    }
-  }
-}
-
-void FusedExecutor::Impl::run_actions(
-    Runtime& rt, const std::vector<CActionRef>& body) const {
-  for (const CActionRef& a : body) run_action(rt, a);
-}
-
 void FusedExecutor::execute(const ExecArgs& args) {
   Impl& im = *impl_;
   const Kernel& k = im.kernel;
@@ -776,9 +601,9 @@ void FusedExecutor::execute(const ExecArgs& args) {
       }
     }
   }
-  Impl::Runtime rt =
-      im.make_runtime(want_threads > 1 ? &shared_bufs : nullptr);
-  rt.dense_data.assign(args.dense.size(), nullptr);
+  Impl::Binding bind;
+  bind.csf = &csf;
+  bind.dense.assign(args.dense.size(), nullptr);
   for (int i = 0; i < k.num_inputs(); ++i) {
     if (i == k.sparse_input()) continue;
     const DenseTensor* d = args.dense[static_cast<std::size_t>(i)];
@@ -792,17 +617,16 @@ void FusedExecutor::execute(const ExecArgs& args) {
           d->dim(m) == k.index_dim(ref.idx[static_cast<std::size_t>(m)]),
           "dense input '" << ref.name << "' dim mismatch in mode " << m);
     }
-    rt.dense_data[static_cast<std::size_t>(i)] = d->data();
+    bind.dense[static_cast<std::size_t>(i)] = d->data();
   }
 
   if (k.output_is_sparse()) {
     SPTTN_CHECK_MSG(static_cast<std::int64_t>(args.out_sparse.size()) ==
                         csf.nnz(),
                     "sparse output must have one value per nonzero");
-    rt.out_sparse_data = args.out_sparse.data();
-    rt.out_dense_data = nullptr;
+    bind.out_sparse = args.out_sparse.data();
     if (!args.accumulate) {
-      xzero(csf.nnz(), rt.out_sparse_data, 1);
+      xzero(csf.nnz(), bind.out_sparse, 1);
     }
   } else {
     SPTTN_CHECK_MSG(args.out_dense != nullptr, "dense output not bound");
@@ -814,19 +638,20 @@ void FusedExecutor::execute(const ExecArgs& args) {
                           k.index_dim(ref.idx[static_cast<std::size_t>(m)]),
                       "output dim mismatch in mode " << m);
     }
-    rt.out_dense_data = args.out_dense->data();
-    rt.out_sparse_data = nullptr;
+    bind.out_dense = args.out_dense->data();
     if (!args.accumulate) args.out_dense->zero();
   }
 
-  rt.csf = &csf;
-  rt.tier = args.tier;
-
+  lowered::ExecCtx ctx =
+      im.make_ctx(bind, want_threads > 1 ? &shared_bufs : nullptr);
   if (want_threads > 1) {
-    im.execute_parallel(rt, args, want_threads, shared_bufs, args.stats);
+    im.execute_parallel(ctx, bind, args, want_threads, shared_bufs,
+                        args.stats);
     return;
   }
-  im.run_actions(rt, im.top);
+  for (std::size_t t = 0; t < im.top.size(); ++t) {
+    lowered::run_top(im.low, ctx, t);
+  }
   if (args.stats != nullptr) {
     // Report the sequential execution faithfully instead of clobbering the
     // caller's struct with defaults: the resolved thread count and the
@@ -837,9 +662,7 @@ void FusedExecutor::execute(const ExecArgs& args) {
     st.threads_requested = want_threads;
     st.threads_used = 1;
     st.total_regions = im.num_root_regions;
-    st.tier = args.tier;
-    st.lowered_regions =
-        args.tier == ExecTier::kLowered ? im.low.lowered_root_regions : 0;
+    st.lowered_regions = im.num_root_regions;
     *args.stats = st;
   }
 }
@@ -895,7 +718,7 @@ void reduce_partials(ThreadPool& pool,
 
 }  // namespace
 
-/// Parallel interpretation of the compiled program: top-level actions run
+/// Parallel execution of the lowered program: top-level actions run
 /// in order (each parallel_apply is a barrier), and every safe root loop is
 /// partitioned across the process-wide work-stealing pool by one
 /// deterministic splitter. Root positions are weighted (subtree nnz for
@@ -908,23 +731,20 @@ void reduce_partials(ThreadPool& pool,
 /// indices, otherwise into per-task partials folded by a tiled
 /// deterministic reduction.
 void FusedExecutor::Impl::execute_parallel(
-    Runtime& rt, const ExecArgs& args, int want_threads,
-    std::vector<std::vector<double>>& shared_bufs, ExecStats* stats) const {
+    lowered::ExecCtx& ctx, const Binding& bind, const ExecArgs& args,
+    int want_threads, std::vector<std::vector<double>>& shared_bufs,
+    ExecStats* stats) const {
   ThreadPool& pool = ThreadPool::global();
   ExecStats st;
   st.populated = true;
   st.threads_requested = want_threads;
   st.total_regions = num_root_regions;
-  st.tier = rt.tier;
-  st.lowered_regions =
-      rt.tier == ExecTier::kLowered ? low.lowered_root_regions : 0;
-  const CsfTensor& csf = *rt.csf;
+  st.lowered_regions = num_root_regions;
+  const CsfTensor& csf = *bind.csf;
   const std::int64_t dense_out_len =
-      rt.out_dense_data != nullptr && args.out_dense != nullptr
-          ? args.out_dense->size()
-          : 0;
+      bind.out_dense != nullptr ? args.out_dense->size() : 0;
   const std::int64_t sparse_out_len =
-      rt.out_sparse_data != nullptr ? csf.nnz() : 0;
+      bind.out_sparse != nullptr ? csf.nnz() : 0;
   /// Root chunks heavier than this multiple of the per-task target are
   /// re-walked with the nested second-level split.
   constexpr double kNestSkewThreshold = 1.25;
@@ -933,13 +753,13 @@ void FusedExecutor::Impl::execute_parallel(
     const CActionRef& a = top[t];
     const TopMeta& meta = top_meta[t];
     if (a.kind != CActionRef::Kind::kLoop) {
-      run_action(rt, a);  // scalar terms and shared-buffer resets
+      lowered::run_top(low, ctx, t);  // scalar terms, shared resets
       continue;
     }
     const CLoop& root = loops[static_cast<std::size_t>(a.id)];
     if (!meta.par_safe) {
       ++st.fallback_regions;
-      run_action(rt, a);
+      lowered::run_top(low, ctx, t);
       continue;
     }
     const CLoop* inner =
@@ -971,11 +791,11 @@ void FusedExecutor::Impl::execute_parallel(
     };
     const std::int64_t total_w = prefix(extent);
     if (extent == 0 || total_w == 0) {
-      run_action(rt, a);
+      lowered::run_top(low, ctx, t);
       continue;
     }
 
-    // Task budget B. Every task pays a Runtime (private-buffer
+    // Task budget B. Every task pays a worker state (private-buffer
     // allocation), and tasks beyond the pool's lanes only help by
     // smoothing weight imbalance the stealing pool can absorb, so
     // disjoint-write regions get a few tasks per lane. Regions whose root
@@ -1101,7 +921,7 @@ void FusedExecutor::Impl::execute_parallel(
       // serialization is observable, then run in place.
       st.partition_imbalance =
           std::max(st.partition_imbalance, static_cast<double>(budget));
-      run_action(rt, a);
+      lowered::run_top(low, ctx, t);
       continue;
     }
     const bool has_nested =
@@ -1130,49 +950,44 @@ void FusedExecutor::Impl::execute_parallel(
     }
 
     pool.parallel_apply(n_tasks, [&](std::int64_t c) {
-      Runtime wrt = make_runtime(&shared_bufs);
-      wrt.dense_data = rt.dense_data;
-      wrt.csf = rt.csf;
-      wrt.out_dense_data = rt.out_dense_data;
-      wrt.out_sparse_data = rt.out_sparse_data;
-      wrt.tier = rt.tier;
+      Binding wbind = bind;
       if (!dense_direct) {
         auto& p = dense_partial[static_cast<std::size_t>(c)];
         p.assign(static_cast<std::size_t>(dense_out_len), 0.0);
-        wrt.out_dense_data = p.data();
+        wbind.out_dense = p.data();
       }
       if (!sparse_direct) {
         auto& p = sparse_partial[static_cast<std::size_t>(c)];
         p.assign(static_cast<std::size_t>(sparse_out_len), 0.0);
-        wrt.out_sparse_data = p.data();
+        wbind.out_sparse = p.data();
       }
+      lowered::ExecCtx wctx = make_ctx(wbind, &shared_bufs);
       const ParTask& task = tasks[static_cast<std::size_t>(c)];
       if (task.inner_begin < 0) {
-        run_loop_range(wrt, a.id, task.root_begin, task.root_end);
+        lowered::run_loop(low, wctx, a.id, task.root_begin, task.root_end);
       } else {
         // Nested task: bind the single root position, then run the second
         // loop over the narrowed range (the root body is exactly this
         // loop, by the nest_safe analysis).
         if (root.sparse) {
           const int lvl = root.csf_level;
-          wrt.idx_val[static_cast<std::size_t>(root.index)] =
+          wctx.idx_val[static_cast<std::size_t>(root.index)] =
               csf.level_idx(lvl)[static_cast<std::size_t>(task.root_begin)];
-          wrt.csf_node[static_cast<std::size_t>(lvl)] = task.root_begin;
+          wctx.csf_node[static_cast<std::size_t>(lvl)] = task.root_begin;
         } else {
-          wrt.idx_val[static_cast<std::size_t>(root.index)] =
+          wctx.idx_val[static_cast<std::size_t>(root.index)] =
               task.root_begin;
         }
-        run_loop_range(wrt, meta.inner_loop, task.inner_begin,
-                       task.inner_end);
+        lowered::run_loop(low, wctx, meta.inner_loop, task.inner_begin,
+                          task.inner_end);
       }
     });
 
     if (!dense_direct) {
-      reduce_partials(pool, dense_partial, dense_out_len, rt.out_dense_data);
+      reduce_partials(pool, dense_partial, dense_out_len, bind.out_dense);
     }
     if (!sparse_direct) {
-      reduce_partials(pool, sparse_partial, sparse_out_len,
-                      rt.out_sparse_data);
+      reduce_partials(pool, sparse_partial, sparse_out_len, bind.out_sparse);
     }
 
     ++st.parallel_regions;

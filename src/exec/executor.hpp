@@ -1,12 +1,14 @@
 // Fused loop-nest executor — the runtime half of SpTTN-Cyclops
 // (paper Section 5, Algorithm 2).
 //
-// Stage 1 (construction) compiles a LoopTree into a flat program: loops are
-// tagged as CSF traversals or dense ranges, buffers are allocated, reset
-// actions are placed, and trailing dense loops exclusive to one term are
-// collapsed into strided inner kernels (the runtime analogue of the paper's
-// metaprogramming + BLAS hooks). Stage 2 (execute) interprets the program
-// against bound tensors.
+// Construction compiles a LoopTree into a flat program (compiled_program.hpp):
+// loops are tagged as CSF traversals or dense ranges, buffers are sized,
+// reset actions are placed, and trailing dense loops exclusive to one term
+// are collapsed into strided inner kernels (the runtime analogue of the
+// paper's metaprogramming + BLAS hooks). The lowerer (lower.hpp) then turns
+// that program into pre-resolved form with the inner kernels selected, and
+// execute() runs the lowered program against bound tensors — one driver,
+// sequentially or split across the thread pool by one partitioner.
 #pragma once
 
 #include <cstddef>
@@ -23,23 +25,6 @@
 #include "tensor/einsum.hpp"
 
 namespace spttn {
-
-struct LowerLimits;  // exec/lower.hpp
-
-/// How the compiled program is driven at execute() time. Construction
-/// always prepares both forms: the interpretable action tree and the
-/// lowered flat program (lower.hpp) for every region the lowerer accepts.
-/// The tier is selected per execution (ExecArgs::tier), never baked into
-/// the executor, so one cached FusedExecutor serves callers with different
-/// tier preferences concurrently. Both tiers produce bit-identical results
-/// — the lowered kernels mirror the interpreter's accumulation order — and
-/// work partitioning is tier-agnostic (lowering dispatches per region after
-/// partitioning), so threaded runs are also bit-identical across tiers at a
-/// fixed thread count.
-enum class ExecTier {
-  kInterpret,  ///< recursive walk over the compiled action tree
-  kLowered,    ///< flat pre-resolved program with specialized inner kernels
-};
 
 /// Per-execution diagnostics, filled when ExecArgs.stats is set. The
 /// runtime never falls back silently: every execution that received a
@@ -78,13 +63,9 @@ struct ExecStats {
   /// A region left as a single task reports its task budget B (its skew
   /// against an even B-way split), so a serialized region stays visible.
   double partition_imbalance = 1.0;
-  /// Tier this execution was driven on (echoes ExecArgs::tier).
-  ExecTier tier = ExecTier::kInterpret;
-  /// Top-level loop regions that ran fully lowered this execution; the
-  /// remaining `total_regions - lowered_regions` interpreted (either the
-  /// tier was kInterpret, or the lowerer rejected the region's subtree —
-  /// sub-loops of a rejected region may still dispatch lowered, but only
-  /// fully-lowered regions are counted here).
+  /// Top-level loop regions that ran through the lowered program. Lowering
+  /// is total, so this always equals total_regions; it is kept for
+  /// consumers that report it.
   int lowered_regions = 0;
 };
 
@@ -126,13 +107,6 @@ struct ExecArgs {
   int num_threads = 1;
   /// Optional out-param receiving per-execution diagnostics.
   ExecStats* stats = nullptr;
-  /// Execution tier. kLowered (the default) drives every region the
-  /// lowerer accepted through the flat pre-resolved program and interprets
-  /// the rest; kInterpret forces the action-tree walk everywhere. Results
-  /// are bit-identical either way (see ExecTier), so this is purely a
-  /// performance/ablation knob; PlannerOptions::lower maps onto it in the
-  /// serving layer.
-  ExecTier tier = ExecTier::kLowered;
 };
 
 /// Executes one fully-fused loop nest for an SpTTN kernel.
@@ -168,17 +142,9 @@ class FusedExecutor {
   int offloaded_terms() const;
   int collapsed_loops() const;
 
-  /// Top-level loop regions whose whole subtree the lowerer accepted; a
-  /// kLowered execution drives exactly these through the flat program.
-  int lowered_regions() const;
-  /// Heap footprint of the compiled action tree plus the lowered program
+  /// Heap footprint of the compiled program plus the lowered program
   /// (used by KernelCache::estimate_entry_bytes for byte budgeting).
   std::size_t program_bytes() const;
-  /// Re-run the lowering pass with explicit limits (testing and ablation:
-  /// e.g. LowerLimits{.max_operand_deps = 0} rejects every region and
-  /// forces a kLowered execution through the interpreter fallback). Not
-  /// thread-safe with respect to concurrent execute() calls.
-  void relower(const LowerLimits& limits);
 
   /// Compile-time locality facts of one top-level root-loop region, as
   /// decided by analyze_parallel from the compiled program's access

@@ -1,8 +1,8 @@
 #include "exec/lower.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
-#include <vector>
 
 namespace spttn {
 
@@ -19,218 +19,174 @@ using lowered::LChain;
 using lowered::LLoop;
 using lowered::LOp;
 using lowered::LoweredProgram;
-using lowered::LReset;
 using lowered::LTerm;
 using lowered::Operand;
 
+bool leaf_addressed(const CAccess& a) {
+  return a.base == Base::kSparseVal || a.base == Base::kOutSparse;
+}
+
+/// Stride of `a` along loop index `index` (0 when it does not depend on it).
+std::int64_t stride_along(const CAccess& a, int index) {
+  for (const auto& [idx, stride] : a.outer) {
+    if (idx == index) return stride;
+  }
+  return 0;
+}
+
 struct Lowerer {
   const CompiledView& prog;
-  const LowerLimits& lim;
   LoweredProgram out;
 
   /// Intern a base pointer source. Slots are few (inputs + buffers +
-  /// outputs), so a linear scan beats hashing. Returns -1 on table
-  /// overflow, which rejects the operand.
-  int slot_for(Base base, int id) {
+  /// outputs), so a linear scan beats hashing.
+  std::int32_t slot_for(Base base, int id) {
     for (std::size_t s = 0; s < out.slots.size(); ++s) {
       if (out.slots[s].base == base && out.slots[s].id == id) {
-        return static_cast<int>(s);
+        return static_cast<std::int32_t>(s);
       }
     }
-    if (out.slots.size() >= static_cast<std::size_t>(lowered::kMaxSlots)) {
-      return -1;
-    }
     out.slots.push_back({base, id});
-    return static_cast<int>(out.slots.size()) - 1;
+    return static_cast<std::int32_t>(out.slots.size()) - 1;
   }
 
-  bool lower_operand(const CAccess& a, Operand* o) {
+  /// Intern the operand's base and store its outer dependencies (inline,
+  /// then spilled to the dep pool), leaving out the one on `chain_index`
+  /// (the enclosing chain loop's index, which the chain multiplier carries
+  /// instead).
+  Operand lower_operand(const CAccess& a, int chain_index) {
     // kSparseVal / kOutSparse are leaf-addressed singletons; the others key
     // the slot table by their id.
     const bool indexed = a.base == Base::kDense || a.base == Base::kBuffer;
-    const int slot = slot_for(a.base, indexed ? a.id : 0);
-    if (slot < 0) return false;
-    const int cap = std::min(lim.max_operand_deps, lowered::kMaxDeps);
-    if (static_cast<int>(a.outer.size()) > cap) return false;
-    o->slot = slot;
-    o->leaf = a.base == Base::kSparseVal || a.base == Base::kOutSparse;
-    o->ndeps = static_cast<std::uint8_t>(a.outer.size());
-    for (std::size_t d = 0; d < a.outer.size(); ++d) {
-      o->deps[d].idx = a.outer[d].first;
-      o->deps[d].stride = a.outer[d].second;
+    Operand o;
+    o.slot = slot_for(a.base, indexed ? a.id : 0);
+    o.leaf = leaf_addressed(a) && chain_index < 0;
+    o.spill_begin = static_cast<std::int32_t>(out.deps.size());
+    for (const auto& [idx, stride] : a.outer) {
+      if (idx == chain_index) continue;
+      if (o.ndeps < lowered::kInlineDeps) {
+        o.inl[static_cast<std::size_t>(o.ndeps)] = {idx, stride};
+      } else {
+        out.deps.push_back({idx, stride});
+      }
+      ++o.ndeps;
     }
-    return true;
+    return o;
   }
 
-  /// Kernel selection mirrors Impl::run_inner's dispatch exactly (out
-  /// stride 0 => dot, lhs 0 => axpy(alpha = *lhs), rhs 0 => axpy(alpha =
-  /// *rhs), else hadamard), with the unit-stride instantiation chosen by
-  /// the same conditions kernels.cpp fast-paths on.
-  bool lower_term(const CTerm& ct, LTerm* t) {
-    const int depth = static_cast<int>(ct.extent.size());
-    if (depth > std::min(lim.max_term_levels, lowered::kMaxTermLevels)) {
-      return false;
-    }
-    if (!lower_operand(ct.lhs, &t->lhs) || !lower_operand(ct.rhs, &t->rhs) ||
-        !lower_operand(ct.out, &t->out)) {
-      return false;
-    }
-    if (depth == 0) {
-      t->inner = InnerKind::kScalar;
-      return true;
-    }
-    const auto last = static_cast<std::size_t>(depth - 1);
-    t->n = ct.extent[last];
-    t->ls = ct.lhs.inner[last];
-    t->rs = ct.rhs.inner[last];
-    t->os = ct.out.inner[last];
-    if (t->os == 0) {
-      t->inner = t->ls == 1 && t->rs == 1 ? InnerKind::kDotU : InnerKind::kDotG;
-    } else if (t->ls == 0) {
-      t->inner =
-          t->rs == 1 && t->os == 1 ? InnerKind::kAxpyLU : InnerKind::kAxpyLG;
-    } else if (t->rs == 0) {
-      t->inner =
-          t->ls == 1 && t->os == 1 ? InnerKind::kAxpyRU : InnerKind::kAxpyRG;
-    } else {
-      t->inner = t->ls == 1 && t->rs == 1 && t->os == 1 ? InnerKind::kHadU
-                                                        : InnerKind::kHadG;
-    }
-    t->outer_depth = static_cast<std::uint8_t>(depth - 1);
-    for (int l = 0; l + 1 < depth; ++l) {
-      const auto lv = static_cast<std::size_t>(l);
-      t->oext[lv] = ct.extent[lv];
-      t->ols[lv] = ct.lhs.inner[lv];
-      t->ors[lv] = ct.rhs.inner[lv];
-      t->oos[lv] = ct.out.inner[lv];
-    }
-    return true;
-  }
-
-  /// Pull the chain loop's contribution out of one operand: at most one
-  /// (index, stride) dependency on the loop index becomes the idx
-  /// multiplier, and leaf addressing becomes the position multiplier (only
-  /// valid when the chain loop IS the CSF leaf level — otherwise the leaf
-  /// node is not a function of the loop position and the loop must stay
-  /// generic).
-  bool extract_chain_operand(Operand* o, int loop_index, bool loop_is_leaf,
-                             std::int64_t* idx_mult, std::int64_t* leaf_mult) {
-    *idx_mult = 0;
-    *leaf_mult = 0;
-    int found = -1;
-    for (int d = 0; d < o->ndeps; ++d) {
-      if (o->deps[static_cast<std::size_t>(d)].idx == loop_index) {
-        if (found >= 0) return false;  // repeated index (diagonal access)
-        found = d;
+  /// Lower one term and return its id. Kernel selection: out stride 0 =>
+  /// dot, lhs 0 => axpy(alpha = *lhs), rhs 0 => axpy(alpha = *rhs), else
+  /// hadamard, with the unit-stride instantiation chosen by the same
+  /// conditions kernels.cpp fast-paths on.
+  std::int32_t lower_term(const CTerm& ct, int chain_index) {
+    LTerm t;
+    t.lhs = lower_operand(ct.lhs, chain_index);
+    t.rhs = lower_operand(ct.rhs, chain_index);
+    t.out = lower_operand(ct.out, chain_index);
+    const std::size_t depth = ct.extent.size();
+    if (depth > 0) {
+      const std::size_t last = depth - 1;
+      t.n = ct.extent[last];
+      t.ls = ct.lhs.inner[last];
+      t.rs = ct.rhs.inner[last];
+      t.os = ct.out.inner[last];
+      if (t.os == 0) {
+        t.inner =
+            t.ls == 1 && t.rs == 1 ? InnerKind::kDotU : InnerKind::kDotG;
+      } else if (t.ls == 0) {
+        t.inner =
+            t.rs == 1 && t.os == 1 ? InnerKind::kAxpyLU : InnerKind::kAxpyLG;
+      } else if (t.rs == 0) {
+        t.inner =
+            t.ls == 1 && t.os == 1 ? InnerKind::kAxpyRU : InnerKind::kAxpyRG;
+      } else {
+        t.inner = t.ls == 1 && t.rs == 1 && t.os == 1 ? InnerKind::kHadU
+                                                      : InnerKind::kHadG;
+      }
+      t.level_begin = static_cast<std::int32_t>(out.levels.size());
+      t.outer_depth = static_cast<std::int32_t>(last);
+      for (std::size_t l = 0; l < last; ++l) {
+        out.levels.push_back({ct.extent[l], ct.lhs.inner[l], ct.rhs.inner[l],
+                              ct.out.inner[l]});
       }
     }
-    if (found >= 0) {
-      *idx_mult = o->deps[static_cast<std::size_t>(found)].stride;
-      for (int d = found; d + 1 < o->ndeps; ++d) {
-        o->deps[static_cast<std::size_t>(d)] =
-            o->deps[static_cast<std::size_t>(d + 1)];
-      }
-      --o->ndeps;
-    }
-    if (o->leaf) {
-      if (!loop_is_leaf) return false;
-      *leaf_mult = 1;
-      o->leaf = false;
-    }
-    return true;
+    out.terms.push_back(t);
+    return static_cast<std::int32_t>(out.terms.size()) - 1;
   }
 
-  /// Lower one compiled loop (whole subtree or nothing). Returns the
-  /// lowered loop id, or -1 when any part of the subtree is rejected —
-  /// in which case successfully lowered child loops keep their loop_of
-  /// entries and still dispatch lowered under an interpreted parent.
-  int lower_loop(int cid) {
+  /// A sparse loop whose body is one term fuses into a chain when every
+  /// operand depends on the loop index through at most one (index, stride)
+  /// pair (a repeated index is a diagonal access) and leaf-addressed
+  /// operands sit under the CSF leaf level itself (elsewhere the leaf node
+  /// is not a function of the loop position).
+  bool chainable(const CLoop& cl) const {
+    if (!cl.sparse || cl.body.size() != 1 ||
+        cl.body.front().kind != CActionRef::Kind::kTerm) {
+      return false;
+    }
+    const CTerm& ct = prog.terms[static_cast<std::size_t>(cl.body.front().id)];
+    const bool leaf_loop = cl.csf_level == prog.csf_order - 1;
+    const CAccess* operands[] = {&ct.lhs, &ct.rhs, &ct.out};
+    return std::all_of(
+        std::begin(operands), std::end(operands), [&](const CAccess* a) {
+          return (leaf_loop || !leaf_addressed(*a)) &&
+                 std::count_if(a->outer.begin(), a->outer.end(),
+                               [&](const auto& d) {
+                                 return d.first == cl.index;
+                               }) <= 1;
+        });
+  }
+
+  LOp lower_action(const CActionRef& a) {
+    if (a.kind == CActionRef::Kind::kTerm) {
+      return {LOp::Kind::kTerm,
+              lower_term(prog.terms[static_cast<std::size_t>(a.id)], -1)};
+    }
+    if (a.kind == CActionRef::Kind::kReset) {
+      out.resets.push_back({slot_for(Base::kBuffer, a.id),
+                            prog.buffer_len[static_cast<std::size_t>(a.id)]});
+      return {LOp::Kind::kReset,
+              static_cast<std::int32_t>(out.resets.size()) - 1};
+    }
+    lower_loop(a.id);
+    return {LOp::Kind::kLoop, a.id};
+  }
+
+  /// Lower compiled loop `cid` into out.loops[cid] (pre-sized, so the
+  /// reference stays valid while the body recurses).
+  void lower_loop(int cid) {
     const CLoop& cl = prog.loops[static_cast<std::size_t>(cid)];
-
-    if (lim.enable_chains && cl.sparse && cl.body.size() == 1 &&
-        cl.body.front().kind == CActionRef::Kind::kTerm) {
-      LTerm t;
-      if (lower_term(prog.terms[static_cast<std::size_t>(cl.body.front().id)],
-                     &t)) {
-        const bool leaf_loop = cl.csf_level == prog.csf_order - 1;
-        LChain c;
-        if (extract_chain_operand(&t.lhs, cl.index, leaf_loop, &c.l_idx,
-                                  &c.l_leaf) &&
-            extract_chain_operand(&t.rhs, cl.index, leaf_loop, &c.r_idx,
-                                  &c.r_leaf) &&
-            extract_chain_operand(&t.out, cl.index, leaf_loop, &c.o_idx,
-                                  &c.o_leaf)) {
-          out.terms.push_back(t);
-          c.term = static_cast<std::int32_t>(out.terms.size()) - 1;
-          LLoop ll;
-          ll.index = cl.index;
-          ll.sparse = true;
-          ll.csf_level = cl.csf_level;
-          ll.extent = cl.extent;
-          ll.is_chain = true;
-          ll.chain = c;
-          out.loops.push_back(std::move(ll));
-          const auto id = static_cast<std::int32_t>(out.loops.size()) - 1;
-          out.loop_of[static_cast<std::size_t>(cid)] = id;
-          return id;
-        }
-      }
-    }
-
-    std::vector<LOp> body;
-    body.reserve(cl.body.size());
-    for (const CActionRef& a : cl.body) {
-      switch (a.kind) {
-        case CActionRef::Kind::kTerm: {
-          LTerm t;
-          if (!lower_term(prog.terms[static_cast<std::size_t>(a.id)], &t)) {
-            return -1;
-          }
-          out.terms.push_back(t);
-          body.push_back({LOp::Kind::kTerm,
-                          static_cast<std::int32_t>(out.terms.size()) - 1});
-          break;
-        }
-        case CActionRef::Kind::kReset: {
-          const int slot = slot_for(Base::kBuffer, a.id);
-          if (slot < 0) return -1;
-          out.resets.push_back(
-              {slot, prog.buffer_len[static_cast<std::size_t>(a.id)]});
-          body.push_back({LOp::Kind::kReset,
-                          static_cast<std::int32_t>(out.resets.size()) - 1});
-          break;
-        }
-        case CActionRef::Kind::kLoop: {
-          const int li = lower_loop(a.id);
-          if (li < 0) return -1;
-          body.push_back({LOp::Kind::kLoop, li});
-          break;
-        }
-      }
-    }
-    LLoop ll;
+    LLoop& ll = out.loops[static_cast<std::size_t>(cid)];
     ll.index = cl.index;
     ll.sparse = cl.sparse;
     ll.csf_level = cl.csf_level;
     ll.extent = cl.extent;
-    ll.body = std::move(body);
-    out.loops.push_back(std::move(ll));
-    const auto id = static_cast<std::int32_t>(out.loops.size()) - 1;
-    out.loop_of[static_cast<std::size_t>(cid)] = id;
-    return id;
+    if (chainable(cl)) {
+      const CTerm& ct =
+          prog.terms[static_cast<std::size_t>(cl.body.front().id)];
+      LChain& c = ll.chain;
+      c.l_idx = stride_along(ct.lhs, cl.index);
+      c.r_idx = stride_along(ct.rhs, cl.index);
+      c.o_idx = stride_along(ct.out, cl.index);
+      c.l_leaf = leaf_addressed(ct.lhs) ? 1 : 0;
+      c.r_leaf = leaf_addressed(ct.rhs) ? 1 : 0;
+      c.o_leaf = leaf_addressed(ct.out) ? 1 : 0;
+      c.term = lower_term(ct, cl.index);
+      ll.is_chain = true;
+      return;
+    }
+    ll.body.reserve(cl.body.size());
+    for (const CActionRef& a : cl.body) ll.body.push_back(lower_action(a));
   }
 };
 
 }  // namespace
 
-lowered::LoweredProgram lower_program(const cprog::CompiledView& prog,
-                                      const LowerLimits& limits) {
-  Lowerer lw{prog, limits, {}};
-  lw.out.loop_of.assign(prog.loops.size(), -1);
-  for (const CActionRef& a : prog.top) {
-    if (a.kind != CActionRef::Kind::kLoop) continue;
-    if (lw.lower_loop(a.id) >= 0) ++lw.out.lowered_root_regions;
-  }
+lowered::LoweredProgram lower_program(const cprog::CompiledView& prog) {
+  Lowerer lw{prog, {}};
+  lw.out.loops.resize(prog.loops.size());
+  lw.out.top.reserve(prog.top.size());
+  for (const CActionRef& a : prog.top) lw.out.top.push_back(lw.lower_action(a));
   return std::move(lw.out);
 }
 

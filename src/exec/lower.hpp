@@ -1,10 +1,8 @@
 // Lowering pass: compiled-program IR -> flat pre-resolved LoweredProgram.
 //
-// Runs once at FusedExecutor construction (and again on relower). Lowering
-// is proved per subtree: a loop lowers only when everything under it does,
-// but the children of a rejected loop may still lower individually — the
-// executor dispatches per loop via LoweredProgram::loop_of, so rejected
-// regions interpret while accepted ones run the specialized form.
+// Runs once at FusedExecutor construction and is total: every compiled
+// loop, term, reset and top-level action gets its lowered counterpart, with
+// loop ids preserved (lowered loop i is compiled loop i).
 #pragma once
 
 #include "exec/compiled_program.hpp"
@@ -12,21 +10,6 @@
 
 namespace spttn {
 
-/// Caps on what the lowerer takes on; anything beyond falls back to the
-/// interpreter per region. The defaults accept every shape in the paper
-/// suite. Exposed mainly so tests and ablations can force fallback through
-/// FusedExecutor::relower (e.g. max_operand_deps = 0 rejects every operand
-/// with an outer index dependency).
-struct LowerLimits {
-  int max_operand_deps = lowered::kMaxDeps;
-  int max_term_levels = lowered::kMaxTermLevels;
-  /// Fuse single-term sparse loops into tight nonzero-range chains.
-  /// Disabling keeps generic lowered loops only (ablation knob); results
-  /// are bit-identical either way.
-  bool enable_chains = true;
-};
-
-lowered::LoweredProgram lower_program(const cprog::CompiledView& prog,
-                                      const LowerLimits& limits = {});
+lowered::LoweredProgram lower_program(const cprog::CompiledView& prog);
 
 }  // namespace spttn

@@ -1,28 +1,29 @@
-// Lowered execution tier: flat, pre-resolved programs (ROADMAP item 1, the
-// CoNST direction).
+// Lowered program: the one form FusedExecutor runs (the paper's runtime
+// executes the single loop nest the planner chose, Section 5, Algorithm 2;
+// CoNST derives one code path from the loop-nest IR the same way).
 //
-// The interpreter pays, per nonzero, a recursive run_action walk, a Kind
-// switch, and an operand resolve that re-sums (index, stride) pairs — all
-// determined entirely by the plan before the first nonzero is touched. The
-// lowerer (lower.cpp) runs once at compile time and emits this IR instead:
+// Everything about a term's addressing is fixed by the plan before the
+// first nonzero is touched, so the lowerer (lower.cpp) resolves it once at
+// construction and emits this flat form:
 //
-//  - operands carry an interned base-pointer slot plus at most kMaxDeps
-//    pre-split (index, stride) dependencies, so addressing is a short
-//    fixed-bound loop over a std::array instead of vector walks;
+//  - operands carry an interned base-pointer slot plus their pre-split
+//    (index, stride) dependencies, the first kInlineDeps inside the operand
+//    and any further ones in the program-wide `deps` pool;
 //  - every term's innermost kernel (dot / axpy / hadamard, unit or generic
-//    stride) is selected at lower time (InnerKind), so the per-call stride
-//    inspection in run_inner disappears;
+//    stride) is selected at lower time (InnerKind), and its collapsed outer
+//    dense levels are a range of the `levels` pool;
 //  - a sparse loop whose body is exactly one term fuses into an LChain: one
 //    tight loop over the nonzero range with branchless per-operand
 //    addressing `invariant_base + idx[p]*idx_mult + p*leaf_mult`, dispatched
 //    through a template instantiation per InnerKind so the kernel switch is
 //    hoisted out of the nonzero loop entirely.
 //
-// Anything the lowerer cannot prove it handles stays with the interpreter:
-// lowering is per top-level region (and per sub-loop), and the executor
-// falls back node by node. Numerical contract: every lowered kernel mirrors
-// the interpreter's exact accumulation order (the kernels.cpp loops), so
-// lowered and interpreted runs are bit-identical, sequential or threaded.
+// Lowering is total: lowered loop i is compiled loop i (compiled_program.hpp)
+// and `top` mirrors the compiled top-level action sequence one to one, so
+// the executor's parallel splitter addresses both forms with the same ids.
+// Numerical contract: every kernel accumulates in a fixed order, so results
+// are bit-identical run to run at a fixed partition shape, and
+// tests/golden/outputs.txt pins the output bits.
 #pragma once
 
 #include <array>
@@ -38,36 +39,34 @@ class CsfTensor;
 
 namespace spttn::lowered {
 
-/// Max pre-resolved (index, stride) dependencies per operand; accesses with
-/// more outer indices fall back to the interpreter.
-inline constexpr int kMaxDeps = 4;
-/// Max collapsed trailing dense levels per term (innermost kernel plus
-/// kMaxTermLevels - 1 outer strided levels).
-inline constexpr int kMaxTermLevels = 4;
-/// Max interned base pointers per program (dense inputs, buffers, sparse
-/// values, outputs). Paper kernels use < 10.
-inline constexpr int kMaxSlots = 48;
-
 /// One pre-resolved outer dependency: add idx_val[idx] * stride.
 struct Dep {
   std::int32_t idx = 0;
   std::int64_t stride = 0;
 };
 
-/// A term operand with its base pointer interned into the slot table and
-/// outer offsets pre-split into a fixed-bound dependency array.
+/// Outer dependencies an operand stores inline; the rest spill to the
+/// program-wide pool. Almost every operand has at most two, and keeping
+/// them beside the slot saves a dependent load per operand on the
+/// per-nonzero path, which shows on kernels with short fibers (bench_e2e
+/// serve-churn).
+inline constexpr int kInlineDeps = 2;
+
+/// A term operand: its base pointer interned into the slot table and its
+/// outer offset as `ndeps` dependencies, the first kInlineDeps in `inl` and
+/// the rest at deps[spill_begin, spill_begin + ndeps - kInlineDeps).
 struct Operand {
   std::int32_t slot = 0;
   /// Add the current CSF leaf node position (sparse values / sparse output).
   bool leaf = false;
-  std::uint8_t ndeps = 0;
-  std::array<Dep, kMaxDeps> deps{};
+  std::int32_t ndeps = 0;
+  std::int32_t spill_begin = 0;
+  std::array<Dep, kInlineDeps> inl{};
 };
 
-/// Innermost kernel selected at lower time, mirroring the interpreter's
-/// run_inner dispatch (out-stride 0 => dot, lhs-stride 0 => axpy with lhs
-/// as alpha, rhs-stride 0 => axpy with rhs as alpha, else hadamard). The U
-/// variants are the unit-stride instantiations.
+/// Innermost kernel selected at lower time (out-stride 0 => dot, lhs-stride
+/// 0 => axpy with lhs as alpha, rhs-stride 0 => axpy with rhs as alpha,
+/// else hadamard). The U variants are the unit-stride instantiations.
 enum class InnerKind : std::uint8_t {
   kScalar,  ///< depth 0: *out += *lhs * *rhs
   kDotU,
@@ -80,25 +79,29 @@ enum class InnerKind : std::uint8_t {
   kHadG,
 };
 
-/// A lowered term: three operands, pre-selected innermost kernel over
-/// `n` elements with constant strides, and up to kMaxTermLevels - 1 outer
-/// collapsed dense levels run in the interpreter's nesting order.
+/// One collapsed dense level above a term's innermost kernel: trip count
+/// and the per-iteration advance of each operand.
+struct Level {
+  std::int64_t ext = 0;
+  std::int64_t ls = 0, rs = 0, os = 0;
+};
+
+/// A lowered term: three operands, pre-selected innermost kernel over `n`
+/// elements with constant strides, and levels[level_begin, level_begin +
+/// outer_depth) as the collapsed dense levels above it, outermost first.
 struct LTerm {
   Operand lhs, rhs, out;
   InnerKind inner = InnerKind::kScalar;
-  std::int64_t n = 0;                 ///< innermost trip count
+  std::int64_t n = 0;                   ///< innermost trip count
   std::int64_t ls = 0, rs = 0, os = 0;  ///< innermost strides
-  std::uint8_t outer_depth = 0;       ///< collapsed levels above the innermost
-  std::array<std::int64_t, kMaxTermLevels> oext{};
-  std::array<std::int64_t, kMaxTermLevels> ols{};
-  std::array<std::int64_t, kMaxTermLevels> ors{};
-  std::array<std::int64_t, kMaxTermLevels> oos{};
+  std::int32_t level_begin = 0;
+  std::int32_t outer_depth = 0;
 };
 
 /// Fused sparse loop + single term: per operand, the loop-varying part of
 /// the address is idx[p] * idx_mult + p * leaf_mult (leaf_mult is 1 for
-/// leaf-addressed operands when the chain loop is the CSF leaf level, else
-/// 0); the loop-invariant part is resolved once before the nonzero loop.
+/// leaf-addressed operands, which a chain only admits at the CSF leaf
+/// level); the loop-invariant part is resolved once before the nonzero loop.
 struct LChain {
   std::int64_t l_idx = 0, l_leaf = 0;
   std::int64_t r_idx = 0, r_leaf = 0;
@@ -106,7 +109,9 @@ struct LChain {
   std::int32_t term = 0;  ///< LTerm holding the invariant operand parts
 };
 
-/// Body statement of a generic lowered loop.
+/// One statement of a loop body or of the top-level sequence. kLoop ids
+/// are loop ids (shared with the compiled program); kTerm and kReset ids
+/// index `terms` and `resets`.
 struct LOp {
   enum class Kind : std::uint8_t { kLoop, kTerm, kReset } kind;
   std::int32_t id;
@@ -128,46 +133,44 @@ struct LLoop {
   std::vector<LOp> body;  ///< empty when is_chain
 };
 
-/// Where a slot's base pointer comes from (bound per execution from the
-/// worker Runtime).
+/// Where a slot's base pointer comes from (bound once per worker state).
 struct SlotSource {
   cprog::Base base = cprog::Base::kDense;
   std::int32_t id = 0;
 };
 
-/// The lowered program. `loop_of` maps every compiled loop id to its
-/// lowered counterpart (-1 when that subtree stays interpreted); the
-/// executor consults it at each dispatch point, so a program may run mixed
-/// — lowered regions inline, rejected regions through the interpreter.
 struct LoweredProgram {
-  std::vector<LLoop> loops;
+  std::vector<LLoop> loops;  ///< loops[i] lowers compiled loop i
+  std::vector<LOp> top;      ///< top[t] lowers compiled top-level action t
   std::vector<LTerm> terms;
   std::vector<LReset> resets;
+  std::vector<Dep> deps;
+  std::vector<Level> levels;
   std::vector<SlotSource> slots;
-  std::vector<std::int32_t> loop_of;
-  /// Top-level kLoop regions whose whole subtree lowered.
-  int lowered_root_regions = 0;
 
   /// Heap footprint of this program (for cache byte budgeting).
   std::size_t bytes() const;
 };
 
-/// Per-execution binding of a lowered program to one worker's runtime
-/// state: raw pointers into the Runtime's index/node arrays plus the
-/// resolved slot table. Cheap to build (one pass over `slots`).
+/// One worker's execution state: the current value of every kernel index,
+/// the current node of every CSF level, the slot table (every slot's base
+/// pointer, bound once when the state is built), and storage for the
+/// worker's private intermediate buffers.
 struct ExecCtx {
-  std::int64_t* idx_val = nullptr;
-  std::int64_t* csf_node = nullptr;
+  std::vector<std::int64_t> idx_val;
+  std::vector<std::int64_t> csf_node;
+  std::vector<double*> table;
+  std::vector<std::vector<double>> owned;
   const CsfTensor* csf = nullptr;
-  std::int32_t leaf_level = 0;
-  std::array<double*, kMaxSlots> table{};
 };
 
-/// Run lowered loop `loop` over [begin, end) — node range for sparse loops,
-/// index range for dense ones. The caller supplies the range exactly as it
-/// does for the interpreter's run_loop, so parallel partitioning (root
-/// chunks, nested second-level splits) is tier-agnostic.
+/// Run loop `loop` over [begin, end) — node range for sparse loops, index
+/// range for dense ones. The executor's splitter hands root chunks and
+/// nested second-level sub-ranges to this entry point.
 void run_loop(const LoweredProgram& p, ExecCtx& ctx, std::int32_t loop,
               std::int64_t begin, std::int64_t end);
+
+/// Run top-level statement `t`; a loop runs its full range.
+void run_top(const LoweredProgram& p, ExecCtx& ctx, std::size_t t);
 
 }  // namespace spttn::lowered

@@ -44,11 +44,9 @@ std::uint64_t planner_options_hash(const PlannerOptions& options) {
   h = hash_mix(h ^ static_cast<std::uint64_t>(options.cache_d));
   h = hash_mix(h ^ (options.sparse_aware_cache ? 4u : 0u));
   h = hash_mix(h ^ static_cast<std::uint64_t>(options.max_paths_searched));
-  // search_threads, verify, and lower deliberately excluded: the parallel
-  // search returns a plan identical to the sequential one, verification
-  // never changes the plan, and the execution tier is selected per run
-  // with bit-identical results (see PlannerOptions docs), so none may
-  // fragment the cache.
+  // search_threads and verify deliberately excluded: the parallel search
+  // returns a plan identical to the sequential one and verification never
+  // changes the plan, so neither may fragment the cache.
   //
   // The anytime fields follow the same rule from the other side: under the
   // exact strategy they are inert (the plan cannot depend on them), so they
@@ -120,8 +118,8 @@ std::size_t estimate_entry_bytes(const KernelSignature& sig,
          spec.dims.size() * sizeof(std::int64_t);
   }
   // Compiled executor: the exact program footprint when the caller hands
-  // us the compiled executor (interpreted action tree + lowered flat
-  // program); otherwise the historical per-action heuristic (roughly a
+  // us the compiled executor (compiled program + lowered flat program);
+  // otherwise the historical per-action heuristic (roughly a
   // cache line per loop/action). Plus the intermediate-buffer storage
   // every execution materializes.
   if (exec != nullptr) {
@@ -563,7 +561,6 @@ void run_plan(const BoundKernel& bound, KernelCache& cache,
   args.out_dense = out_dense;
   args.out_sparse = out_sparse;
   args.num_threads = num_threads;
-  args.tier = options.lower ? ExecTier::kLowered : ExecTier::kInterpret;
   entry->exec->execute(args);
 }
 

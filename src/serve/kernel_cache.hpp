@@ -227,9 +227,8 @@ class KernelCache {
 /// Estimated resident bytes of one cache entry: signature + kernel + plan
 /// (path, order, tree, buffers) structure sizes plus the compiled
 /// executor's program metadata and per-execution buffer working set.
-/// When `exec` is provided, its actual program footprint (the interpreted
-/// action tree plus the lowered flat program,
-/// FusedExecutor::program_bytes) replaces the per-action metadata
+/// When `exec` is provided, its actual program footprint (the compiled
+/// program plus the lowered flat program, FusedExecutor::program_bytes) replaces the per-action metadata
 /// heuristic, so max_bytes budgeting charges what the executor really
 /// holds. Exposed for tests and the spttn_cache inspect CLI.
 std::size_t estimate_entry_bytes(const KernelSignature& sig,

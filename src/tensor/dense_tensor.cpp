@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/checked.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -15,7 +16,7 @@ DenseTensor::DenseTensor(std::vector<std::int64_t> dims)
   for (std::size_t m = dims_.size(); m-- > 0;) {
     SPTTN_CHECK_MSG(dims_[m] > 0, "dense dimension must be positive");
     strides_[m] = stride;
-    stride *= dims_[m];
+    stride = checked_mul(stride, dims_[m]);
   }
   data_.assign(static_cast<std::size_t>(stride), 0.0);
 }

@@ -320,6 +320,21 @@ TEST(FusedExecutor, ValidatesBindings) {
   EXPECT_THROW(exec.execute(args), Error);  // wrong output shape
 }
 
+TEST(FusedExecutor, RejectsOverflowingOutputExtents) {
+  // O has 2^32 * 2^32 * 4 elements: the stride computation must report it,
+  // not wrap it.
+  const std::int64_t big = std::int64_t{1} << 32;
+  CooTensor t({big, big});
+  t.push_back({0, 1}, 1.0);
+  t.push_back({big - 1, 2}, 2.0);
+  t.sort_dedup();
+  DenseTensor b({4});
+  b.fill(1.0);
+  const auto bound = bind("O(i,j,r) = T(i,j)*B(r)", t, {&b});
+  const Plan plan = make_plan(bound.kernel, bound.stats, PlannerOptions{});
+  EXPECT_THROW(FusedExecutor(bound.kernel, plan), Error);
+}
+
 TEST(FusedExecutor, OffloadsTrailingDenseLoops) {
   // The Listing 3 TTMc nest offloads both terms' trailing dense loops.
   Kernel k = Kernel::parse("S(i,r,s) = T(i,j,k)*V(k,s)*U(j,r)");

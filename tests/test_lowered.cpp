@@ -1,23 +1,26 @@
-// Differential suite for the lowered execution tier (exec/lower.hpp): the
-// flat pre-resolved programs must agree with the interpreter on every paper
-// kernel under every lint planner-option set, sequentially and under the
-// work-stealing pool — and not just to tolerance: the lowered kernels
-// mirror the interpreter's accumulation order, and partitioning is
-// tier-agnostic, so the comparison is for equality, which trivially
-// satisfies the 1e-12 acceptance bound. Also covers the forced-fallback
-// path (a rejected program still executes correctly through the
-// interpreter), ExecStats tier observability, and the serving-layer
-// contract that toggling PlannerOptions::lower never fragments the cache.
+// Golden-output suite for the executor's one driver, the lowered program
+// (exec/lower.hpp): every paper kernel under every lint planner-option set,
+// plus the generated networks of golden_networks(), sequentially and under
+// the work-stealing pool, must reproduce tests/golden/outputs.txt bit for
+// bit. The rows were recorded by tools/spttn_golden and pin the output
+// bits, so any change to accumulation order, partitioning or addressing
+// trips here. The generated networks are also checked against the
+// unfactorized reference, and every execution must report every root
+// region as lowered.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <fstream>
+#include <map>
+#include <set>
+#include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/kernel_suite.hpp"
 #include "exec/executor.hpp"
-#include "exec/lower.hpp"
+#include "exec/unfactorized.hpp"
 #include "serve/kernel_cache.hpp"
-#include "serve/session.hpp"
 #include "test_helpers.hpp"
 
 namespace spttn {
@@ -25,20 +28,50 @@ namespace {
 
 using spttn::testing::ScopedLanes;
 
-struct TierRun {
+/// Golden rows keyed by "<kernel> <option set> <threads>".
+std::map<std::string, std::string> read_golden_outputs() {
+  std::ifstream in(std::string(SPTTN_SOURCE_DIR) +
+                   "/tests/golden/outputs.txt");
+  std::map<std::string, std::string> rows;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string kernel, set, threads;
+    fields >> kernel >> set >> threads;
+    rows[kernel + " " + set + " " + threads] = line;
+  }
+  return rows;
+}
+
+const std::string& golden_row(const std::string& kernel,
+                              const std::string& set, int threads) {
+  static const std::map<std::string, std::string> rows =
+      read_golden_outputs();
+  static const std::string missing = "<missing golden row>";
+  const auto it =
+      rows.find(kernel + " " + set + " " + std::to_string(threads));
+  return it == rows.end() ? missing : it->second;
+}
+
+struct ExecRun {
   DenseTensor dense;
   std::vector<double> sparse;
   ExecStats stats;
+
+  std::span<const double> out() const {
+    return sparse.empty() ? std::span<const double>(
+                                dense.data(),
+                                static_cast<std::size_t>(dense.size()))
+                          : std::span<const double>(sparse);
+  }
 };
 
-TierRun run_tier(FusedExecutor& exec, const SuiteInstance& inst,
-                 ExecTier tier, int threads) {
-  TierRun r;
+ExecRun run(FusedExecutor& exec, const SuiteInstance& inst, int threads) {
+  ExecRun r;
   ExecArgs args;
   args.sparse = &inst.bound.csf;
   args.dense = inst.bound.dense;
   args.num_threads = threads;
-  args.tier = tier;
   args.stats = &r.stats;
   if (inst.bound.kernel.output_is_sparse()) {
     r.sparse.assign(static_cast<std::size_t>(inst.bound.csf.nnz()), 0.0);
@@ -51,47 +84,31 @@ TierRun run_tier(FusedExecutor& exec, const SuiteInstance& inst,
   return r;
 }
 
-void expect_identical(const TierRun& a, const TierRun& b, const char* what) {
-  ASSERT_EQ(a.dense.size(), b.dense.size()) << what;
-  for (std::int64_t i = 0; i < a.dense.size(); ++i) {
-    EXPECT_EQ(a.dense.data()[i], b.dense.data()[i])
-        << what << " dense output diverges at " << i;
-  }
-  ASSERT_EQ(a.sparse.size(), b.sparse.size()) << what;
-  for (std::size_t i = 0; i < a.sparse.size(); ++i) {
-    EXPECT_EQ(a.sparse[i], b.sparse[i])
-        << what << " sparse output diverges at " << i;
-  }
+/// Run `sk` planned under `set` at `threads` and compare with its golden
+/// row; returns the run for further checks.
+ExecRun expect_golden(const SuiteKernel& sk, const LintOptionSet& set,
+                  int threads) {
+  const auto inst = make_suite_instance(sk, 42);
+  const Plan plan =
+      make_plan(inst->bound.kernel, inst->bound.stats, set.options);
+  FusedExecutor exec(inst->bound.kernel, plan);
+  ExecRun r = run(exec, *inst, threads);
+  EXPECT_EQ(golden_output_line(sk.name, set.name, threads, r.out()),
+            golden_row(sk.name, set.name, threads));
+  EXPECT_EQ(r.stats.lowered_regions, r.stats.total_regions)
+      << sk.name << " [" << set.name << "]";
+  return r;
 }
 
 TEST(LoweredDifferential, SequentialSuiteAcrossAllLintOptionSets) {
-  int total_lowered_regions = 0;
   for (const SuiteKernel& sk : paper_kernel_suite()) {
-    const auto inst = make_suite_instance(sk, 42);
     for (const LintOptionSet& set : lint_option_sets()) {
-      const std::string label = sk.name + " [" + set.name + "]";
-      const Plan plan =
-          make_plan(inst->bound.kernel, inst->bound.stats, set.options);
-      FusedExecutor exec(inst->bound.kernel, plan);
-      total_lowered_regions += exec.lowered_regions();
-      const TierRun interp =
-          run_tier(exec, *inst, ExecTier::kInterpret, /*threads=*/1);
-      const TierRun lowered =
-          run_tier(exec, *inst, ExecTier::kLowered, /*threads=*/1);
-      expect_identical(interp, lowered, label.c_str());
-      EXPECT_EQ(interp.stats.tier, ExecTier::kInterpret) << label;
-      EXPECT_EQ(interp.stats.lowered_regions, 0) << label;
-      EXPECT_EQ(lowered.stats.tier, ExecTier::kLowered) << label;
-      EXPECT_EQ(lowered.stats.lowered_regions, exec.lowered_regions())
-          << label;
+      expect_golden(sk, set, /*threads=*/1);
     }
   }
-  // The lowerer must actually engage across the sweep, not pass vacuously
-  // by rejecting everything.
-  EXPECT_GT(total_lowered_regions, 0);
 }
 
-TEST(LoweredDifferential, ThreadedSuiteBitIdenticalAcrossTiersAndReruns) {
+TEST(LoweredDifferential, ThreadedSuiteMatchesGoldenRowsAndReruns) {
   ScopedLanes lanes(4);
   for (const SuiteKernel& sk : paper_kernel_suite()) {
     const auto inst = make_suite_instance(sk, 42);
@@ -100,85 +117,60 @@ TEST(LoweredDifferential, ThreadedSuiteBitIdenticalAcrossTiersAndReruns) {
       const Plan plan =
           make_plan(inst->bound.kernel, inst->bound.stats, set.options);
       FusedExecutor exec(inst->bound.kernel, plan);
-      const TierRun interp =
-          run_tier(exec, *inst, ExecTier::kInterpret, /*threads=*/4);
-      const TierRun lowered =
-          run_tier(exec, *inst, ExecTier::kLowered, /*threads=*/4);
-      const TierRun rerun =
-          run_tier(exec, *inst, ExecTier::kLowered, /*threads=*/4);
-      // Same partition shape => bit-identical across tiers and reruns.
-      expect_identical(interp, lowered, label.c_str());
-      expect_identical(lowered, rerun, label.c_str());
-      // Sequential lowered agrees too (the deterministic tiled reduction
-      // makes threaded == sequential only when writes are direct, so only
-      // compare tiers at matching thread counts here).
-      EXPECT_EQ(lowered.stats.tier, ExecTier::kLowered) << label;
+      const ExecRun first = run(exec, *inst, /*threads=*/4);
+      const ExecRun rerun = run(exec, *inst, /*threads=*/4);
+      EXPECT_EQ(golden_output_line(sk.name, set.name, 4, first.out()),
+                golden_row(sk.name, set.name, 4));
+      // Same partition shape => bit-identical reruns on one executor.
+      EXPECT_EQ(golden_output_line(sk.name, set.name, 4, rerun.out()),
+                golden_row(sk.name, set.name, 4))
+          << label;
+      EXPECT_EQ(first.stats.lowered_regions, first.stats.total_regions)
+          << label;
     }
   }
 }
 
-TEST(LoweredDifferential, ForcedFallbackExecutesThroughInterpreter) {
-  const auto& suite = paper_kernel_suite();
-  const auto inst = make_suite_instance(suite.front(), 7);  // mttkrp3
-  const Plan plan =
-      make_plan(inst->bound.kernel, inst->bound.stats, PlannerOptions{});
-  FusedExecutor exec(inst->bound.kernel, plan);
-  ASSERT_GT(exec.lowered_regions(), 0);
-  const TierRun before = run_tier(exec, *inst, ExecTier::kLowered, 1);
-
-  // Reject every operand with an outer index dependency: nothing lowers,
-  // and a kLowered execution must fall back to the interpreter wholesale.
-  LowerLimits strict;
-  strict.max_operand_deps = 0;
-  exec.relower(strict);
-  EXPECT_EQ(exec.lowered_regions(), 0);
-  const TierRun fallback = run_tier(exec, *inst, ExecTier::kLowered, 1);
-  EXPECT_EQ(fallback.stats.tier, ExecTier::kLowered);
-  EXPECT_EQ(fallback.stats.lowered_regions, 0);
-  expect_identical(before, fallback, "forced fallback");
-
-  // Chains disabled still lowers (generic loops only) and still agrees.
-  LowerLimits no_chains;
-  no_chains.enable_chains = false;
-  exec.relower(no_chains);
-  const TierRun generic = run_tier(exec, *inst, ExecTier::kLowered, 1);
-  expect_identical(before, generic, "chains disabled");
-
-  // Restoring the defaults restores the chain-fused program.
-  exec.relower(LowerLimits{});
-  EXPECT_GT(exec.lowered_regions(), 0);
+// Shapes beyond the paper suite: order-7 and order-8 random networks, whose
+// operands and collapsed chains run deeper than any suite kernel's, and an
+// order-8 tensor train with terms and resets at the top level, outside
+// every loop.
+TEST(LoweredDifferential, GeneratedNetworksMatchGoldenRowsAndUnfactorized) {
+  ScopedLanes lanes(4);
+  for (const SuiteKernel& net : golden_networks()) {
+    SCOPED_TRACE(net.name + ": " + net.expr);
+    const auto inst = make_suite_instance(net, 42);
+    UnfactorizedExecutor reference(inst->bound.kernel);
+    DenseTensor unf = make_output(inst->bound);
+    reference.execute(inst->bound.csf, inst->bound.dense, &unf, {});
+    for (const int threads : {1, 4}) {
+      const ExecRun r = expect_golden(net, golden_network_options(), threads);
+      EXPECT_LT(r.dense.max_abs_diff(unf), 1e-9) << threads << " threads";
+    }
+    EXPECT_GT(unf.norm(), 0.0);
+  }
 }
 
-TEST(LoweredDifferential, LowerKnobDoesNotFragmentCacheOrChangeResults) {
-  PlannerOptions on;
-  PlannerOptions off;
-  off.lower = false;
-  EXPECT_EQ(planner_options_hash(on), planner_options_hash(off));
-
-  const auto& suite = paper_kernel_suite();
-  const auto inst = make_suite_instance(suite.front(), 11);
-  KernelCache cache;
-  Session lowered_session(inst->sparse, on, &cache);
-  Session interp_session(inst->sparse, off, &cache);
-  std::vector<const DenseTensor*> slots;
-  for (const DenseTensor* d : inst->dense_slots()) {
-    if (d != nullptr) slots.push_back(d);
+// Every row of the checked-in table belongs to a case the tests above run,
+// so the table cannot hold stale rows that nothing checks.
+TEST(LoweredDifferential, GoldenTableHasOneRowPerCase) {
+  std::set<std::string> expected;
+  for (const int threads : {1, 4}) {
+    for (const SuiteKernel& sk : paper_kernel_suite()) {
+      for (const LintOptionSet& set : lint_option_sets()) {
+        expected.insert(sk.name + " " + set.name + " " +
+                        std::to_string(threads));
+      }
+    }
+    for (const SuiteKernel& net : golden_networks()) {
+      expected.insert(net.name + " " + golden_network_options().name + " " +
+                      std::to_string(threads));
+    }
   }
-  const std::string expr = inst->bound.kernel.to_string();
-  const int id_on = lowered_session.prepare(expr, slots);
-  const int id_off = interp_session.prepare(expr, slots);
-  // One planner search: the tier knob is excluded from the signature, so
-  // both sessions share a single cache entry (and its executor).
-  EXPECT_EQ(cache.counters().planned, 1u);
-
-  DenseTensor out_on = lowered_session.make_output(id_on);
-  DenseTensor out_off = interp_session.make_output(id_off);
-  lowered_session.run(id_on, &out_on, {});
-  interp_session.run(id_off, &out_off, {});
-  ASSERT_EQ(out_on.size(), out_off.size());
-  for (std::int64_t i = 0; i < out_on.size(); ++i) {
-    EXPECT_EQ(out_on.data()[i], out_off.data()[i]);
-  }
+  std::set<std::string> keys;
+  for (const auto& [key, line] : read_golden_outputs()) keys.insert(key);
+  EXPECT_EQ(keys, expected);
+  EXPECT_EQ(expected.size(), 146u);
 }
 
 TEST(LoweredDifferential, EntryBytesAccountForTheCompiledPrograms) {

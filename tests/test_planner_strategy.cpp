@@ -240,11 +240,10 @@ TEST(PlannerStrategy, CacheHashKeysAnytimeFieldsOnlyUnderAnytime) {
   EXPECT_EQ(planner_options_hash(inert), base)
       << "anytime knobs fragmented the exact cache";
 
-  // verify/lower stay excluded regardless of strategy (they do not change
-  // the chosen plan).
+  // verify stays excluded regardless of strategy (it does not change the
+  // chosen plan).
   PlannerOptions toggles = exact;
   toggles.verify = true;
-  toggles.lower = false;
   EXPECT_EQ(planner_options_hash(toggles), base);
 
   PlannerOptions anytime = exact;
@@ -270,7 +269,6 @@ TEST(PlannerStrategy, CacheHashKeysAnytimeFieldsOnlyUnderAnytime) {
 
   PlannerOptions any_toggles = anytime;
   any_toggles.verify = true;
-  any_toggles.lower = false;
   EXPECT_EQ(planner_options_hash(any_toggles), any_base);
 }
 

@@ -55,6 +55,11 @@ TEST(DenseTensor, ZeroDimRejected) {
   EXPECT_THROW(DenseTensor({3, 0}), Error);
 }
 
+TEST(DenseTensor, OverflowingExtentProductRejected) {
+  const std::int64_t big = std::int64_t{1} << 32;
+  EXPECT_THROW(DenseTensor({big, big}), Error);
+}
+
 TEST(CooTensor, SortDedupSumsDuplicates) {
   CooTensor t({4, 4});
   t.push_back({2, 1}, 1.0);

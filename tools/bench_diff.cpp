@@ -6,9 +6,11 @@
 //    keep its bench-specific legacy fields: bench_fig8_scaling rows
 //    (ranks/grid/max_local_s/comm_s/total_s/speedup/imbalance),
 //    bench_search rows (search-space columns plus the exact-vs-anytime
-//    comparison rows with cost_ratio/gap/plan seconds), and bench_serve
-//    rows (per-kernel request counts and latency percentiles). Schema
-//    extensions stay backward-compatible and silent field drops fail CI.
+//    comparison rows with cost_ratio/gap/plan seconds), bench_serve rows
+//    (per-kernel request counts and latency percentiles), and
+//    bench_kernels rows (kernel/nnz identity plus lowered_s and
+//    specialized_s). Schema extensions stay backward-compatible and silent
+//    field drops fail CI.
 //  - regression: matching rows (identity = the string/rank-like fields on
 //    the path to the metric) whose seconds-valued metrics got slower than
 //    baseline * --max-regress (and by more than --min-delta absolute) are
@@ -399,6 +401,23 @@ void check_serve_schema(const Json& doc, const std::string& path) {
   }
 }
 
+void check_kernels_schema(const Json& doc, const std::string& path) {
+  const Json* kernels = doc.find("kernels");
+  if (kernels == nullptr || kernels->kind != Json::Kind::kArray ||
+      kernels->items.empty()) {
+    throw Error(path + ": bench_kernels document has no kernels rows");
+  }
+  const char* required[] = {"kernel", "nnz", "lowered_s", "specialized_s"};
+  for (const Json& row : kernels->items) {
+    for (const char* field : required) {
+      if (row.find(field) == nullptr) {
+        throw Error(path + ": kernels row dropped field '" +
+                    std::string(field) + "'");
+      }
+    }
+  }
+}
+
 std::string bench_id(const Json& doc, const std::string& path) {
   const Json* bench = doc.find("bench");
   if (bench == nullptr || bench->kind != Json::Kind::kString) {
@@ -448,6 +467,9 @@ int main(int argc, char** argv) {
     } else if (id == "bench_serve") {
       check_serve_schema(fresh, *fresh_path);
       check_serve_schema(base, *base_path);
+    } else if (id == "bench_kernels") {
+      check_kernels_schema(fresh, *fresh_path);
+      check_kernels_schema(base, *base_path);
     }
 
     Metrics fresh_rows;
