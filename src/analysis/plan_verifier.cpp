@@ -61,7 +61,8 @@ bool rel_close(double a, double b, double tol) {
 
 /// Facts about one top-level root-loop region, derived the way
 /// FusedExecutor::analyze_parallel derives them — but from the plan's own
-/// loop tree and buffer specs, not from the compiled access strides.
+/// loop tree and buffer specs, not from the operand strides of the program
+/// the executor runs.
 struct RegionFacts {
   int top_position = -1;
   int node_id = -1;
@@ -665,9 +666,9 @@ class Checker {
         }
       }
 
-      // Nested-split eligibility (mirrors the executor's compiled-body
-      // view: a single-loop body that the dense-chain collapse would not
-      // fold away).
+      // Nested-split eligibility (mirrors the executor's program: a
+      // single-loop body that the dense-chain collapse would not fold
+      // away).
       int inner_id = -1;
       if (root.body.size() == 1 &&
           root.body.front().kind == Action::Kind::kLoop) {
@@ -813,10 +814,11 @@ VerifyReport PlanVerifier::verify(const Plan& plan,
   if (checker.malformed()) return report;
 
   // Cross-check the verifier's region facts (derived from the plan's tree)
-  // against the compiled executor's locality analysis (derived from access
-  // strides). Disagreement in the permissive direction — the executor
-  // would partition where the verifier cannot prove disjointness — is an
-  // error; the executor being *more* conservative only loses parallelism.
+  // against the executor's locality analysis (derived from the operand and
+  // chain strides of the lowered program it runs). Disagreement in the
+  // permissive direction — the executor would partition where the verifier
+  // cannot prove disjointness — is an error; the executor being *more*
+  // conservative only loses parallelism.
   const auto mine = checker.regions();
   const auto theirs = exec.parallel_regions();
   const auto add = [&](VerifySeverity sev, std::string msg) {
@@ -842,7 +844,7 @@ VerifyReport PlanVerifier::verify(const Plan& plan,
     if (m.top_position != e.top_position || m.root_index != e.root_index) {
       add(VerifySeverity::kError,
           where + ": region placement differs between plan tree and "
-                  "compiled program");
+                  "executor program");
       continue;
     }
     const auto flag = [&](const char* name, bool mine_v, bool exec_v,

@@ -23,8 +23,8 @@
 //      plan's own metadata), prove from the recomputed root-stride
 //      structure that distinct tasks write disjoint regions of shared
 //      buffers and outputs; optionally cross-check the verifier's
-//      independently derived region facts against a compiled executor's
-//      locality analysis.
+//      independently derived region facts against an executor's locality
+//      analysis of the lowered program it runs.
 //   4. Cost-model consistency — the recorded cost equals a recomputation
 //      of the tree-separable cost from (path, order), the FLOP estimate
 //      matches path_flops, the buffer-dimension bound holds, and the
@@ -107,8 +107,9 @@ class PlanVerifier {
 
   /// verify() plus the executor cross-check: the verifier's independently
   /// derived parallel-region facts (computed from the plan's loop tree)
-  /// must agree with the compiled executor's locality analysis (rule
-  /// "par-analysis-mismatch"). `exec` must be compiled from `plan`.
+  /// must agree with the executor's locality analysis of the lowered
+  /// program it runs (rule "par-analysis-mismatch"). `exec` must be
+  /// compiled from `plan`.
   VerifyReport verify(const Plan& plan, const FusedExecutor& exec) const;
 
  private:

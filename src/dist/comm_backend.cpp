@@ -82,26 +82,20 @@ void CommBackend::allreduce(std::span<const DenseTensor* const> partials,
   if (ranks_ > 1) events_.push_back(ev);
 }
 
-void CommBackend::fold_partials(std::span<const DenseTensor* const> partials,
-                                DenseTensor* out, std::int64_t tile) {
-  const std::int64_t n = out->size();
-  if (n == 0) return;
-  const auto fold_range = [&](std::int64_t begin, std::int64_t len) {
-    for (const DenseTensor* p : partials) {
-      if (p == nullptr) continue;
-      xaxpy(len, 1.0, p->data() + begin, 1, out->data() + begin, 1);
-    }
-  };
-  if (tile <= 0 || tile >= n) {
-    fold_range(0, n);
-    return;
+namespace {
+
+/// The backends' all-reduce: fold the non-null rank partials into `out` in
+/// ascending rank order (exec/kernels.hpp fold_partials).
+void fold_ranks(std::span<const DenseTensor* const> partials,
+                DenseTensor* out, std::int64_t tile) {
+  std::vector<const double*> parts(partials.size(), nullptr);
+  for (std::size_t r = 0; r < partials.size(); ++r) {
+    if (partials[r] != nullptr) parts[r] = partials[r]->data();
   }
-  const std::int64_t tiles = (n + tile - 1) / tile;
-  ThreadPool::global().parallel_apply(tiles, [&](std::int64_t t) {
-    const std::int64_t begin = t * tile;
-    fold_range(begin, std::min(tile, n - begin));
-  });
+  fold_partials(parts, out->size(), out->data(), tile);
 }
+
+}  // namespace
 
 // ------------------------------------------------------------ ModeledComm
 
@@ -120,7 +114,7 @@ CommEvent ModeledComm::do_allreduce(
     std::span<const DenseTensor* const> partials, DenseTensor* out) {
   // Sequential ascending-rank fold: byte-for-byte the historical inline
   // xaxpy loop of DistSpttn::run.
-  fold_partials(partials, out, /*tile=*/0);
+  fold_ranks(partials, out, /*tile=*/0);
   CommEvent ev;
   ev.bytes = out->size() * static_cast<std::int64_t>(sizeof(double));
   ev.seconds = allreduce_seconds(ev.bytes, ranks_, params_);
@@ -168,7 +162,7 @@ CommEvent ShmemComm::do_allreduce(std::span<const DenseTensor* const> partials,
   // The reduced output is readable in place by every rank (shared memory
   // is the transport), so the measured movement is the reduction itself.
   Timer t;
-  fold_partials(partials, out, kReduceTile);
+  fold_ranks(partials, out, kReduceTile);
   CommEvent ev;
   ev.bytes = out->size() * static_cast<std::int64_t>(sizeof(double));
   ev.seconds = t.seconds();

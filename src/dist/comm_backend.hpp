@@ -118,14 +118,6 @@ class CommBackend {
   /// Clear backend-owned per-run state (base clears nothing).
   virtual void do_begin_run();
 
-  /// Element-wise ascending-rank fold of `partials` into `out` — the one
-  /// deterministic reduction both shipped backends use. `tile` > 0 splits
-  /// the element range into fixed tiles run on the process-wide pool
-  /// (tiling never changes fold order: elements are independent and each
-  /// is still summed in ascending rank order).
-  static void fold_partials(std::span<const DenseTensor* const> partials,
-                            DenseTensor* out, std::int64_t tile);
-
   const int ranks_;
   const CommParams params_;
   std::vector<CommEvent> events_;

@@ -32,14 +32,4 @@ double allgather_seconds(std::int64_t bytes, int p, const CommParams& params) {
   return collective(bytes, p, log2_ceil(p), frac, params);
 }
 
-double reduce_scatter_seconds(std::int64_t bytes, int p,
-                              const CommParams& params) {
-  const double frac = static_cast<double>(p - 1) / static_cast<double>(p);
-  return collective(bytes, p, log2_ceil(p), frac, params);
-}
-
-double bcast_seconds(std::int64_t bytes, int p, const CommParams& params) {
-  return collective(bytes, p, log2_ceil(p), 1.0, params);
-}
-
 }  // namespace spttn

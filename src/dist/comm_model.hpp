@@ -5,8 +5,7 @@
 //   latency_terms * alpha + volume_factor * bytes * beta
 // with the standard volume factors of the recursive-halving/doubling
 // algorithms (Thakur et al.): an all-reduce moves 2(p-1)/p of the payload,
-// allgather and reduce-scatter (p-1)/p each, broadcast one full copy down a
-// binomial tree. One process (or zero bytes) always costs zero.
+// an allgather (p-1)/p. One process (or zero bytes) always costs zero.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +27,5 @@ double allreduce_seconds(std::int64_t bytes, int p, const CommParams& params);
 /// MPI_Allgather (recursive doubling), `bytes` = full gathered payload:
 /// ceil(log2 p)*alpha + (p-1)/p * bytes * beta.
 double allgather_seconds(std::int64_t bytes, int p, const CommParams& params);
-
-/// MPI_Reduce_scatter (recursive halving), `bytes` = full reduced payload:
-/// ceil(log2 p)*alpha + (p-1)/p * bytes * beta.
-double reduce_scatter_seconds(std::int64_t bytes, int p,
-                              const CommParams& params);
-
-/// MPI_Bcast (binomial tree, pipelined):
-/// ceil(log2 p)*alpha + bytes * beta.
-double bcast_seconds(std::int64_t bytes, int p, const CommParams& params);
 
 }  // namespace spttn

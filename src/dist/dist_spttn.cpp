@@ -68,10 +68,15 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
   // planner search after the first.
   const Plan plan = plan_kernel(*bound_, options, KernelCache::global());
 
-  // Every rank rebuilds the compiled nest from (path, order); verify the
-  // shared plan once up front so a corrupt cached plan fails loudly here
-  // rather than as racing writes inside a rank's partial.
+  // Verify the shared plan once up front so a corrupt cached plan fails
+  // loudly here rather than as racing writes inside a rank's partial, then
+  // compile the nest once for every rank (execute() serves concurrent
+  // callers). Raw (path, order) construction: SPMD ranks intentionally
+  // execute the globally-planned nest on their local partitions, whose
+  // structure fingerprints differ from the global tensor the plan was
+  // derived from.
   verify_plan_or_throw(kernel, plan, options, &bound_->stats);
+  FusedExecutor exec(kernel, plan.path, plan.order);
 
   if (sparse_output && !sparse_out.empty()) {
     SPTTN_CHECK_MSG(
@@ -112,10 +117,6 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
     const CooTensor& local = local_coo_[ur];
     if (local.nnz() == 0) return;
     const CsfTensor csf(local);
-    // Raw (path, order) construction: SPMD ranks intentionally execute the
-    // globally-planned nest on their local partitions, whose structure
-    // fingerprints differ from the global tensor the plan was derived from.
-    FusedExecutor exec(kernel, plan.path, plan.order);
     ExecArgs args;
     args.sparse = &csf;
     args.dense.assign(bound_->dense.size(), nullptr);

@@ -1,12 +1,10 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <array>
 #include <utility>
 
-#include "exec/compiled_program.hpp"
 #include "exec/kernels.hpp"
-#include "exec/lower.hpp"
 #include "exec/lowered_program.hpp"
 #include "util/checked.hpp"
 #include "util/error.hpp"
@@ -14,29 +12,333 @@
 
 namespace spttn {
 
-// The compiled-program IR lives in exec/compiled_program.hpp; it is the
-// input to the lowerer and to the parallel-safety analysis below.
-using cprog::Base;
-using cprog::CAccess;
-using cprog::CActionRef;
-using cprog::CLoop;
-using cprog::CTerm;
+using lowered::Base;
+using lowered::InnerKind;
+using lowered::LLoop;
+using lowered::LOp;
+using lowered::LoweredProgram;
+using lowered::LTerm;
+using lowered::Operand;
+
+namespace {
+
+/// Where one term operand lives, and its row-major strides over the kernel
+/// indices `idx` (both empty for the leaf-addressed sparse values and
+/// sparse output).
+struct Layout {
+  Base base = Base::kDense;
+  int id = 0;  ///< dense input position or producing-term buffer id
+  std::vector<int> idx;
+  std::vector<std::int64_t> stride;
+
+  bool leaf() const {
+    return base == Base::kSparseVal || base == Base::kOutSparse;
+  }
+  /// Stride along kernel index `index` (0 when the operand does not use it).
+  std::int64_t stride_along(int index) const {
+    const auto it = std::find(idx.begin(), idx.end(), index);
+    return it == idx.end() ? 0 : stride[static_cast<std::size_t>(
+                                     it - idx.begin())];
+  }
+};
+
+Layout make_layout(Base base, int id, const std::vector<int>& idx,
+                   const std::vector<std::int64_t>& dims) {
+  Layout a{base, id, idx, std::vector<std::int64_t>(idx.size())};
+  std::int64_t s = 1;
+  for (std::size_t m = idx.size(); m-- > 0;) {
+    a.stride[m] = s;
+    s = checked_mul(s, dims[m]);
+  }
+  return a;
+}
+
+/// The one compile pass: walks the LoopTree once and emits the lowered
+/// program. Trailing dense loops exclusive to one term collapse into its
+/// strided inner kernel (the runtime analogue of the paper's
+/// metaprogramming + BLAS hooks), and single-term sparse loops fuse into
+/// chains.
+struct Compiler {
+  const Kernel& kernel;
+  const ContractionPath& path;
+  const LoopTree& tree;
+  const std::vector<std::int64_t>& buffer_len;
+  bool collapse_dense;
+  LoweredProgram out;
+  int offloaded_terms = 0;
+  int collapsed_loops = 0;
+
+  Layout tensor_layout(Base base, int id, const TensorRef& ref) const {
+    std::vector<std::int64_t> dims(ref.idx.size());
+    for (std::size_t m = 0; m < ref.idx.size(); ++m) {
+      dims[m] = kernel.index_dim(ref.idx[m]);
+    }
+    return make_layout(base, id, ref.idx, dims);
+  }
+
+  Layout buffer_layout(int id) const {
+    const BufferSpec& spec = tree.buffers()[static_cast<std::size_t>(id)];
+    return make_layout(Base::kBuffer, id, spec.indices, spec.dims);
+  }
+
+  /// Layouts of term `term_id`'s lhs, rhs and output.
+  std::array<Layout, 3> layouts(int term_id) const {
+    const PathTerm& term = path.term(term_id);
+    const auto input = [&](const PathOperand& op) {
+      if (op.kind != PathOperand::Kind::kInput) return buffer_layout(op.id);
+      if (op.id == kernel.sparse_input()) {
+        return Layout{Base::kSparseVal, 0, {}, {}};
+      }
+      return tensor_layout(Base::kDense, op.id, kernel.input(op.id));
+    };
+    Layout res;
+    if (term_id + 1 < path.num_terms()) {
+      res = buffer_layout(term_id);
+    } else if (kernel.output_is_sparse()) {
+      res.base = Base::kOutSparse;
+    } else {
+      res = tensor_layout(Base::kOutDense, 0, kernel.output());
+    }
+    return {input(term.lhs), input(term.rhs), std::move(res)};
+  }
+
+  /// Intern a base pointer source. Slots are few (inputs + buffers +
+  /// outputs), so a linear scan beats hashing.
+  std::int32_t slot_for(Base base, int id) {
+    for (std::size_t s = 0; s < out.slots.size(); ++s) {
+      if (out.slots[s].base == base && out.slots[s].id == id) {
+        return static_cast<std::int32_t>(s);
+      }
+    }
+    out.slots.push_back({base, id});
+    return static_cast<std::int32_t>(out.slots.size()) - 1;
+  }
+
+  /// Intern the operand's base and store its outer dependencies (inline,
+  /// then spilled to the dep pool): every index except the collapsed
+  /// `inner` ones and `chain_index` (the enclosing chain loop's index,
+  /// which the chain multiplier carries instead).
+  Operand operand(const Layout& a, const std::vector<int>& inner,
+                  int chain_index) {
+    Operand o;
+    o.slot = slot_for(a.base, a.id);
+    o.leaf = a.leaf() && chain_index < 0;
+    o.spill_begin = static_cast<std::int32_t>(out.deps.size());
+    for (std::size_t m = 0; m < a.idx.size(); ++m) {
+      const int idx = a.idx[m];
+      if (idx == chain_index ||
+          std::find(inner.begin(), inner.end(), idx) != inner.end()) {
+        continue;
+      }
+      if (o.ndeps < lowered::kInlineDeps) {
+        o.inl[static_cast<std::size_t>(o.ndeps)] = {idx, a.stride[m]};
+      } else {
+        out.deps.push_back({idx, a.stride[m]});
+      }
+      ++o.ndeps;
+    }
+    return o;
+  }
+
+  /// Emit one term with the dense loops `inner` (outermost first) collapsed
+  /// into its kernel, and return its id. Kernel selection: out stride 0 =>
+  /// dot, lhs 0 => axpy(alpha = *lhs), rhs 0 => axpy(alpha = *rhs), else
+  /// hadamard, with the unit-stride instantiation chosen by the same
+  /// conditions kernels.cpp fast-paths on.
+  std::int32_t emit_term(const std::array<Layout, 3>& lay,
+                         const std::vector<int>& inner, int chain_index) {
+    const auto& [lhs, rhs, res] = lay;
+    LTerm t;
+    t.lhs = operand(lhs, inner, chain_index);
+    t.rhs = operand(rhs, inner, chain_index);
+    t.out = operand(res, inner, chain_index);
+    if (!inner.empty()) {
+      ++offloaded_terms;
+      collapsed_loops += static_cast<int>(inner.size());
+      const int last = inner.back();
+      t.n = kernel.index_dim(last);
+      t.ls = lhs.stride_along(last);
+      t.rs = rhs.stride_along(last);
+      t.os = res.stride_along(last);
+      if (t.os == 0) {
+        t.inner =
+            t.ls == 1 && t.rs == 1 ? InnerKind::kDotU : InnerKind::kDotG;
+      } else if (t.ls == 0) {
+        t.inner =
+            t.rs == 1 && t.os == 1 ? InnerKind::kAxpyLU : InnerKind::kAxpyLG;
+      } else if (t.rs == 0) {
+        t.inner =
+            t.ls == 1 && t.os == 1 ? InnerKind::kAxpyRU : InnerKind::kAxpyRG;
+      } else {
+        t.inner = t.ls == 1 && t.rs == 1 && t.os == 1 ? InnerKind::kHadU
+                                                      : InnerKind::kHadG;
+      }
+      t.level_begin = static_cast<std::int32_t>(out.levels.size());
+      t.outer_depth = static_cast<std::int32_t>(inner.size()) - 1;
+      for (std::size_t l = 0; l + 1 < inner.size(); ++l) {
+        out.levels.push_back(
+            {kernel.index_dim(inner[l]), lhs.stride_along(inner[l]),
+             rhs.stride_along(inner[l]), res.stride_along(inner[l])});
+      }
+    }
+    out.terms.push_back(t);
+    return static_cast<std::int32_t>(out.terms.size()) - 1;
+  }
+
+  /// The term action `a` compiles to, or -1 when it stays a loop (or is a
+  /// reset). A loop compiles to a term when its whole subtree is a chain of
+  /// dense loops ending at exactly one term (no resets inside); the chain's
+  /// indices are appended to `inner`, outermost first. Root loops are kept
+  /// explicit even then: they are the unit of work partitioning (their
+  /// bodies still collapse, so sequential execution loses only the
+  /// outermost strided level).
+  int term_of(const LoopTree::Action& a, bool top_level,
+              std::vector<int>* inner) const {
+    if (a.kind == LoopTree::Action::Kind::kTerm) return a.id;
+    if (a.kind != LoopTree::Action::Kind::kLoop || !collapse_dense ||
+        top_level) {
+      return -1;
+    }
+    int cur = a.id;
+    while (true) {
+      const LoopTree::Node& n = tree.nodes()[static_cast<std::size_t>(cur)];
+      if (n.sparse || n.body.size() != 1) return -1;
+      inner->push_back(n.index);
+      const LoopTree::Action& b = n.body.front();
+      if (b.kind == LoopTree::Action::Kind::kTerm) return b.id;
+      if (b.kind != LoopTree::Action::Kind::kLoop) return -1;
+      cur = b.id;
+    }
+  }
+
+  /// A sparse loop whose body is one term fuses into a chain when every
+  /// operand depends on the loop index through at most one (index, stride)
+  /// pair (a repeated index is a diagonal access) and leaf-addressed
+  /// operands sit under the CSF leaf level itself (elsewhere the leaf node
+  /// is not a function of the loop position).
+  bool chainable(const LoopTree::Node& n,
+                 const std::array<Layout, 3>& lay) const {
+    const bool leaf_loop = n.csf_level == kernel.sparse_ref().order() - 1;
+    return std::all_of(lay.begin(), lay.end(), [&](const Layout& a) {
+      return (leaf_loop || !a.leaf()) &&
+             std::count(a.idx.begin(), a.idx.end(), n.index) <= 1;
+    });
+  }
+
+  LOp emit_action(const LoopTree::Action& a, bool top_level) {
+    if (a.kind == LoopTree::Action::Kind::kReset) {
+      out.resets.push_back({slot_for(Base::kBuffer, a.id),
+                            buffer_len[static_cast<std::size_t>(a.id)]});
+      return {LOp::Kind::kReset,
+              static_cast<std::int32_t>(out.resets.size()) - 1};
+    }
+    std::vector<int> inner;
+    const int term_id = term_of(a, top_level, &inner);
+    if (term_id >= 0) {
+      return {LOp::Kind::kTerm, emit_term(layouts(term_id), inner, -1)};
+    }
+    return {LOp::Kind::kLoop, emit_loop(a.id)};
+  }
+
+  /// Emit the loop of tree node `node_id` and return its id. A body that
+  /// compiles to one term fuses with a chainable sparse loop into a chain.
+  std::int32_t emit_loop(int node_id) {
+    const LoopTree::Node& n = tree.nodes()[static_cast<std::size_t>(node_id)];
+    const auto id = static_cast<std::size_t>(out.loops.size());
+    LLoop& l = out.loops.emplace_back();
+    l.index = n.index;
+    l.sparse = n.sparse;
+    l.csf_level = n.csf_level;
+    l.extent = kernel.index_dim(n.index);
+    std::vector<int> inner;
+    const int term_id =
+        n.body.size() == 1 ? term_of(n.body.front(), false, &inner) : -1;
+    if (term_id < 0) {
+      // Children append to out.loops (invalidating `l`), so the body is
+      // built aside.
+      std::vector<LOp> body;
+      body.reserve(n.body.size());
+      for (const LoopTree::Action& a : n.body) {
+        body.push_back(emit_action(a, false));
+      }
+      out.loops[id].body = std::move(body);
+      return static_cast<std::int32_t>(id);
+    }
+    const std::array<Layout, 3> lay = layouts(term_id);
+    if (!n.sparse || !chainable(n, lay)) {
+      l.body = {{LOp::Kind::kTerm, emit_term(lay, inner, -1)}};
+      return static_cast<std::int32_t>(id);
+    }
+    l.is_chain = true;
+    l.chain.l_idx = lay[0].stride_along(n.index);
+    l.chain.r_idx = lay[1].stride_along(n.index);
+    l.chain.o_idx = lay[2].stride_along(n.index);
+    l.chain.l_leaf = lay[0].leaf() ? 1 : 0;
+    l.chain.r_leaf = lay[1].leaf() ? 1 : 0;
+    l.chain.o_leaf = lay[2].leaf() ? 1 : 0;
+    l.chain.term = emit_term(lay, inner, n.index);
+    return static_cast<std::int32_t>(id);
+  }
+};
+
+/// Whether operand `o`'s dependencies include kernel index `index`.
+bool depends_on(const LoweredProgram& p, const Operand& o, int index) {
+  const std::int32_t n_inline = std::min(o.ndeps, lowered::kInlineDeps);
+  for (std::int32_t d = 0; d < n_inline; ++d) {
+    if (o.inl[static_cast<std::size_t>(d)].idx == index) return true;
+  }
+  for (std::int32_t d = 0; d < o.ndeps - lowered::kInlineDeps; ++d) {
+    if (p.deps[static_cast<std::size_t>(o.spill_begin + d)].idx == index) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Call on_term(term, chain_out) for every term and on_reset(reset) for
+/// every reset under statement `op`. A chain keeps its loop index's stride
+/// in LChain::{l,r,o}_idx, not in the operand deps, so chain_out is the
+/// chain loop's index when the chain strides the output (o_idx != 0) and
+/// -1 otherwise.
+template <class OnTerm, class OnReset>
+void walk_statements(const LoweredProgram& p, const LOp& op,
+                     OnTerm&& on_term, OnReset&& on_reset) {
+  switch (op.kind) {
+    case LOp::Kind::kTerm:
+      on_term(p.terms[static_cast<std::size_t>(op.id)], -1);
+      break;
+    case LOp::Kind::kReset:
+      on_reset(p.resets[static_cast<std::size_t>(op.id)]);
+      break;
+    case LOp::Kind::kLoop: {
+      const LLoop& l = p.loops[static_cast<std::size_t>(op.id)];
+      if (l.is_chain) {
+        on_term(p.terms[static_cast<std::size_t>(l.chain.term)],
+                l.chain.o_idx != 0 ? l.index : -1);
+        break;
+      }
+      for (const LOp& child : l.body) {
+        walk_statements(p, child, on_term, on_reset);
+      }
+      break;
+    }
+  }
+}
+
+}  // namespace
 
 struct FusedExecutor::Impl {
   Kernel kernel;  // copy: plans outlive callers' kernels
   ContractionPath path;
   LoopTree tree;
 
-  std::vector<CLoop> loops;
-  std::vector<CTerm> terms;
-  std::vector<CActionRef> top;
   std::vector<std::int64_t> buffer_len;  // element counts per producing term
   int offloaded_terms = 0;
   int collapsed_loops = 0;
 
-  /// The program every execution runs (lower.cpp): low.loops[i] lowers
-  /// loops[i] and low.top[t] lowers top[t].
-  lowered::LoweredProgram low;
+  /// The one program form: compiled from the tree at construction, read by
+  /// the parallel-safety analysis and the splitter, run by every execution.
+  LoweredProgram low;
 
   bool collapse_dense = true;
 
@@ -55,7 +357,7 @@ struct FusedExecutor::Impl {
     /// index, so partitions write disjoint slices and no reduction is
     /// needed (the common case: MTTKRP rows, TTMc slices).
     bool out_dense_rooted = true;
-    /// The sole second-level loop (loops[] id) when the root body is
+    /// The sole second-level loop (low.loops id) when the root body is
     /// exactly one loop; -1 otherwise. Unit of the nested split.
     int inner_loop = -1;
     /// The root may be split across the second loop level: par_safe, a
@@ -68,7 +370,7 @@ struct FusedExecutor::Impl {
     /// nested tasks' output slices disjoint (direct writes, no partials).
     bool out_dense_inner_rooted = true;
   };
-  std::vector<TopMeta> top_meta;  // aligned with `top`
+  std::vector<TopMeta> top_meta;  // aligned with low.top
   int num_root_regions = 0;       ///< top-level kLoop actions
   /// Buffers that carry values across top-level actions (or are written in
   /// a non-parallelizable position); they live in storage shared by all
@@ -129,21 +431,8 @@ struct FusedExecutor::Impl {
     return ctx;
   }
 
-  cprog::CompiledView view() const {
-    return {loops, terms, top, buffer_len, kernel.sparse_ref().order()};
-  }
-
-  void compile(const LoopOrder& order);
+  void compile();
   void analyze_parallel();
-  CAccess make_access(const PathOperand& op,
-                      const std::vector<int>& inner_chain);
-  CAccess make_out_access(int term_id, const std::vector<int>& inner_chain);
-  std::vector<std::int64_t> strides_for(
-      const std::vector<int>& idx_order,
-      const std::vector<std::int64_t>& dims) const;
-  void split_access(const std::vector<int>& ids,
-                    const std::vector<std::int64_t>& strides,
-                    const std::vector<int>& inner_chain, CAccess* access);
 
   void execute_parallel(lowered::ExecCtx& ctx, const Binding& bind,
                         const ExecArgs& args, int want_threads,
@@ -159,9 +448,8 @@ FusedExecutor::FusedExecutor(const Kernel& kernel,
   impl_->path = path;
   impl_->collapse_dense = collapse_dense;
   impl_->tree = LoopTree::build(kernel, path, order);
-  impl_->compile(order);
+  impl_->compile();
   impl_->analyze_parallel();
-  impl_->low = lower_program(impl_->view());
 }
 
 FusedExecutor::FusedExecutor(const Kernel& kernel, const Plan& plan)
@@ -180,34 +468,19 @@ bool FusedExecutor::collapse_dense() const { return impl_->collapse_dense; }
 
 std::size_t FusedExecutor::program_bytes() const {
   const Impl& im = *impl_;
-  std::size_t b = 0;
-  b += im.loops.capacity() * sizeof(CLoop);
-  for (const CLoop& l : im.loops) {
-    b += l.body.capacity() * sizeof(CActionRef);
-  }
-  b += im.terms.capacity() * sizeof(CTerm);
-  for (const CTerm& t : im.terms) {
-    for (const CAccess* a : {&t.lhs, &t.rhs, &t.out}) {
-      b += a->outer.capacity() * sizeof(std::pair<int, std::int64_t>);
-      b += a->inner.capacity() * sizeof(std::int64_t);
-    }
-    b += t.extent.capacity() * sizeof(std::int64_t);
-  }
-  b += im.top.capacity() * sizeof(CActionRef);
-  b += im.buffer_len.capacity() * sizeof(std::int64_t);
-  b += im.top_meta.capacity() * sizeof(Impl::TopMeta);
-  b += im.buffer_shared.capacity() * sizeof(char);
-  b += im.low.bytes();
-  return b;
+  return im.low.bytes() + im.buffer_len.capacity() * sizeof(std::int64_t) +
+         im.top_meta.capacity() * sizeof(Impl::TopMeta) +
+         im.buffer_shared.capacity() * sizeof(char);
 }
 
 std::vector<FusedExecutor::ParallelRegionInfo>
 FusedExecutor::parallel_regions() const {
   std::vector<ParallelRegionInfo> out;
   const Impl& im = *impl_;
-  for (std::size_t t = 0; t < im.top.size(); ++t) {
-    if (im.top[t].kind != CActionRef::Kind::kLoop) continue;
-    const CLoop& root = im.loops[static_cast<std::size_t>(im.top[t].id)];
+  for (std::size_t t = 0; t < im.low.top.size(); ++t) {
+    if (im.low.top[t].kind != LOp::Kind::kLoop) continue;
+    const LLoop& root =
+        im.low.loops[static_cast<std::size_t>(im.low.top[t].id)];
     const Impl::TopMeta& meta = im.top_meta[t];
     ParallelRegionInfo info;
     info.top_position = static_cast<int>(t);
@@ -233,180 +506,21 @@ std::vector<char> FusedExecutor::shared_buffers() const {
   return out;
 }
 
-std::vector<std::int64_t> FusedExecutor::Impl::strides_for(
-    const std::vector<int>& idx_order,
-    const std::vector<std::int64_t>& dims) const {
-  std::vector<std::int64_t> strides(idx_order.size());
-  std::int64_t s = 1;
-  for (std::size_t m = idx_order.size(); m-- > 0;) {
-    strides[m] = s;
-    s = checked_mul(s, dims[m]);
-  }
-  return strides;
-}
-
-void FusedExecutor::Impl::split_access(
-    const std::vector<int>& ids, const std::vector<std::int64_t>& strides,
-    const std::vector<int>& inner_chain, CAccess* access) {
-  access->inner.assign(inner_chain.size(), 0);
-  for (std::size_t m = 0; m < ids.size(); ++m) {
-    const auto it =
-        std::find(inner_chain.begin(), inner_chain.end(), ids[m]);
-    if (it != inner_chain.end()) {
-      access->inner[static_cast<std::size_t>(it - inner_chain.begin())] =
-          strides[m];
-    } else {
-      access->outer.emplace_back(ids[m], strides[m]);
-    }
-  }
-}
-
-CAccess FusedExecutor::Impl::make_access(const PathOperand& op,
-                                         const std::vector<int>& inner_chain) {
-  CAccess a;
-  if (op.kind == PathOperand::Kind::kInput) {
-    if (op.id == kernel.sparse_input()) {
-      a.base = Base::kSparseVal;
-      a.inner.assign(inner_chain.size(), 0);
-      return a;
-    }
-    a.base = Base::kDense;
-    a.id = op.id;
-    const auto& ref = kernel.input(op.id);
-    std::vector<std::int64_t> dims(ref.idx.size());
-    for (std::size_t m = 0; m < ref.idx.size(); ++m) {
-      dims[m] = kernel.index_dim(ref.idx[m]);
-    }
-    split_access(ref.idx, strides_for(ref.idx, dims), inner_chain, &a);
-    return a;
-  }
-  // Intermediate buffer produced by an earlier term.
-  a.base = Base::kBuffer;
-  a.id = op.id;
-  const BufferSpec& spec = tree.buffers()[static_cast<std::size_t>(op.id)];
-  split_access(spec.indices, strides_for(spec.indices, spec.dims),
-               inner_chain, &a);
-  return a;
-}
-
-CAccess FusedExecutor::Impl::make_out_access(
-    int term_id, const std::vector<int>& inner_chain) {
-  CAccess a;
-  if (term_id + 1 < path.num_terms()) {
-    a.base = Base::kBuffer;
-    a.id = term_id;
-    const BufferSpec& spec =
-        tree.buffers()[static_cast<std::size_t>(term_id)];
-    split_access(spec.indices, strides_for(spec.indices, spec.dims),
-                 inner_chain, &a);
-    return a;
-  }
-  if (kernel.output_is_sparse()) {
-    a.base = Base::kOutSparse;
-    a.inner.assign(inner_chain.size(), 0);
-    return a;
-  }
-  a.base = Base::kOutDense;
-  const auto& ref = kernel.output();
-  std::vector<std::int64_t> dims(ref.idx.size());
-  for (std::size_t m = 0; m < ref.idx.size(); ++m) {
-    dims[m] = kernel.index_dim(ref.idx[m]);
-  }
-  split_access(ref.idx, strides_for(ref.idx, dims), inner_chain, &a);
-  return a;
-}
-
-void FusedExecutor::Impl::compile(const LoopOrder& order) {
-  (void)order;
+void FusedExecutor::Impl::compile() {
   // Record buffer sizes (storage itself lives in each worker state).
   buffer_len.assign(static_cast<std::size_t>(path.num_terms()), 0);
   for (const BufferSpec& spec : tree.buffers()) {
     if (spec.producer < 0) continue;
     buffer_len[static_cast<std::size_t>(spec.producer)] = spec.size;
   }
-
-  // Try to collapse a node's entire subtree into a dense single-term chain:
-  // returns the chain of loop indices when the subtree is a pure chain of
-  // dense loops ending at exactly one term (no resets inside).
-  const auto try_collapse =
-      [&](int node_id, std::vector<int>* chain) -> int /*term or -1*/ {
-    int cur = node_id;
-    while (true) {
-      const LoopTree::Node& n =
-          tree.nodes()[static_cast<std::size_t>(cur)];
-      if (n.sparse || n.body.size() != 1) return -1;
-      chain->push_back(n.index);
-      const LoopTree::Action& a = n.body.front();
-      if (a.kind == LoopTree::Action::Kind::kTerm) return a.id;
-      if (a.kind != LoopTree::Action::Kind::kLoop) return -1;
-      cur = a.id;
-    }
-  };
-
-  const auto make_term = [&](int term_id, const std::vector<int>& chain) {
-    CTerm t;
-    t.term_id = term_id;
-    t.extent.reserve(chain.size());
-    for (int id : chain) {
-      t.extent.push_back(kernel.index_dim(id));
-    }
-    const PathTerm& term = path.term(term_id);
-    t.lhs = make_access(term.lhs, chain);
-    t.rhs = make_access(term.rhs, chain);
-    t.out = make_out_access(term_id, chain);
-    if (!chain.empty()) {
-      ++offloaded_terms;
-      collapsed_loops += static_cast<int>(chain.size());
-    }
-    terms.push_back(std::move(t));
-    return static_cast<int>(terms.size()) - 1;
-  };
-
-  const auto compile_body = [&](auto&& self,
-                                const std::vector<LoopTree::Action>& body,
-                                bool top_level) -> std::vector<CActionRef> {
-    std::vector<CActionRef> out;
-    for (const auto& a : body) {
-      switch (a.kind) {
-        case LoopTree::Action::Kind::kTerm:
-          out.push_back(
-              {CActionRef::Kind::kTerm, make_term(a.id, {})});
-          break;
-        case LoopTree::Action::Kind::kReset:
-          out.push_back({CActionRef::Kind::kReset, a.id});
-          break;
-        case LoopTree::Action::Kind::kLoop: {
-          // Root loops are kept explicit even when their whole subtree is a
-          // collapsible dense chain: they are the unit of work partitioning
-          // (their bodies still collapse, so sequential execution loses only
-          // the outermost strided level).
-          std::vector<int> chain;
-          const int term_id = (collapse_dense && !top_level)
-                                  ? try_collapse(a.id, &chain)
-                                  : -1;
-          if (term_id >= 0) {
-            out.push_back(
-                {CActionRef::Kind::kTerm, make_term(term_id, chain)});
-            break;
-          }
-          const LoopTree::Node& n =
-              tree.nodes()[static_cast<std::size_t>(a.id)];
-          CLoop loop;
-          loop.index = n.index;
-          loop.sparse = n.sparse;
-          loop.csf_level = n.csf_level;
-          loop.extent = kernel.index_dim(n.index);
-          loop.body = self(self, n.body, false);
-          loops.push_back(std::move(loop));
-          out.push_back(
-              {CActionRef::Kind::kLoop, static_cast<int>(loops.size()) - 1});
-          break;
-        }
-      }
-    }
-    return out;
-  };
-  top = compile_body(compile_body, tree.top(), true);
+  Compiler c{kernel, path, tree, buffer_len, collapse_dense, {}};
+  c.out.top.reserve(tree.top().size());
+  for (const LoopTree::Action& a : tree.top()) {
+    c.out.top.push_back(c.emit_action(a, true));
+  }
+  low = std::move(c.out);
+  offloaded_terms = c.offloaded_terms;
+  collapsed_loops = c.collapsed_loops;
 }
 
 void FusedExecutor::Impl::analyze_parallel() {
@@ -416,49 +530,48 @@ void FusedExecutor::Impl::analyze_parallel() {
   std::vector<int> producer_top(nb, -1);
   std::vector<int> consumer_top(nb, -1);
   std::vector<int> reset_top(nb, -1);
-  top_meta.assign(top.size(), {});
-
-  const auto walk = [&](auto&& self, const CActionRef& a, int t) -> void {
-    TopMeta& meta = top_meta[static_cast<std::size_t>(t)];
-    switch (a.kind) {
-      case CActionRef::Kind::kReset:
-        reset_top[static_cast<std::size_t>(a.id)] = t;
-        break;
-      case CActionRef::Kind::kTerm: {
-        const CTerm& ct = terms[static_cast<std::size_t>(a.id)];
-        if (ct.out.base == Base::kBuffer) {
-          producer_top[static_cast<std::size_t>(ct.out.id)] = t;
-        }
-        if (ct.out.base == Base::kOutDense) {
-          meta.writes_out_dense = true;
-          if (top[static_cast<std::size_t>(t)].kind ==
-              CActionRef::Kind::kLoop) {
-            const CLoop& root = loops[static_cast<std::size_t>(
-                top[static_cast<std::size_t>(t)].id)];
-            const bool rooted = std::any_of(
-                ct.out.outer.begin(), ct.out.outer.end(),
-                [&](const auto& p) { return p.first == root.index; });
-            if (!rooted) meta.out_dense_rooted = false;
-          }
-        }
-        if (ct.out.base == Base::kOutSparse) meta.writes_out_sparse = true;
-        for (const CAccess* side : {&ct.lhs, &ct.rhs}) {
-          if (side->base == Base::kBuffer) {
-            consumer_top[static_cast<std::size_t>(side->id)] = t;
-          }
-        }
-        break;
-      }
-      case CActionRef::Kind::kLoop:
-        for (const CActionRef& child :
-             loops[static_cast<std::size_t>(a.id)].body) {
-          self(self, child, t);
-        }
-        break;
-    }
+  top_meta.assign(low.top.size(), {});
+  const auto source = [&](const Operand& o) -> const lowered::SlotSource& {
+    return low.slots[static_cast<std::size_t>(o.slot)];
   };
-  for (std::size_t t = 0; t < top.size(); ++t) {
-    walk(walk, top[t], static_cast<int>(t));
+  // Whether a term's output moves with kernel index `index`: one of its
+  // deps, or the stride its chain loop carries (`chain_out`).
+  const auto out_strided = [&](const LTerm& term, int chain_out, int index) {
+    return chain_out == index || depends_on(low, term.out, index);
+  };
+
+  for (std::size_t t = 0; t < low.top.size(); ++t) {
+    const LOp& op = low.top[t];
+    TopMeta& meta = top_meta[t];
+    const int at = static_cast<int>(t);
+    const int root_index =
+        op.kind == LOp::Kind::kLoop
+            ? low.loops[static_cast<std::size_t>(op.id)].index
+            : -1;
+    walk_statements(
+        low, op,
+        [&](const LTerm& term, int chain_out) {
+          const lowered::SlotSource& res = source(term.out);
+          if (res.base == Base::kBuffer) {
+            producer_top[static_cast<std::size_t>(res.id)] = at;
+          }
+          if (res.base == Base::kOutDense) {
+            meta.writes_out_dense = true;
+            if (root_index >= 0 && !out_strided(term, chain_out, root_index)) {
+              meta.out_dense_rooted = false;
+            }
+          }
+          if (res.base == Base::kOutSparse) meta.writes_out_sparse = true;
+          for (const Operand* side : {&term.lhs, &term.rhs}) {
+            if (source(*side).base == Base::kBuffer) {
+              consumer_top[static_cast<std::size_t>(source(*side).id)] = at;
+            }
+          }
+        },
+        [&](const lowered::LReset& r) {
+          reset_top[static_cast<std::size_t>(
+              low.slots[static_cast<std::size_t>(r.slot)].id)] = at;
+        });
   }
 
   // A buffer is worker-private only when its whole lifetime (reset, write,
@@ -470,8 +583,8 @@ void FusedExecutor::Impl::analyze_parallel() {
     if (buffer_len[b] == 0) continue;
     const int t = producer_top[b];
     const bool local = t >= 0 &&
-                       top[static_cast<std::size_t>(t)].kind ==
-                           CActionRef::Kind::kLoop &&
+                       low.top[static_cast<std::size_t>(t)].kind ==
+                           LOp::Kind::kLoop &&
                        consumer_top[b] == t && reset_top[b] == t;
     buffer_shared[b] = local ? 0 : 1;
   }
@@ -481,10 +594,10 @@ void FusedExecutor::Impl::analyze_parallel() {
   // index, so partitions touch disjoint slices. Shared buffers it only
   // reads were fully produced by an earlier top-level action (barrier).
   num_root_regions = 0;
-  for (std::size_t t = 0; t < top.size(); ++t) {
-    if (top[t].kind != CActionRef::Kind::kLoop) continue;
+  for (std::size_t t = 0; t < low.top.size(); ++t) {
+    if (low.top[t].kind != LOp::Kind::kLoop) continue;
     ++num_root_regions;
-    const CLoop& root = loops[static_cast<std::size_t>(top[t].id)];
+    const LLoop& root = low.loops[static_cast<std::size_t>(low.top[t].id)];
     bool safe = !root.sparse || root.csf_level == 0;
     for (std::size_t b = 0; b < nb && safe; ++b) {
       if (buffer_len[b] == 0 || !buffer_shared[b]) continue;
@@ -509,16 +622,16 @@ void FusedExecutor::Impl::analyze_parallel() {
     // root iterations), at the CSF level directly below the root for
     // sparse inners, with no shared-buffer writes under the root at all
     // (root-strided slices are disjoint per root *index*, which nested
-    // tasks sharing a root index would violate).
+    // tasks sharing a root index would violate). A chain root has no body
+    // to split.
     int inner_id = -1;
-    if (root.body.size() == 1 &&
-        root.body.front().kind == CActionRef::Kind::kLoop) {
+    if (root.body.size() == 1 && root.body.front().kind == LOp::Kind::kLoop) {
       inner_id = root.body.front().id;
     }
     top_meta[t].inner_loop = inner_id;
     bool nest = safe && inner_id >= 0;
     if (nest) {
-      const CLoop& inner = loops[static_cast<std::size_t>(inner_id)];
+      const LLoop& inner = low.loops[static_cast<std::size_t>(inner_id)];
       if (inner.sparse) {
         const int want_level = root.sparse ? root.csf_level + 1 : 0;
         nest = inner.csf_level == want_level;
@@ -530,33 +643,19 @@ void FusedExecutor::Impl::analyze_parallel() {
     }
     top_meta[t].nest_safe = nest;
     if (nest) {
-      // Dense-output stride check against the inner index: collect every
-      // term under this root and require the inner index among the output
-      // access's outer strides.
-      const CLoop& inner = loops[static_cast<std::size_t>(inner_id)];
-      const auto check = [&](auto&& self, const CActionRef& a) -> void {
-        switch (a.kind) {
-          case CActionRef::Kind::kTerm: {
-            const CTerm& ct = terms[static_cast<std::size_t>(a.id)];
-            if (ct.out.base == Base::kOutDense) {
-              const bool strided = std::any_of(
-                  ct.out.outer.begin(), ct.out.outer.end(),
-                  [&](const auto& p) { return p.first == inner.index; });
-              if (!strided) top_meta[t].out_dense_inner_rooted = false;
+      // Dense-output stride check against the inner index: every term
+      // under this root that writes the output must move with it.
+      const int inner_index =
+          low.loops[static_cast<std::size_t>(inner_id)].index;
+      walk_statements(
+          low, low.top[t],
+          [&](const LTerm& term, int chain_out) {
+            if (source(term.out).base == Base::kOutDense &&
+                !out_strided(term, chain_out, inner_index)) {
+              top_meta[t].out_dense_inner_rooted = false;
             }
-            break;
-          }
-          case CActionRef::Kind::kLoop:
-            for (const CActionRef& child :
-                 loops[static_cast<std::size_t>(a.id)].body) {
-              self(self, child);
-            }
-            break;
-          case CActionRef::Kind::kReset:
-            break;
-        }
-      };
-      check(check, top[t]);
+          },
+          [](const lowered::LReset&) {});
     }
   }
 }
@@ -649,7 +748,7 @@ void FusedExecutor::execute(const ExecArgs& args) {
                         args.stats);
     return;
   }
-  for (std::size_t t = 0; t < im.top.size(); ++t) {
+  for (std::size_t t = 0; t < im.low.top.size(); ++t) {
     lowered::run_top(im.low, ctx, t);
   }
   if (args.stats != nullptr) {
@@ -696,26 +795,6 @@ std::vector<std::int64_t> leaf_offsets(const CsfTensor& csf, int level) {
   return lb;
 }
 
-/// Deterministic tiled reduction of per-task output partials: the output
-/// is cut into fixed-size tiles processed in parallel, and within a tile
-/// the partials fold into dst in task order. The float summation shape
-/// depends only on the partition shape (bit-identical run to run), while
-/// each lane's working set stays O(tile) and memory is swept once.
-void reduce_partials(ThreadPool& pool,
-                     std::vector<std::vector<double>>& parts,
-                     std::int64_t len, double* dst) {
-  if (parts.empty() || len <= 0) return;
-  constexpr std::int64_t kTile = 4096;
-  const std::int64_t tiles = (len + kTile - 1) / kTile;
-  pool.parallel_apply(tiles, [&](std::int64_t tile) {
-    const std::int64_t b = tile * kTile;
-    const std::int64_t e = std::min(len, b + kTile);
-    for (auto& p : parts) {
-      xaxpy(e - b, 1.0, p.data() + b, 1, dst + b, 1);
-    }
-  });
-}
-
 }  // namespace
 
 /// Parallel execution of the lowered program: top-level actions run
@@ -749,22 +828,22 @@ void FusedExecutor::Impl::execute_parallel(
   /// re-walked with the nested second-level split.
   constexpr double kNestSkewThreshold = 1.25;
 
-  for (std::size_t t = 0; t < top.size(); ++t) {
-    const CActionRef& a = top[t];
+  for (std::size_t t = 0; t < low.top.size(); ++t) {
+    const LOp& a = low.top[t];
     const TopMeta& meta = top_meta[t];
-    if (a.kind != CActionRef::Kind::kLoop) {
+    if (a.kind != LOp::Kind::kLoop) {
       lowered::run_top(low, ctx, t);  // scalar terms, shared resets
       continue;
     }
-    const CLoop& root = loops[static_cast<std::size_t>(a.id)];
+    const LLoop& root = low.loops[static_cast<std::size_t>(a.id)];
     if (!meta.par_safe) {
       ++st.fallback_regions;
       lowered::run_top(low, ctx, t);
       continue;
     }
-    const CLoop* inner =
+    const LLoop* inner =
         meta.inner_loop >= 0
-            ? &loops[static_cast<std::size_t>(meta.inner_loop)]
+            ? &low.loops[static_cast<std::size_t>(meta.inner_loop)]
             : nullptr;
 
     // Work geometry of the root space. Sparse roots weigh positions by
@@ -983,12 +1062,18 @@ void FusedExecutor::Impl::execute_parallel(
       }
     });
 
-    if (!dense_direct) {
-      reduce_partials(pool, dense_partial, dense_out_len, bind.out_dense);
-    }
-    if (!sparse_direct) {
-      reduce_partials(pool, sparse_partial, sparse_out_len, bind.out_sparse);
-    }
+    // Fold the partials into the output in task order, 4096-element tiles
+    // on the pool: each lane's working set stays O(tile), memory is swept
+    // once, and the bits depend only on the partition shape.
+    const auto fold = [](const std::vector<std::vector<double>>& partial,
+                         std::int64_t len, double* dst) {
+      std::vector<const double*> parts;
+      parts.reserve(partial.size());
+      for (const auto& p : partial) parts.push_back(p.data());
+      fold_partials(parts, len, dst, /*tile=*/4096);
+    };
+    if (!dense_direct) fold(dense_partial, dense_out_len, bind.out_dense);
+    if (!sparse_direct) fold(sparse_partial, sparse_out_len, bind.out_sparse);
 
     ++st.parallel_regions;
     if (has_nested) ++st.nested_regions;
@@ -1009,14 +1094,6 @@ void FusedExecutor::Impl::execute_parallel(
     st.partition_imbalance = std::max(st.partition_imbalance, imbalance);
   }
   if (stats != nullptr) *stats = st;
-}
-
-std::string FusedExecutor::describe(const Kernel& kernel) const {
-  std::ostringstream os;
-  os << impl_->tree.render(kernel, impl_->path);
-  os << "offloaded terms: " << impl_->offloaded_terms << " (collapsed "
-     << impl_->collapsed_loops << " dense loops)\n";
-  return os.str();
 }
 
 }  // namespace spttn

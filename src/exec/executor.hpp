@@ -1,21 +1,21 @@
 // Fused loop-nest executor — the runtime half of SpTTN-Cyclops
 // (paper Section 5, Algorithm 2).
 //
-// Construction compiles a LoopTree into a flat program (compiled_program.hpp):
-// loops are tagged as CSF traversals or dense ranges, buffers are sized,
-// reset actions are placed, and trailing dense loops exclusive to one term
-// are collapsed into strided inner kernels (the runtime analogue of the
-// paper's metaprogramming + BLAS hooks). The lowerer (lower.hpp) then turns
-// that program into pre-resolved form with the inner kernels selected, and
-// execute() runs the lowered program against bound tensors — one driver,
-// sequentially or split across the thread pool by one partitioner.
+// Construction walks the LoopTree once and compiles it straight into the
+// one program form, the lowered program (lowered_program.hpp): loops are
+// tagged as CSF traversals or dense ranges, buffers are sized, reset
+// actions are placed, trailing dense loops exclusive to one term are
+// collapsed into strided inner kernels selected up front (the runtime
+// analogue of the paper's metaprogramming + BLAS hooks), and single-term
+// sparse loops fuse into chains. The parallel-safety analysis reads that
+// same program, and execute() runs it against bound tensors, sequentially
+// or split across the thread pool by one partitioner.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/loop_tree.hpp"
@@ -54,8 +54,8 @@ struct ExecStats {
   /// second loop level (a root position heavier than the per-task target
   /// was split while re-walking a heavy chunk).
   int nested_regions = 0;
-  /// Top-level loop regions in the compiled program (filled on both the
-  /// sequential and parallel paths).
+  /// Top-level loop regions in the program (filled on both the sequential
+  /// and parallel paths).
   int total_regions = 0;
   /// Max over root regions of (largest task weight) / (mean task weight),
   /// where weight is subtree nnz for sparse roots and iteration count for
@@ -63,9 +63,9 @@ struct ExecStats {
   /// A region left as a single task reports its task budget B (its skew
   /// against an even B-way split), so a serialized region stays visible.
   double partition_imbalance = 1.0;
-  /// Top-level loop regions that ran through the lowered program. Lowering
-  /// is total, so this always equals total_regions; it is kept for
-  /// consumers that report it.
+  /// Top-level loop regions that ran through the lowered program. It is
+  /// the only program form, so this always equals total_regions; it is
+  /// kept for consumers that report it.
   int lowered_regions = 0;
 };
 
@@ -142,16 +142,17 @@ class FusedExecutor {
   int offloaded_terms() const;
   int collapsed_loops() const;
 
-  /// Heap footprint of the compiled program plus the lowered program
-  /// (used by KernelCache::estimate_entry_bytes for byte budgeting).
+  /// Heap footprint of the lowered program plus the buffer and region
+  /// metadata (used by KernelCache::estimate_entry_bytes for byte
+  /// budgeting).
   std::size_t program_bytes() const;
 
   /// Compile-time locality facts of one top-level root-loop region, as
-  /// decided by analyze_parallel from the compiled program's access
-  /// strides. Exposed so the plan verifier can cross-check its own
-  /// independently derived region classification (PlanVerifier::verify
-  /// with an executor) — the two analyses must agree before a region is
-  /// partitioned across workers.
+  /// decided by analyze_parallel from the operand and chain strides of the
+  /// lowered program every execution runs. Exposed so the plan verifier
+  /// can cross-check its own independently derived region classification
+  /// (PlanVerifier::verify with an executor) — the two analyses must agree
+  /// before a region is partitioned across workers.
   struct ParallelRegionInfo {
     int top_position = -1;  ///< position in the top-level action sequence
     int root_index = -1;    ///< kernel index id of the root loop
@@ -173,8 +174,6 @@ class FusedExecutor {
   /// Whether trailing dense exclusive chains were collapsed into strided
   /// kernels when this nest was compiled.
   bool collapse_dense() const;
-
-  std::string describe(const Kernel& kernel) const;
 
  private:
   struct Impl;

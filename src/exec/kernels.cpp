@@ -1,6 +1,9 @@
 #include "exec/kernels.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/thread_pool.hpp"
 
 namespace spttn {
 
@@ -11,6 +14,25 @@ void xaxpy(std::int64_t n, double alpha, const double* x, std::int64_t sx,
     return;
   }
   for (std::int64_t i = 0; i < n; ++i) y[i * sy] += alpha * x[i * sx];
+}
+
+void fold_partials(std::span<const double* const> parts, std::int64_t n,
+                   double* y, std::int64_t tile) {
+  if (n <= 0) return;
+  const auto fold_range = [&](std::int64_t begin, std::int64_t len) {
+    for (const double* p : parts) {
+      if (p != nullptr) xaxpy(len, 1.0, p + begin, 1, y + begin, 1);
+    }
+  };
+  if (tile <= 0 || tile >= n) {
+    fold_range(0, n);
+    return;
+  }
+  const std::int64_t tiles = (n + tile - 1) / tile;
+  ThreadPool::global().parallel_apply(tiles, [&](std::int64_t t) {
+    const std::int64_t begin = t * tile;
+    fold_range(begin, std::min(tile, n - begin));
+  });
 }
 
 double xdot(std::int64_t n, const double* x, std::int64_t sx, const double* y,
@@ -40,14 +62,6 @@ void xger(std::int64_t m, std::int64_t n, double alpha, const double* x,
           std::int64_t sam, std::int64_t san) {
   for (std::int64_t i = 0; i < m; ++i) {
     xaxpy(n, alpha * x[i * sx], y, sy, a + i * sam, san);
-  }
-}
-
-void xgemv(std::int64_t m, std::int64_t n, double alpha, const double* a,
-           std::int64_t sam, std::int64_t san, const double* x,
-           std::int64_t sx, double* y, std::int64_t sy) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    y[i * sy] += alpha * xdot(n, a + i * sam, san, x, sx);
   }
 }
 

@@ -1,28 +1,29 @@
-// Lowered program: the one form FusedExecutor runs (the paper's runtime
-// executes the single loop nest the planner chose, Section 5, Algorithm 2;
-// CoNST derives one code path from the loop-nest IR the same way).
+// Lowered program: the one program form FusedExecutor builds and runs (the
+// paper's runtime executes the single loop nest the planner chose, Section
+// 5, Algorithm 2; CoNST derives one code path from the loop-nest IR the
+// same way).
 //
 // Everything about a term's addressing is fixed by the plan before the
-// first nonzero is touched, so the lowerer (lower.cpp) resolves it once at
-// construction and emits this flat form:
+// first nonzero is touched, so FusedExecutor's constructor walks the
+// LoopTree once and emits this flat form directly:
 //
 //  - operands carry an interned base-pointer slot plus their pre-split
 //    (index, stride) dependencies, the first kInlineDeps inside the operand
 //    and any further ones in the program-wide `deps` pool;
 //  - every term's innermost kernel (dot / axpy / hadamard, unit or generic
-//    stride) is selected at lower time (InnerKind), and its collapsed outer
-//    dense levels are a range of the `levels` pool;
+//    stride) is selected at compile time (InnerKind), and its collapsed
+//    outer dense levels are a range of the `levels` pool;
 //  - a sparse loop whose body is exactly one term fuses into an LChain: one
 //    tight loop over the nonzero range with branchless per-operand
 //    addressing `invariant_base + idx[p]*idx_mult + p*leaf_mult`, dispatched
 //    through a template instantiation per InnerKind so the kernel switch is
-//    hoisted out of the nonzero loop entirely.
+//    hoisted out of the nonzero loop entirely. The chain loop's own index
+//    lives in those multipliers, not in the operands' dependencies.
 //
-// Lowering is total: lowered loop i is compiled loop i (compiled_program.hpp)
-// and `top` mirrors the compiled top-level action sequence one to one, so
-// the executor's parallel splitter addresses both forms with the same ids.
-// Numerical contract: every kernel accumulates in a fixed order, so results
-// are bit-identical run to run at a fixed partition shape, and
+// The executor's parallel-safety analysis reads this same program, and its
+// splitter hands root chunks and nested second-level ranges to run_loop by
+// loop id. Numerical contract: every kernel accumulates in a fixed order,
+// so results are bit-identical run to run at a fixed partition shape, and
 // tests/golden/outputs.txt pins the output bits.
 #pragma once
 
@@ -31,13 +32,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/compiled_program.hpp"
-
 namespace spttn {
 class CsfTensor;
 }  // namespace spttn
 
 namespace spttn::lowered {
+
+/// Where an operand's data lives.
+enum class Base {
+  kDense,      ///< a dense input tensor
+  kBuffer,     ///< an intermediate buffer
+  kSparseVal,  ///< the CSF leaf value of the sparse input
+  kOutDense,   ///< the dense kernel output
+  kOutSparse,  ///< the pattern-aligned sparse output values
+};
 
 /// One pre-resolved outer dependency: add idx_val[idx] * stride.
 struct Dep {
@@ -64,7 +72,7 @@ struct Operand {
   std::array<Dep, kInlineDeps> inl{};
 };
 
-/// Innermost kernel selected at lower time (out-stride 0 => dot, lhs-stride
+/// Innermost kernel selected at compile time (out-stride 0 => dot, lhs-stride
 /// 0 => axpy with lhs as alpha, rhs-stride 0 => axpy with rhs as alpha,
 /// else hadamard). The U variants are the unit-stride instantiations.
 enum class InnerKind : std::uint8_t {
@@ -109,9 +117,8 @@ struct LChain {
   std::int32_t term = 0;  ///< LTerm holding the invariant operand parts
 };
 
-/// One statement of a loop body or of the top-level sequence. kLoop ids
-/// are loop ids (shared with the compiled program); kTerm and kReset ids
-/// index `terms` and `resets`.
+/// One statement of a loop body or of the top-level sequence. kLoop, kTerm
+/// and kReset ids index `loops`, `terms` and `resets`.
 struct LOp {
   enum class Kind : std::uint8_t { kLoop, kTerm, kReset } kind;
   std::int32_t id;
@@ -135,13 +142,13 @@ struct LLoop {
 
 /// Where a slot's base pointer comes from (bound once per worker state).
 struct SlotSource {
-  cprog::Base base = cprog::Base::kDense;
+  Base base = Base::kDense;
   std::int32_t id = 0;
 };
 
 struct LoweredProgram {
-  std::vector<LLoop> loops;  ///< loops[i] lowers compiled loop i
-  std::vector<LOp> top;      ///< top[t] lowers compiled top-level action t
+  std::vector<LLoop> loops;
+  std::vector<LOp> top;  ///< top[t] is the tree's top-level action t
   std::vector<LTerm> terms;
   std::vector<LReset> resets;
   std::vector<Dep> deps;

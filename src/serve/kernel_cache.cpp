@@ -118,10 +118,10 @@ std::size_t estimate_entry_bytes(const KernelSignature& sig,
          spec.dims.size() * sizeof(std::int64_t);
   }
   // Compiled executor: the exact program footprint when the caller hands
-  // us the compiled executor (compiled program + lowered flat program);
-  // otherwise the historical per-action heuristic (roughly a
-  // cache line per loop/action). Plus the intermediate-buffer storage
-  // every execution materializes.
+  // us the compiled executor (FusedExecutor::program_bytes); otherwise the
+  // historical per-action heuristic (roughly a cache line per
+  // loop/action). Plus the intermediate-buffer storage every execution
+  // materializes.
   if (exec != nullptr) {
     b += exec->program_bytes();
   } else {

@@ -100,7 +100,7 @@ class KernelCache {
     /// Compiled nest; safe for concurrent execute() calls.
     std::shared_ptr<FusedExecutor> exec;
     /// Estimated resident size: plan tree + loop order + path + signature
-    /// structures, the compiled program's metadata, and the executor's
+    /// structures, the executor's program footprint, and its
     /// per-execution buffer working set. The byte budget sums these.
     std::size_t bytes = 0;
     /// Insertion time (steady clock) driving TTL expiry; meaningless for
@@ -227,8 +227,9 @@ class KernelCache {
 /// Estimated resident bytes of one cache entry: signature + kernel + plan
 /// (path, order, tree, buffers) structure sizes plus the compiled
 /// executor's program metadata and per-execution buffer working set.
-/// When `exec` is provided, its actual program footprint (the compiled
-/// program plus the lowered flat program, FusedExecutor::program_bytes) replaces the per-action metadata
+/// When `exec` is provided, its actual program footprint (the lowered
+/// program plus its buffer and region metadata,
+/// FusedExecutor::program_bytes) replaces the per-action metadata
 /// heuristic, so max_bytes budgeting charges what the executor really
 /// holds. Exposed for tests and the spttn_cache inspect CLI.
 std::size_t estimate_entry_bytes(const KernelSignature& sig,

@@ -124,8 +124,6 @@ TEST(CommModel, CollectivesScaleSensibly) {
   EXPECT_NEAR(t2 / t1, 2.0, 0.1);
   // Allgather moves ~half the all-reduce volume.
   EXPECT_LT(allgather_seconds(1 << 20, 8, p), allreduce_seconds(1 << 20, 8, p));
-  EXPECT_GT(bcast_seconds(1 << 20, 8, p), 0.0);
-  EXPECT_GT(reduce_scatter_seconds(1 << 20, 8, p), 0.0);
 }
 
 struct DistEquivalence : ::testing::TestWithParam<std::tuple<int, int>> {};

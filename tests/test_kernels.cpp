@@ -83,28 +83,6 @@ TEST(Kernels, GerMatchesNaive) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], want[i]);
 }
 
-TEST(Kernels, GemvMatchesNaive) {
-  Rng rng(6);
-  const int m = 6, n = 8;
-  auto a = rand_vec(static_cast<std::size_t>(m * n), rng);
-  auto x = rand_vec(n, rng);
-  auto y = rand_vec(m, rng);
-  auto want = y;
-  for (int i = 0; i < m; ++i) {
-    double acc = 0;
-    for (int j = 0; j < n; ++j) {
-      acc += a[static_cast<std::size_t>(i * n + j)] *
-             x[static_cast<std::size_t>(j)];
-    }
-    want[static_cast<std::size_t>(i)] += 2.0 * acc;
-  }
-  xgemv(m, n, 2.0, a.data(), n, 1, x.data(), 1, y.data(), 1);
-  for (int i = 0; i < m; ++i) {
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)],
-                want[static_cast<std::size_t>(i)], 1e-12);
-  }
-}
-
 TEST(Kernels, GemmMatchesNaive) {
   Rng rng(7);
   const int m = 5, n = 6, k = 7;

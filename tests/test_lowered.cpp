@@ -1,5 +1,5 @@
 // Golden-output suite for the executor's one driver, the lowered program
-// (exec/lower.hpp): every paper kernel under every lint planner-option set,
+// (exec/lowered_program.hpp): every paper kernel under every lint planner-option set,
 // plus the generated networks of golden_networks(), sequentially and under
 // the work-stealing pool, must reproduce tests/golden/outputs.txt bit for
 // bit. The rows were recorded by tools/spttn_golden and pin the output

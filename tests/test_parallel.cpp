@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
+#include "analysis/plan_verifier.hpp"
 #include "exec/executor.hpp"
 #include "exec/schedules.hpp"
 #include "test_helpers.hpp"
@@ -661,6 +663,83 @@ TEST(Parallel, UnskewedRegionKeepsPrefixCut) {
     } else {
       EXPECT_LT(seq_out.max_abs_diff(par_out), 1e-12);
     }
+  }
+}
+
+// A sparse loop whose body is one term fuses into a chain, which carries
+// its own index's stride in the chain multipliers rather than in the
+// operand dependencies. A root or second-level chain writing the dense
+// output strided by its index must still count as rooted, or the region
+// would fall back to per-task output partials. Two shapes: a leaf chain
+// under the root (A(i,j,r), nested split over j), and a root that is
+// itself the chain (A(i,r) over a one-mode tensor).
+TEST(Parallel, ChainCarriedOutputStridesStayRooted) {
+  ScopedLanes lanes(4);
+  Rng rng(61);
+  {
+    SCOPED_TRACE("A(i,j,r) = T(i,j)*B(j,r)");
+    // 2 x 400 with 150 nonzeros per row: each row outweighs the per-task
+    // target of a 4-way split, so both split across j.
+    CooTensor t({2, 400});
+    for (std::int64_t j = 0; j < 400; ++j) {
+      if (j % 8 < 3) t.push_back({0, j}, rng.next_double() - 0.5);
+      if (j % 8 >= 5) t.push_back({1, j}, rng.next_double() - 0.5);
+    }
+    t.sort_dedup();
+    ASSERT_EQ(t.nnz(), 300);
+    const DenseTensor b = random_dense({400, 6}, rng);
+    const BoundKernel bound = spttn::bind("A(i,j,r) = T(i,j)*B(j,r)", t, {&b});
+    const Plan plan = plan_kernel(bound);
+    FusedExecutor exec(bound.kernel, plan);
+    const auto regions = exec.parallel_regions();
+    ASSERT_EQ(regions.size(), 1u);
+    EXPECT_EQ(regions[0].root_index, bound.kernel.index_id("i"));
+    EXPECT_TRUE(regions[0].par_safe);
+    EXPECT_TRUE(regions[0].nest_safe);
+    EXPECT_TRUE(regions[0].out_dense_rooted);
+    EXPECT_TRUE(regions[0].out_dense_inner_rooted);
+    EXPECT_TRUE(PlanVerifier(bound.kernel, {}, &bound.stats)
+                    .verify(plan, exec)
+                    .diags.empty());
+
+    ExecArgs args;
+    args.sparse = &bound.csf;
+    args.dense = bound.dense;
+    DenseTensor seq = make_output(bound);
+    args.out_dense = &seq;
+    exec.execute(args);
+    DenseTensor par = make_output(bound);
+    args.out_dense = &par;
+    args.num_threads = 4;
+    ExecStats stats;
+    args.stats = &stats;
+    exec.execute(args);
+    EXPECT_EQ(stats.nested_regions, 1);
+    ASSERT_EQ(seq.size(), par.size());
+    EXPECT_EQ(std::memcmp(seq.data(), par.data(),
+                          static_cast<std::size_t>(seq.size()) *
+                              sizeof(double)),
+              0)
+        << "4-thread output differs from the 1-thread output";
+  }
+  {
+    SCOPED_TRACE("A(i,r) = T(i)*B(i,r)");
+    CooTensor t({50});
+    for (std::int64_t i = 0; i < 50; i += 3) {
+      t.push_back({i}, rng.next_double() - 0.5);
+    }
+    t.sort_dedup();
+    const DenseTensor b = random_dense({50, 6}, rng);
+    const BoundKernel bound = spttn::bind("A(i,r) = T(i)*B(i,r)", t, {&b});
+    const Plan plan = plan_kernel(bound);
+    const FusedExecutor exec(bound.kernel, plan);
+    const auto regions = exec.parallel_regions();
+    ASSERT_EQ(regions.size(), 1u);
+    EXPECT_TRUE(regions[0].sparse);
+    EXPECT_TRUE(regions[0].out_dense_rooted);
+    EXPECT_TRUE(PlanVerifier(bound.kernel, {}, &bound.stats)
+                    .verify(plan, exec)
+                    .diags.empty());
   }
 }
 
