@@ -122,26 +122,6 @@ bool make_term(const Kernel& kernel, const std::vector<Operand>& items,
   return term->sparse_refs == prefix;
 }
 
-/// FLOP increment of one term; matches path_flops' per-term body so the
-/// state's running sum equals path_flops of the completed path.
-double term_flops(const Kernel& kernel, const PathTerm& t,
-                  const SparsityStats& stats) {
-  double iters = 1;
-  if (!t.sparse_refs.empty()) {
-    std::uint64_t level_mask = 0;
-    for (int id : t.sparse_refs.elements()) {
-      const int lvl = kernel.csf_level(id);
-      SPTTN_CHECK(lvl >= 0);
-      level_mask |= (std::uint64_t{1} << lvl);
-    }
-    iters *= static_cast<double>(stats.projection_nnz(level_mask));
-  }
-  for (int id : (t.refs - t.sparse_refs).elements()) {
-    iters *= static_cast<double>(kernel.index_dim(id));
-  }
-  return 2.0 * iters;
-}
-
 /// Apply `term` to `s` (remove b, replace a with the merged intermediate),
 /// mirroring enumerate_rec's list reduction.
 State apply_term(const State& s, std::size_t a, std::size_t b,

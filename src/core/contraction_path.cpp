@@ -200,29 +200,28 @@ std::int64_t SparsityStats::projection_nnz(std::uint64_t level_mask) const {
   return count;
 }
 
+double term_flops(const Kernel& kernel, const PathTerm& term,
+                  const SparsityStats& stats) {
+  const auto& csf_order = kernel.sparse_ref().idx;
+  IndexSet prefix;
+  for (int id : csf_order) {
+    if (!term.sparse_refs.contains(id)) break;
+    prefix.insert(id);
+  }
+  // A term outside every CSF loop runs its dense extents once.
+  double iters = prefix.empty()
+                     ? 1.0
+                     : static_cast<double>(stats.prefix_nnz(prefix.size()));
+  for (int id : (term.refs - prefix).elements()) {
+    iters *= static_cast<double>(kernel.index_dim(id));
+  }
+  return 2.0 * iters;
+}
+
 double path_flops(const Kernel& kernel, const ContractionPath& path,
                   const SparsityStats& stats) {
-  // Optimistic estimate matching the fused runtime: any term's sparse-mode
-  // references can iterate over the sparse pattern's projection (dense
-  // sub-network terms are fused under the sparse chain — see the soundness
-  // note in loop_tree.cpp); remaining indices iterate densely.
   double total = 0;
-  for (const PathTerm& t : path.terms) {
-    double iters = 1;
-    if (!t.sparse_refs.empty()) {
-      std::uint64_t level_mask = 0;
-      for (int id : t.sparse_refs.elements()) {
-        const int lvl = kernel.csf_level(id);
-        SPTTN_CHECK(lvl >= 0);
-        level_mask |= (std::uint64_t{1} << lvl);
-      }
-      iters *= static_cast<double>(stats.projection_nnz(level_mask));
-    }
-    for (int id : (t.refs - t.sparse_refs).elements()) {
-      iters *= static_cast<double>(kernel.index_dim(id));
-    }
-    total += 2.0 * iters;
-  }
+  for (const PathTerm& t : path.terms) total += term_flops(kernel, t, stats);
   return total;
 }
 

@@ -92,9 +92,12 @@ class SparsityStats {
   }
 
   /// Distinct-projection count for an arbitrary mode subset (bitmask over
-  /// CSF levels). Exact when built from a tensor, modeled otherwise.
-  /// Thread-safe: concurrent callers (the planner's parallel path-FLOP
-  /// fan-out) share one mutex-guarded lazy cache.
+  /// CSF levels). Exact when built from a tensor, modeled otherwise. Prefix
+  /// masks resolve from the prefix table; a non-prefix mask scans the COO
+  /// once. The planner never asks for one — only pairwise_path_flops
+  /// (exec/pairwise.hpp) does, since a materialized intermediate really
+  /// holds the projection. Thread-safe: concurrent callers share one
+  /// mutex-guarded lazy cache.
   std::int64_t projection_nnz(std::uint64_t level_mask) const;
 
   int order() const { return static_cast<int>(prefix_.size()) - 1; }
@@ -115,9 +118,18 @@ class SparsityStats {
   mutable std::vector<std::pair<std::uint64_t, std::int64_t>> proj_cache_;
 };
 
-/// Leading-order scalar-operation estimate of executing `path` all-at-once
-/// (2 FLOPs per iteration point of each term). Iteration points of a
-/// sparse-carrying term: nnz over its sparse refs times dense extents.
+/// Leading-order scalar-operation estimate of one term of a fused nest
+/// (2 FLOPs per iteration point). A loop iterates the CSF tree only when
+/// every shallower sparse mode encloses it (LoopTree::build), so the term's
+/// iteration points are prefix_nnz(p) for the longest CSF prefix p inside
+/// its sparse refs, times the full extent of every other index it
+/// references — sparse modes outside that prefix included, since they run
+/// as dense loops.
+double term_flops(const Kernel& kernel, const PathTerm& term,
+                  const SparsityStats& stats);
+
+/// Leading-order scalar-operation estimate of executing `path` all-at-once:
+/// the sum of term_flops in term order.
 double path_flops(const Kernel& kernel, const ContractionPath& path,
                   const SparsityStats& stats);
 

@@ -76,27 +76,32 @@ Cost MaxBufferSizeCost::drop(const DropContext& ctx, const Cost& x) const {
 
 // --- CacheMissCost ---
 
-/// Model of the runtime's CSF-iteration rule: the root loop iterates the
-/// CSF tree when it is a sparse mode and every shallower mode has already
-/// been iterated. (The runtime decides by nesting depth; this set-based
-/// form is what keeps the cost a function of (path, removed, root) so the
-/// DP memoization stays exact.)
-bool root_iterates_sparsely(const PeelContext& ctx) {
-  const int lvl = ctx.kernel->csf_level(ctx.root);
+namespace {
+
+/// Model of the runtime's CSF-iteration rule: a loop over `id` iterates the
+/// CSF tree when `id` is a sparse mode and every shallower mode is in
+/// `bound`. (The runtime decides by nesting depth; this set-based form is
+/// what keeps the cost a function of (path, removed, root) so the DP
+/// memoization stays exact.)
+bool iterates_sparsely(const Kernel& kernel, int id, const IndexSet& bound) {
+  const int lvl = kernel.csf_level(id);
   if (lvl < 0) return false;
-  const auto& csf_order = ctx.kernel->sparse_ref().idx;
+  const auto& csf_order = kernel.sparse_ref().idx;
   for (int l = 0; l < lvl; ++l) {
-    if (!ctx.removed.contains(csf_order[static_cast<std::size_t>(l)])) {
-      return false;
-    }
+    if (!bound.contains(csf_order[static_cast<std::size_t>(l)])) return false;
   }
   return true;
 }
 
+bool root_iterates_sparsely(const PeelContext& ctx) {
+  return iterates_sparsely(*ctx.kernel, ctx.root, ctx.removed);
+}
+
+}  // namespace
+
 double CacheMissCost::loop_extent(const PeelContext& ctx) const {
   const int lvl = ctx.kernel->csf_level(ctx.root);
-  if (sparse_aware_ && stats_ != nullptr && lvl >= 0 &&
-      root_iterates_sparsely(ctx)) {
+  if (sparse_aware_ && stats_ != nullptr && root_iterates_sparsely(ctx)) {
     // Expected trip count of a CSF loop: fan-out at its level, conditioned
     // on the enclosing sparse prefix.
     const double parent = static_cast<double>(stats_->prefix_nnz(lvl));
@@ -150,6 +155,20 @@ Cost BoundedBufferBlasCost::phi(const PeelContext& ctx, const Cost& x) const {
   const int dim = crossing_buffer_dim(ctx);
   out.primary = x.primary;
   if (dim > bound_) out.primary = std::numeric_limits<double>::infinity();
+
+  // Fiber-coordinate buffer indices: a crossing buffer indexed by a sparse
+  // mode whose shallower CSF levels are all bound here is stored densely
+  // over that mode's full extent, zeroed once per parent fiber, and touched
+  // only at the fiber's fanout. The cache-miss tertiary charges that
+  // memset too, but only after the independent-dense-loop count decided.
+  const IndexSet bound_here = ctx.removed | IndexSet{ctx.root};
+  for (int p = ctx.first; p < ctx.split_end; ++p) {
+    const int c = ctx.path->consumer_of(p);
+    if (c < ctx.split_end || c >= ctx.last) continue;
+    for (int id : (ctx.path->term(p).out - ctx.removed).elements()) {
+      if (iterates_sparsely(*ctx.kernel, id, bound_here)) out.primary += 1.0;
+    }
+  }
 
   // Independent dense loops: the root covers exactly one term, iterates
   // densely, and everything still to iterate for that term is dense too —

@@ -157,10 +157,17 @@ class CacheMissCost final : public TreeCost {
 };
 
 /// The Section-5 experiment metric: among loop nests whose intermediate
-/// dimensions are all <= bound, prefer the maximum number of independent
-/// dense loops (loops covering a single term — BLAS offload candidates),
-/// then the fewest modeled cache misses.
-///   primary   : +inf when any crossing buffer dim exceeds the bound
+/// dimensions are all <= bound, prefer the fewest fiber-coordinate buffer
+/// indices, then the maximum number of independent dense loops (loops
+/// covering a single term — BLAS offload candidates), then the fewest
+/// modeled cache misses.
+///   primary   : +inf when any crossing buffer dim exceeds the bound;
+///               otherwise, summed over peels, the count of crossing-buffer
+///               indices that are sparse modes whose shallower CSF levels
+///               are all in removed ∪ {root}. Such a buffer is dense over
+///               the mode's full extent, zeroed per parent fiber, and
+///               touched only at the fiber's fanout. The count is additive
+///               and never makes a kernel infeasible.
 ///   secondary : minus the number of independent dense loops
 ///   tertiary  : cache misses (Definition 4.6)
 class BoundedBufferBlasCost final : public TreeCost {

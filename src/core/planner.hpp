@@ -135,7 +135,10 @@ struct Plan {
   LoopOrder order;
   LoopTree tree;
   Cost cost;
-  double flops = 0;            ///< estimated scalar operations
+  /// Estimated scalar operations of the chosen nest: path_flops, which
+  /// charges each term the CSF prefix it can iterate sparsely and the full
+  /// extent of every other index (core/contraction_path.hpp term_flops).
+  double flops = 0;
   int buffer_dim_bound = 0;    ///< bound in effect when planned
   /// Structure fingerprint of the sparsity stats the plan was derived from
   /// (SparsityStats::fingerprint()); 0 when planned from modeled stats.

@@ -162,6 +162,44 @@ TEST(PathFlops, MttkrpFactorizedBeatsUnfactorizedOpCount) {
   EXPECT_NEAR(best_flops, expected, expected * 1e-9);
 }
 
+TEST(PathFlops, DenseFactorPairPaysFullExtentOutsideCsfPrefix) {
+  // U0(i0,r)*U2(i2,r) shares only i0 with the CSF prefix: the executor can
+  // iterate i0 over the tree but must run i2 over its whole extent, so the
+  // term costs prefix_nnz(1)·I2·R iterations, not nnz(i0,i2)·R.
+  Kernel k = Kernel::parse(
+      "S(i0,i1,i2) = T(i0,i1,i2)*U0(i0,r)*U1(i1,r)*U2(i2,r)");
+  Rng rng(7);
+  const CooTensor t = hierarchical_coo({40, 40, 20000}, 8, {20, 4}, rng);
+  const double r = 8;
+  for (int m = 0; m < 3; ++m) {
+    k.set_index_dim(k.index_id("i" + std::to_string(m)), t.dim(m));
+  }
+  k.set_index_dim(k.index_id("r"), 8);
+  const SparsityStats stats = SparsityStats::from_coo(t);
+  const auto is_input = [](const PathOperand& op, int id) {
+    return op.kind == PathOperand::Kind::kInput && op.id == id;
+  };
+  int found = 0;
+  for (const auto& p : enumerate_paths(k)) {
+    const PathTerm& t0 = p.terms[0];
+    const PathTerm& t1 = p.terms[1];
+    const bool u0_u2 = (is_input(t0.lhs, 1) && is_input(t0.rhs, 3)) ||
+                       (is_input(t0.lhs, 3) && is_input(t0.rhs, 1));
+    const bool then_u1 =
+        t1.lhs.kind == PathOperand::Kind::kIntermediate && is_input(t1.rhs, 2);
+    if (!u0_u2 || !then_u1) continue;
+    ++found;
+    ASSERT_TRUE(p.csf_prefix_executable(k)) << p.to_string(k);
+    const double nnz = static_cast<double>(t.nnz());
+    const double expected =
+        2.0 * (static_cast<double>(stats.prefix_nnz(1)) *
+                   static_cast<double>(t.dim(2)) * r +
+               nnz * r + nnz);
+    EXPECT_DOUBLE_EQ(path_flops(k, p, stats), expected) << p.to_string(k);
+  }
+  EXPECT_EQ(found, 1);
+}
+
 TEST(SparsityStats, UniformModelIsMonotone) {
   const auto s = SparsityStats::uniform({100, 100, 100}, 5000);
   EXPECT_EQ(s.prefix_nnz(0), 1);

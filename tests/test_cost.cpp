@@ -4,6 +4,7 @@
 
 #include "core/cost.hpp"
 #include "core/loop_tree.hpp"
+#include "core/planner.hpp"
 #include "tensor/generate.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +157,53 @@ TEST(CostValue, LexicographicOrdering) {
   EXPECT_TRUE(b < c);
   EXPECT_TRUE(Cost::inf().is_inf());
   EXPECT_FALSE(a.is_inf());
+}
+
+TEST(BoundedBlasFiberBuffers, ChargesBufferZeroedPerParentFiber) {
+  // TTTP-3 via T*U2 -> X1(i0,i1,i2,r) and U0*U1 -> X2(i0,i1,r): with the
+  // order below, X1 is written in one i2 loop and read back in a sibling
+  // i2 loop, so it becomes a dense X1(i2, r) zeroed per (i0, i1) fiber —
+  // one fiber-coordinate index (i2). The plan actually chosen has none.
+  Kernel k = Kernel::parse(
+      "S(i0,i1,i2) = T(i0,i1,i2)*U0(i0,r)*U1(i1,r)*U2(i2,r)");
+  Rng rng(7);
+  const CooTensor t = hierarchical_coo({40, 40, 20000}, 8, {20, 4}, rng);
+  for (int m = 0; m < 3; ++m) {
+    k.set_index_dim(k.index_id("i" + std::to_string(m)), t.dim(m));
+  }
+  k.set_index_dim(k.index_id("r"), 8);
+  const SparsityStats stats = SparsityStats::from_coo(t);
+  const int i0 = k.index_id("i0");
+  const int i1 = k.index_id("i1");
+  const int i2 = k.index_id("i2");
+  const int r = k.index_id("r");
+  const auto is_input = [](const PathOperand& op, int id) {
+    return op.kind == PathOperand::Kind::kInput && op.id == id;
+  };
+  const auto pair_of = [&](const PathTerm& term, int a, int b) {
+    return (is_input(term.lhs, a) && is_input(term.rhs, b)) ||
+           (is_input(term.lhs, b) && is_input(term.rhs, a));
+  };
+  ContractionPath t_u2_first;
+  for (const auto& p : enumerate_paths(k)) {
+    if (pair_of(p.terms[0], 0, 3) && pair_of(p.terms[1], 1, 2)) {
+      t_u2_first = p;
+    }
+  }
+  ASSERT_EQ(t_u2_first.num_terms(), 3);
+
+  const PlannerOptions options;
+  const auto model = make_cost_model(options, &stats);
+  const LoopOrder split_i2{{i0, i1, i2, r}, {i0, i1, r}, {i0, i1, i2, r}};
+  EXPECT_EQ(evaluate_cost(k, t_u2_first, split_i2, *model).primary, 1.0);
+
+  const Plan plan = make_plan(k, stats, options);
+  PlannerOptions effective = options;
+  effective.buffer_dim_bound = plan.buffer_dim_bound;
+  const Cost chosen = evaluate_cost(k, plan.path, plan.order,
+                                    *make_cost_model(effective, &stats));
+  EXPECT_EQ(chosen.primary, 0.0) << plan.describe(k);
+  EXPECT_TRUE(chosen == plan.cost);
 }
 
 }  // namespace

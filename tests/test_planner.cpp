@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/planner.hpp"
 #include "exec/reference.hpp"
+#include "tensor/generate.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spttn {
 namespace {
@@ -189,11 +194,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The parallel executable-path filter (and its precomputed FLOP sort keys)
-// must reproduce the sequential enumeration order exactly. The parallel
-// call runs on a *fresh* SparsityStats so its lazy projection cache starts
-// cold — concurrent path_flops calls then race to fill it, which is
-// exactly the access pattern the cache's internal lock must serialize
-// (under TSan this is the regression test for that lock).
+// must reproduce the sequential enumeration order exactly, on a fresh
+// SparsityStats as well. path_flops reads only the precomputed prefix
+// counts, so this no longer touches the lazy projection cache;
+// ConcurrentProjectionCountsMatchCoo below races that cache instead.
 TEST(Planner, ParallelExecutablePathsMatchSequential) {
   testing::ScopedLanes lanes(4);  // real lanes even on 1-core CI boxes
   for (int kernel_idx : {0, 2, 4, 6}) {
@@ -210,6 +214,119 @@ TEST(Planner, ParallelExecutablePathsMatchSequential) {
     ASSERT_EQ(seq.size(), par.size());
     for (std::size_t i = 0; i < seq.size(); ++i) {
       EXPECT_EQ(seq[i].to_string(k), par[i].to_string(k)) << "path " << i;
+    }
+  }
+}
+
+// SparsityStats' lazy projection cache (now read only by the pairwise
+// baseline's estimate) is shared by concurrent callers. Four lanes query
+// every non-prefix mask of a cold cache several times over, so the misses
+// race to compute and insert; under TSan this is the regression test for
+// the cache's lock. Every answer must be the exact COO count.
+TEST(Planner, ConcurrentProjectionCountsMatchCoo) {
+  testing::ScopedLanes lanes(4);  // real lanes even on 1-core CI boxes
+  Rng rng(11);
+  const CooTensor t = hierarchical_coo({12, 10, 9, 8}, 6, {4, 3, 3}, rng);
+  const int d = t.order();
+  std::vector<std::uint64_t> masks;
+  std::vector<std::int64_t> want;
+  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << d); ++mask) {
+    if ((mask & (mask + 1)) == 0) continue;  // prefix masks skip the cache
+    std::vector<int> modes;
+    for (int l = 0; l < d; ++l) {
+      if ((mask >> l) & 1) modes.push_back(l);
+    }
+    masks.push_back(mask);
+    want.push_back(t.nnz_projection(modes));
+  }
+  ASSERT_EQ(masks.size(), 11u);
+  const SparsityStats cold = SparsityStats::from_coo(t);
+  constexpr std::int64_t kRounds = 8;
+  const auto n = static_cast<std::int64_t>(masks.size());
+  std::vector<std::int64_t> got(static_cast<std::size_t>(n * kRounds), -1);
+  ThreadPool::global().parallel_apply(n * kRounds, [&](std::int64_t i) {
+    got[static_cast<std::size_t>(i)] =
+        cold.projection_nnz(masks[static_cast<std::size_t>(i % n)]);
+  });
+  for (std::int64_t i = 0; i < n * kRounds; ++i) {
+    const auto m = static_cast<std::size_t>(i % n);
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], want[m])
+        << "mask " << masks[m];
+  }
+}
+
+// On a tensor with few roots and a long last mode (the darpa shape), the
+// term U0(i0,r)*U2(i2,r) can only run i2 densely under i0. Charged as if it
+// iterated nnz(i0,i2), it won the FLOP ranking, and TTTP and the mode-1
+// MTTKRP filled a dense (i2, r) buffer per root. Plans must keep every
+// sparse mode on the CSF, record the per-term FLOP count of the nest that
+// runs, and still compute the right outputs.
+TEST(Planner, LongLastModeKeepsSparseModesOnTheCsf) {
+  Rng rng(7);
+  const CooTensor t = hierarchical_coo({40, 40, 20000}, 8, {20, 4}, rng);
+  constexpr std::int64_t kRank = 8;
+  std::vector<DenseTensor> factors;
+  for (int m = 0; m < t.order(); ++m) {
+    factors.push_back(random_dense({t.dim(m), kRank}, rng));
+  }
+  struct Case {
+    const char* expr;
+    std::vector<const DenseTensor*> dense;
+  };
+  const Case cases[] = {
+      {"S(i0,i1,i2) = T(i0,i1,i2)*U0(i0,r)*U1(i1,r)*U2(i2,r)",
+       {&factors[0], &factors[1], &factors[2]}},
+      {"M(j,r) = T(i,j,k)*A(i,r)*C(k,r)", {&factors[0], &factors[2]}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expr);
+    const BoundKernel bound = spttn::bind(c.expr, t, c.dense);
+    const Kernel& k = bound.kernel;
+    const Plan plan = plan_kernel(bound);
+
+    for (const LoopTree::Node& n : plan.tree.nodes()) {
+      EXPECT_FALSE(!n.sparse && k.csf_level(n.index) >= 0)
+          << "sparse mode " << k.index_name(n.index)
+          << " runs as a dense loop\n"
+          << plan.describe(k);
+    }
+
+    // 2 · prefix_nnz(p) · (extent of every other referenced index) per
+    // term, p the longest CSF prefix inside the term's sparse refs.
+    const auto& csf_order = k.sparse_ref().idx;
+    double want_flops = 0;
+    for (const PathTerm& term : plan.path.terms) {
+      std::size_t p = 0;
+      while (p < csf_order.size() && term.sparse_refs.contains(csf_order[p])) {
+        ++p;
+      }
+      double iters =
+          p == 0 ? 1.0 : static_cast<double>(t.nnz_prefix(static_cast<int>(p)));
+      for (int id : term.refs.elements()) {
+        const auto first = csf_order.begin();
+        const auto last = first + static_cast<std::ptrdiff_t>(p);
+        if (std::find(first, last, id) == last) {
+          iters *= static_cast<double>(k.index_dim(id));
+        }
+      }
+      want_flops += 2.0 * iters;
+    }
+    EXPECT_DOUBLE_EQ(plan.flops, want_flops);
+
+    if (k.output_is_sparse()) {
+      std::vector<double> got(static_cast<std::size_t>(t.nnz()));
+      std::vector<double> want(got.size());
+      run_plan(bound, plan, nullptr, got);
+      reference_execute(k, t, bound.dense, nullptr, want);
+      for (std::size_t e = 0; e < got.size(); ++e) {
+        ASSERT_NEAR(got[e], want[e], 1e-9) << "nonzero " << e;
+      }
+    } else {
+      DenseTensor got = make_output(bound);
+      DenseTensor want = make_output(bound);
+      run_plan(bound, plan, &got, {});
+      reference_execute(k, t, bound.dense, &want, {});
+      EXPECT_LT(want.max_abs_diff(got), 1e-9);
     }
   }
 }

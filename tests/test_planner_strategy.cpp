@@ -1,6 +1,6 @@
 // Planner strategy pipeline: the ExactStrategy refactor must be invisible
-// (bit-identical plan artifacts against the checked-in goldens generated by
-// the pre-strategy planner, sequential and parallel), and the
+// (bit-identical plan artifacts against the checked-in goldens, sequential
+// and parallel), and the
 // AnytimeStrategy must be deterministic under a node budget, feasible under
 // any budget, flop-optimal when uncapped, verifier-clean on networks the
 // exact search cannot touch, and correctly keyed in the kernel cache.
@@ -45,12 +45,12 @@ std::string golden_text(const SuiteInstance& inst, const std::string& kernel,
                          {"seed", "42"}});
 }
 
-// The refactored pipeline (make_plan -> strategy_for -> ExactStrategy)
-// must reproduce the pre-refactor planner byte for byte: same plan, same
-// cost doubles, same SearchStats, for every paper kernel under every lint
-// option set. The anytime sets pin the AnytimeStrategy the same way (their
-// goldens were generated at the refactor and double as a determinism
-// regression).
+// The pipeline (make_plan -> strategy_for -> ExactStrategy) must reproduce
+// the checked-in golden plans byte for byte: same plan, same cost doubles,
+// same SearchStats, for every paper kernel under every lint option set. The
+// anytime sets pin the AnytimeStrategy the same way (their goldens double
+// as a determinism regression). Re-record with spttn_golden only when a
+// change is meant to alter them.
 TEST(PlannerStrategy, GoldenEqualityAcrossSuiteAndOptionSets) {
   for (const SuiteKernel& sk : paper_kernels()) {
     const auto inst = make_suite_instance(sk, 42);

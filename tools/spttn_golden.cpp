@@ -1,10 +1,9 @@
 // spttn_golden: dump the planner's chosen plan for every paper-suite kernel
 // under every exact lint option set, serialized with core/plan_io, into a
-// golden directory (default tests/golden/). The checked-in artifacts were
-// generated by the pre-strategy-refactor planner; test_planner_strategy
-// compares ExactStrategy's output byte-for-byte against them, so any future
-// change that silently alters the chosen plan, its cost/flops doubles, or
-// the SearchStats trips the golden test instead of shipping.
+// golden directory (default tests/golden/). test_planner_strategy compares
+// ExactStrategy's output byte-for-byte against the checked-in artifacts, so
+// any change that silently alters the chosen plan, its cost/flops doubles,
+// or the SearchStats trips the golden test instead of shipping.
 //
 // The same directory holds outputs.txt: one row per golden output case
 // (analysis/kernel_suite.hpp golden_output_line) with the output length and
