@@ -1,7 +1,8 @@
-// Distributed-memory SpTTN execution: cyclic layout over a processor
-// grid, per-rank local kernels, collectives through a pluggable backend
-// (paper Section 5.2) — modeled alpha-beta charges by default, measured
-// shared-memory movement with --backend shmem.
+// Distributed-memory SpTTN execution: each rank owns a contiguous,
+// nnz-balanced range of whole fibers and runs its local kernel, with
+// collectives through a pluggable backend (paper Section 5.2) — modeled
+// alpha-beta charges by default, measured shared-memory movement with
+// --backend shmem.
 //
 //   build/examples/distributed_scaling [--ranks 16] [--kernel mttkrp|ttmc]
 //                                      [--backend modeled|shmem]
@@ -41,8 +42,7 @@ int main(int argc, char** argv) {
   const BoundKernel bound = bind(expr, t, {&u, &v});
   std::cout << "kernel: " << bound.kernel.to_string() << "\n"
             << "tensor: " << t.describe() << "\n\n";
-  std::cout << "ranks  grid        local[s]  comm[s]   total[s]  speedup  "
-               "imbalance\n";
+  std::cout << "ranks  local[s]  comm[s]   total[s]  speedup  imbalance\n";
 
   double t1 = 0;
   for (int p = 1; p <= *max_ranks; p *= 2) {
@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
                                   /*local_threads=*/1,
                                   /*concurrent_ranks=*/false);
     if (p == 1) t1 = r.time();
-    std::cout << strfmt("%5d  %-10s  %.5f   %.6f  %.5f   %5.2fx   %.2f\n", p,
-                        r.grid.describe().c_str(), r.max_local_seconds,
-                        r.comm_seconds, r.time(), t1 / r.time(), r.imbalance);
+    std::cout << strfmt("%5d  %.5f   %.6f  %.5f   %5.2fx   %.2f\n", p,
+                        r.max_local_seconds, r.comm_seconds, r.time(),
+                        t1 / r.time(), r.imbalance);
   }
   std::cout << "\n(local kernel times are measured per rank; collectives "
             << (*backend == "modeled"

@@ -27,22 +27,30 @@ DistSpttn::DistSpttn(const BoundKernel& bound, int ranks)
   SPTTN_CHECK_MSG(bound.coo != nullptr, "bound kernel has no sparse tensor");
   const CooTensor& coo = *bound.coo;
   SPTTN_CHECK_MSG(coo.is_sorted(), "sparse tensor must be sort_dedup()ed");
-  grid_ = ProcGrid::make(ranks, coo.dims());
+  const std::int64_t nnz = coo.nnz();
+  SPTTN_CHECK_MSG(bound.csf.nnz() == nnz,
+                  "bound CSF holds " << bound.csf.nnz() << " nonzeros, its "
+                                     << "sparse tensor " << nnz);
+  // The bound CSF has the identity mode order, so its leaves are the sorted
+  // COO entries. Cut at the first level-1 fiber boundary at or past each
+  // goal c*nnz/ranks (level-0 nodes when there is no level 1).
+  const std::vector<std::int64_t> lb =
+      bound.csf.leaf_offsets(bound.csf.order() > 1 ? 1 : 0);
+  cuts_.assign(static_cast<std::size_t>(ranks) + 1, 0);
+  slices_.reserve(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    const std::int64_t goal = nnz * (r + 1) / ranks;
+    const std::int64_t end = *std::lower_bound(lb.begin(), lb.end(), goal);
+    cuts_[static_cast<std::size_t>(r) + 1] = end;
+    slices_.push_back(
+        CsfTensor::slice(coo, cuts_[static_cast<std::size_t>(r)], end));
+  }
+}
 
-  local_coo_.assign(static_cast<std::size_t>(ranks), CooTensor(coo.dims()));
-  entry_map_.assign(static_cast<std::size_t>(ranks), {});
-  for (std::int64_t e = 0; e < coo.nnz(); ++e) {
-    const auto owner = static_cast<std::size_t>(grid_.owner_of(coo.coord(e)));
-    local_coo_[owner].push_back(coo.coord(e), coo.value(e));
-    entry_map_[owner].push_back(e);
-  }
-  local_nnz_.resize(static_cast<std::size_t>(ranks));
-  for (std::size_t r = 0; r < local_coo_.size(); ++r) {
-    // Entries arrive in global sorted order, so sorting is an (idempotent)
-    // flag flip that keeps entry_map_ aligned with the CSF value order.
-    local_coo_[r].sort_dedup();
-    local_nnz_[r] = local_coo_[r].nnz();
-  }
+std::vector<std::int64_t> DistSpttn::local_nnz() const {
+  std::vector<std::int64_t> n(static_cast<std::size_t>(ranks_));
+  for (std::size_t r = 0; r < n.size(); ++r) n[r] = cuts_[r + 1] - cuts_[r];
+  return n;
 }
 
 DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
@@ -54,10 +62,18 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
                                        << "partitioned for " << ranks_);
   const Kernel& kernel = bound_->kernel;
   const bool sparse_output = kernel.output_is_sparse();
+  const std::int64_t nnz = cuts_.back();
+  SPTTN_CHECK_MSG(!sparse_output || dense_out == nullptr,
+                  "dense output bound, but the kernel's output is sparse");
+  SPTTN_CHECK_MSG(sparse_output || sparse_out.empty(),
+                  "sparse output bound, but the kernel's output is dense");
+  SPTTN_CHECK_MSG(sparse_out.empty() ||
+                      static_cast<std::int64_t>(sparse_out.size()) == nnz,
+                  "sparse output span size " << sparse_out.size()
+                                             << " != nnz " << nnz);
 
   DistResult res;
   res.ranks = ranks_;
-  res.grid = grid_;
   res.backend = comm.name();
   res.modeled = comm.modeled();
   res.local_seconds.assign(static_cast<std::size_t>(ranks_), 0.0);
@@ -72,18 +88,16 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
   // loudly here rather than as racing writes inside a rank's partial, then
   // compile the nest once for every rank (execute() serves concurrent
   // callers). Raw (path, order) construction: SPMD ranks intentionally
-  // execute the globally-planned nest on their local partitions, whose
-  // structure fingerprints differ from the global tensor the plan was
-  // derived from.
+  // execute the globally-planned nest on their slices, whose structure
+  // fingerprints differ from the global tensor the plan was derived from.
   verify_plan_or_throw(kernel, plan, options, &bound_->stats);
   FusedExecutor exec(kernel, plan.path, plan.order);
 
-  if (sparse_output && !sparse_out.empty()) {
-    SPTTN_CHECK_MSG(
-        static_cast<std::int64_t>(sparse_out.size()) == bound_->coo->nnz(),
-        "sparse output span size " << sparse_out.size()
-                                   << " != nnz " << bound_->coo->nnz());
-    std::fill(sparse_out.begin(), sparse_out.end(), 0.0);
+  // A discarded sparse output still needs somewhere for the ranks to write.
+  std::vector<double> discarded;
+  if (sparse_output && sparse_out.empty()) {
+    discarded.resize(static_cast<std::size_t>(nnz));
+    sparse_out = discarded;
   }
 
   comm.begin_run();
@@ -101,22 +115,23 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
     }
   }
 
-  // SPMD compute: every rank executes the same nest on its local CSF into
-  // a rank-private partial (the value a real rank holds before the closing
-  // collective). Rank scheduling belongs to the backend; results cannot
-  // depend on it because the backend's all-reduce folds the partials in
-  // ascending rank order — the fold order, not the execution order, fixes
-  // every output bit. Each rank's wall-clock is measured around its own
-  // local run either way (honest measurement; on an oversubscribed machine
+  // SPMD compute: every rank executes the same nest on its slice. Dense
+  // outputs go into a rank-private partial (the value a real rank holds
+  // before the closing collective); sparse outputs go straight into the
+  // rank's own entry range of sparse_out, disjoint from every other rank's.
+  // Rank scheduling belongs to the backend; results cannot depend on it
+  // because the backend's all-reduce folds the partials in ascending rank
+  // order — the fold order, not the execution order, fixes every output
+  // bit. Each rank's wall-clock is measured around its own local run
+  // either way (honest measurement; on an oversubscribed machine
   // concurrent ranks time-share cores, so use concurrent_ranks = false for
   // timing-faithful rows).
   std::vector<DenseTensor> rank_dense(
       sparse_output ? 0 : static_cast<std::size_t>(ranks_));
   const auto run_rank = [&](std::int64_t r) {
     const auto ur = static_cast<std::size_t>(r);
-    const CooTensor& local = local_coo_[ur];
-    if (local.nnz() == 0) return;
-    const CsfTensor csf(local);
+    const CsfTensor& csf = slices_[ur];
+    if (csf.nnz() == 0) return;
     ExecArgs args;
     args.sparse = &csf;
     args.dense.assign(bound_->dense.size(), nullptr);
@@ -126,10 +141,10 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
                           : bound_->dense[i];
     }
     args.num_threads = local_threads;
-    std::vector<double> local_vals;  // this rank's sparse pattern values
     if (sparse_output) {
-      local_vals.assign(static_cast<std::size_t>(local.nnz()), 0.0);
-      args.out_sparse = local_vals;
+      args.out_sparse = sparse_out.subspan(
+          static_cast<std::size_t>(cuts_[ur]),
+          static_cast<std::size_t>(csf.nnz()));
     } else {
       rank_dense[ur] = make_output(*bound_);
       args.out_dense = &rank_dense[ur];
@@ -137,16 +152,6 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
     Timer t;
     exec.execute(args);
     res.local_seconds[ur] = t.seconds();
-    // Sparse outputs scatter straight to the owner entries — disjoint per
-    // rank (entry_map_ partitions the nonzeros), so the scatter is safe
-    // and bit-identical under concurrent ranks, and the rank-local buffer
-    // dies here instead of retaining O(global nnz) until a merge.
-    if (sparse_output && !sparse_out.empty()) {
-      const auto& map = entry_map_[ur];
-      for (std::size_t e = 0; e < local_vals.size(); ++e) {
-        sparse_out[static_cast<std::size_t>(map[e])] = local_vals[e];
-      }
-    }
   };
   comm.run_ranks(concurrent_ranks, run_rank);
 
@@ -158,9 +163,8 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
     DenseTensor reduced = make_output(*bound_);
     std::vector<const DenseTensor*> partials(
         static_cast<std::size_t>(ranks_), nullptr);
-    for (int r = 0; r < ranks_; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      if (local_nnz_[ur] > 0) partials[ur] = &rank_dense[ur];
+    for (std::size_t r = 0; r < partials.size(); ++r) {
+      if (slices_[r].nnz() > 0) partials[r] = &rank_dense[r];
     }
     comm.allreduce(partials, &reduced);
     if (dense_out != nullptr) *dense_out = std::move(reduced);
@@ -175,12 +179,11 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
     res.comm_seconds += ev.seconds;
   }
 
-  const std::int64_t total = bound_->coo->nnz();
-  if (total > 0) {
-    const std::int64_t max_nnz =
-        *std::max_element(local_nnz_.begin(), local_nnz_.end());
+  if (nnz > 0) {
+    std::int64_t max_nnz = 0;
+    for (const CsfTensor& csf : slices_) max_nnz = std::max(max_nnz, csf.nnz());
     res.imbalance = static_cast<double>(max_nnz) *
-                    static_cast<double>(ranks_) / static_cast<double>(total);
+                    static_cast<double>(ranks_) / static_cast<double>(nnz);
   }
   return res;
 }

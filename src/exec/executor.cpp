@@ -781,20 +781,6 @@ struct ParTask {
   std::int64_t weight = 0;
 };
 
-/// First-leaf offsets for every node of a CSF level (plus an end sentinel):
-/// lb[i] is the first nonzero under node i at `level`, so lb[e] - lb[b]
-/// counts the nonzeros below node range [b, e).
-std::vector<std::int64_t> leaf_offsets(const CsfTensor& csf, int level) {
-  const std::int64_t n = csf.num_nodes(level);
-  std::vector<std::int64_t> lb(static_cast<std::size_t>(n) + 1);
-  for (std::int64_t i = 0; i <= n; ++i) lb[static_cast<std::size_t>(i)] = i;
-  for (int lvl = level; lvl + 1 < csf.order(); ++lvl) {
-    const auto ptr = csf.level_ptr(lvl);
-    for (auto& b : lb) b = ptr[static_cast<std::size_t>(b)];
-  }
-  return lb;
-}
-
 }  // namespace
 
 /// Parallel execution of the lowered program: top-level actions run
@@ -856,7 +842,7 @@ void FusedExecutor::Impl::execute_parallel(
     std::int64_t dense_w_each = 1;
     if (root.sparse) {
       extent = csf.num_nodes(0);
-      leaf_begin = leaf_offsets(csf, 0);
+      leaf_begin = csf.leaf_offsets(0);
     } else {
       extent = root.extent;
       if (inner != nullptr) {
@@ -912,7 +898,7 @@ void FusedExecutor::Impl::execute_parallel(
         return;
       }
       if (inner->sparse && inner_leaf.empty()) {
-        inner_leaf = leaf_offsets(csf, inner->csf_level);
+        inner_leaf = csf.leaf_offsets(inner->csf_level);
       }
       std::int64_t prev = ib;
       for (std::int64_t c = 1; c <= pieces && prev < ie; ++c) {

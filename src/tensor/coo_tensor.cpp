@@ -120,15 +120,20 @@ std::int64_t CooTensor::nnz_projection(std::span<const int> modes) const {
   return count;
 }
 
-std::uint64_t CooTensor::structure_hash() const {
+std::uint64_t CooTensor::structure_hash(std::int64_t begin,
+                                        std::int64_t end) const {
+  SPTTN_CHECK_MSG(0 <= begin && begin <= end && end <= nnz(),
+                  "entry range [" << begin << ", " << end << ") outside nnz "
+                                  << nnz());
   std::uint64_t h = 0x243f6a8885a308d3ULL;
   h = hash_mix(h ^ static_cast<std::uint64_t>(order()));
   for (std::int64_t dsz : dims_) {
     h = hash_mix(h ^ static_cast<std::uint64_t>(dsz));
   }
-  h = hash_mix(h ^ static_cast<std::uint64_t>(nnz()));
-  for (std::int64_t c : coords_) {
-    h = hash_mix(h ^ static_cast<std::uint64_t>(c));
+  h = hash_mix(h ^ static_cast<std::uint64_t>(end - begin));
+  for (std::int64_t i = begin * order(); i < end * order(); ++i) {
+    h = hash_mix(h ^ static_cast<std::uint64_t>(
+                         coords_[static_cast<std::size_t>(i)]));
   }
   // Never 0: callers use 0 as "no fingerprint available".
   return h == 0 ? 1 : h;

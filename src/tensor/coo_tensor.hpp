@@ -75,7 +75,10 @@ class CooTensor {
   /// statistic, so plans and compiled executors keyed on it are safely
   /// reusable across tensors that differ only in values (e.g. a residual
   /// sharing a pattern).
-  std::uint64_t structure_hash() const;
+  std::uint64_t structure_hash() const { return structure_hash(0, nnz()); }
+  /// structure_hash() of entries [begin, end) alone, as if they were a
+  /// tensor of their own with the same dims.
+  std::uint64_t structure_hash(std::int64_t begin, std::int64_t end) const;
 
   /// Replace values with i.i.d. uniform values in [-1, 1).
   void fill_random_values(Rng& rng);

@@ -32,16 +32,16 @@ CsfTensor::CsfTensor(const CooTensor& coo, std::vector<int> mode_order) {
         coo.dim(mode_order_[static_cast<std::size_t>(l)]);
   }
 
-  const std::int64_t n = coo.nnz();
   // Sort entry ids by permuted coordinate order. If the permutation is
   // identity the COO is already sorted.
-  std::vector<std::int64_t> perm(static_cast<std::size_t>(n));
-  std::iota(perm.begin(), perm.end(), 0);
   bool identity = true;
   for (int l = 0; l < d; ++l) {
     if (mode_order_[static_cast<std::size_t>(l)] != l) identity = false;
   }
+  std::vector<std::int64_t> perm;
   if (!identity) {
+    perm.resize(static_cast<std::size_t>(coo.nnz()));
+    std::iota(perm.begin(), perm.end(), 0);
     std::sort(perm.begin(), perm.end(), [&](std::int64_t a, std::int64_t b) {
       const auto ca = coo.coord(a);
       const auto cb = coo.coord(b);
@@ -54,18 +54,54 @@ CsfTensor::CsfTensor(const CooTensor& coo, std::vector<int> mode_order) {
       return false;
     });
   }
+  build(coo, 0, coo.nnz(), perm);
 
+  // Structure fingerprint: the identity order reproduces the source COO's
+  // structure_hash() exactly (so it can be compared against stats taken
+  // from the same tensor); a permuted order is mixed in because it yields
+  // a different tree.
+  fingerprint_ = coo.structure_hash();
+  if (!identity) {
+    for (int m : mode_order_) {
+      fingerprint_ = hash_mix(fingerprint_ ^ static_cast<std::uint64_t>(m));
+    }
+    if (fingerprint_ == 0) fingerprint_ = 1;
+  }
+}
+
+CsfTensor CsfTensor::slice(const CooTensor& coo, std::int64_t begin,
+                           std::int64_t end) {
+  SPTTN_CHECK_MSG(coo.is_sorted(), "CSF requires sort_dedup()ed COO input");
+  CsfTensor s;
+  s.level_dims_ = coo.dims();
+  s.mode_order_.resize(static_cast<std::size_t>(coo.order()));
+  std::iota(s.mode_order_.begin(), s.mode_order_.end(), 0);
+  // structure_hash validates the range before build() reads it.
+  const std::uint64_t h =
+      hash_mix(coo.structure_hash(begin, end) ^ 0x5a1ce5a1ce5a1ce5ULL);
+  s.fingerprint_ = h == 0 ? 1 : h;
+  s.build(coo, begin, end, {});
+  return s;
+}
+
+void CsfTensor::build(const CooTensor& coo, std::int64_t begin,
+                      std::int64_t end,
+                      const std::vector<std::int64_t>& perm) {
+  const int d = order();
+  const auto entry = [&](std::int64_t r) {
+    return perm.empty() ? r : perm[static_cast<std::size_t>(r)];
+  };
   idx_.assign(static_cast<std::size_t>(d), {});
   ptr_.assign(static_cast<std::size_t>(d > 0 ? d - 1 : 0), {});
-  vals_.reserve(static_cast<std::size_t>(n));
+  vals_.reserve(static_cast<std::size_t>(end - begin));
 
   // Single pass: a new node is opened at level l whenever the permuted
   // prefix of length l+1 differs from the previous entry's prefix.
-  for (std::int64_t r = 0; r < n; ++r) {
-    const auto c = coo.coord(perm[static_cast<std::size_t>(r)]);
+  for (std::int64_t r = begin; r < end; ++r) {
+    const auto c = coo.coord(entry(r));
     int first_new_level = 0;
-    if (r > 0) {
-      const auto p = coo.coord(perm[static_cast<std::size_t>(r - 1)]);
+    if (r > begin) {
+      const auto p = coo.coord(entry(r - 1));
       first_new_level = d;  // may equal d if duplicate coordinate (forbidden)
       for (int l = 0; l < d; ++l) {
         const int m = mode_order_[static_cast<std::size_t>(l)];
@@ -86,25 +122,24 @@ CsfTensor::CsfTensor(const CooTensor& coo, std::vector<int> mode_order) {
       idx_[static_cast<std::size_t>(l)].push_back(
           c[static_cast<std::size_t>(m)]);
     }
-    vals_.push_back(coo.value(perm[static_cast<std::size_t>(r)]));
+    vals_.push_back(coo.value(entry(r)));
   }
   // Close the ptr arrays with end sentinels.
   for (int l = 0; l + 1 < d; ++l) {
     ptr_[static_cast<std::size_t>(l)].push_back(
         static_cast<std::int64_t>(idx_[static_cast<std::size_t>(l + 1)].size()));
   }
+}
 
-  // Structure fingerprint: the identity order reproduces the source COO's
-  // structure_hash() exactly (so it can be compared against stats taken
-  // from the same tensor); a permuted order is mixed in because it yields
-  // a different tree.
-  fingerprint_ = coo.structure_hash();
-  if (!identity) {
-    for (int m : mode_order_) {
-      fingerprint_ = hash_mix(fingerprint_ ^ static_cast<std::uint64_t>(m));
-    }
-    if (fingerprint_ == 0) fingerprint_ = 1;
+std::vector<std::int64_t> CsfTensor::leaf_offsets(int level) const {
+  const std::int64_t n = num_nodes(level);
+  std::vector<std::int64_t> lb(static_cast<std::size_t>(n) + 1);
+  for (std::int64_t i = 0; i <= n; ++i) lb[static_cast<std::size_t>(i)] = i;
+  for (int lvl = level; lvl + 1 < order(); ++lvl) {
+    const auto ptr = level_ptr(lvl);
+    for (auto& b : lb) b = ptr[static_cast<std::size_t>(b)];
   }
+  return lb;
 }
 
 CooTensor CsfTensor::to_coo() const {

@@ -24,6 +24,16 @@ class CsfTensor {
   /// level l; empty means identity order. The COO must be sort_dedup()ed.
   explicit CsfTensor(const CooTensor& coo, std::vector<int> mode_order = {});
 
+  /// Identity-order CSF over the sorted entries [begin, end) of `coo`,
+  /// keeping the full tensor's level dims: one rank's piece of a tensor cut
+  /// into contiguous entry ranges. Its leaf e is entry begin + e of `coo`.
+  /// The fingerprint hashes the slice's own structure and is salted, so it
+  /// is nonzero and never equals the whole tensor's, even when the slice
+  /// covers every entry: a plan derived from the whole tensor is refused
+  /// here by the fingerprint-checked executor.
+  static CsfTensor slice(const CooTensor& coo, std::int64_t begin,
+                         std::int64_t end);
+
   int order() const { return static_cast<int>(level_dims_.size()); }
   std::int64_t nnz() const { return static_cast<std::int64_t>(vals_.size()); }
 
@@ -51,6 +61,11 @@ class CsfTensor {
     return ptr_[static_cast<std::size_t>(level)];
   }
 
+  /// First-leaf offsets of every node at `level`, plus an end sentinel:
+  /// lb[i] is the first nonzero under node i, so lb[e] - lb[b] counts the
+  /// nonzeros below node range [b, e).
+  std::vector<std::int64_t> leaf_offsets(int level) const;
+
   /// Nonzero values aligned with the last level's nodes.
   std::span<const double> vals() const { return vals_; }
   std::span<double> vals() { return vals_; }
@@ -71,6 +86,11 @@ class CsfTensor {
   std::string describe() const;
 
  private:
+  /// Fill every level from the entries perm[r] (r itself when `perm` is
+  /// empty) for r in [begin, end), which are sorted in mode_order_.
+  void build(const CooTensor& coo, std::int64_t begin, std::int64_t end,
+             const std::vector<std::int64_t>& perm);
+
   std::vector<std::int64_t> level_dims_;
   std::vector<int> mode_order_;
   std::vector<std::vector<std::int64_t>> idx_;

@@ -68,7 +68,7 @@ TEST(CommBackendEquivalence, WholeSuiteBitIdenticalAcrossBackends) {
     SCOPED_TRACE(kernels[i].name);
     const auto inst =
         testing::make_instance(kernels[i], 7100 + static_cast<int>(i));
-    const int ranks = 3;  // uneven cyclic partitions
+    const int ranks = 3;  // uneven fiber-range partitions
     DistSpttn dist(inst->bound, ranks);
     const std::int64_t nnz = inst->sparse.nnz();
     const RunOut want =
@@ -255,6 +255,15 @@ TEST(CommBackend, RejectsRankMismatchAndUnknownNames) {
   ModeledComm comm(4);
   DenseTensor out = make_output(inst->bound);
   EXPECT_THROW(dist.run(comm, {}, &out, {}), Error);
+  // An output the kernel does not produce would come back untouched.
+  ModeledComm comm3(3);
+  std::vector<double> stray(static_cast<std::size_t>(inst->sparse.nnz()));
+  EXPECT_THROW(dist.run(comm3, {}, &out, stray), Error);
+  const auto tttp = testing::make_instance(paper_kernels()[4], 7701);
+  ASSERT_TRUE(tttp->bound.kernel.output_is_sparse());
+  const DistSpttn sparse_dist(tttp->bound, 3);
+  DenseTensor dense_for_sparse({2, 2});
+  EXPECT_THROW(sparse_dist.run(comm3, {}, &dense_for_sparse, {}), Error);
   EXPECT_THROW(make_comm_backend("infiniband", 2), Error);
   EXPECT_THROW(make_comm_backend("mpi", 2), Error);
   const auto names = comm_backend_names();

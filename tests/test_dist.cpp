@@ -4,7 +4,6 @@
 
 #include "dist/comm_model.hpp"
 #include "dist/dist_spttn.hpp"
-#include "dist/grid.hpp"
 #include "exec/reference.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -14,100 +13,123 @@ namespace {
 
 using testing::paper_kernels;
 
-TEST(ProcGrid, FactorizesBalanced) {
-  const std::vector<std::int64_t> modes{1000, 1000, 1000};
-  const ProcGrid g = ProcGrid::make(8, modes);
-  EXPECT_EQ(g.size(), 8);
-  EXPECT_EQ(g.order(), 3);
-  int prod = 1;
-  for (int d : g.dims()) prod *= d;
-  EXPECT_EQ(prod, 8);
-  // Balanced: no grid dim exceeds 4 for p=8 over 3 modes.
-  for (int d : g.dims()) EXPECT_LE(d, 4);
-}
-
-TEST(ProcGrid, SkewedModesGetMoreProcs) {
-  const std::vector<std::int64_t> modes{100000, 10, 10};
-  const ProcGrid g = ProcGrid::make(16, modes);
-  EXPECT_EQ(g.dims()[0], 16);  // all processes along the large mode
-}
-
-TEST(ProcGrid, OwnerIsCyclicAndComplete) {
-  const std::vector<std::int64_t> modes{50, 40};
-  const ProcGrid g = ProcGrid::make(6, modes);
-  std::vector<int> counts(static_cast<std::size_t>(g.size()), 0);
-  for (std::int64_t i = 0; i < 20; ++i) {
-    for (std::int64_t j = 0; j < 20; ++j) {
-      const std::vector<std::int64_t> c{i, j};
-      const int r = g.owner_of(c);
-      ASSERT_GE(r, 0);
-      ASSERT_LT(r, g.size());
-      ++counts[static_cast<std::size_t>(r)];
+/// bench_fig8_scaling's skewed-root tensor: about 95% of the nonzeros sit
+/// under root slice i = 0, one nonzero under each other root.
+CooTensor skewed_root_tensor(Rng& rng) {
+  const std::int64_t heavy_j = 2048;
+  const std::int64_t heavy_k = 256;
+  CooTensor t({64, heavy_j, heavy_k});
+  for (std::int64_t j = 0; j < heavy_j; ++j) {
+    for (std::int64_t k = 0; k < heavy_k; ++k) {
+      if ((j * 131 + k * 17) % 5 == 0) {
+        t.push_back({0, j, k}, rng.next_double() + 0.25);
+      }
     }
   }
-  // Cyclic layout is perfectly balanced on aligned blocks.
-  for (int c : counts) EXPECT_GT(c, 0);
+  for (std::int64_t i = 1; i < 64; ++i) {
+    t.push_back({i, i % heavy_j, i % heavy_k}, 1.0);
+  }
+  t.sort_dedup();
+  return t;
 }
 
-TEST(ProcGrid, RankCoordRoundTrips) {
-  const std::vector<std::int64_t> modes{64, 64, 64};
-  const ProcGrid g = ProcGrid::make(12, modes);
-  for (int r = 0; r < g.size(); ++r) {
-    const auto coord = g.rank_coord(r);
-    // Rebuild the rank by the same mixed-radix rule owner_of uses.
-    int rank = 0;
-    for (std::size_t m = 0; m < coord.size(); ++m) {
-      rank = rank * g.dims()[m] + coord[m];
+// Cutting at root boundaries would hand the heavy root to one rank and
+// leave most ranks idle; level-1 fiber ranges keep all 16 busy, and each
+// rank is over the mean by at most one fiber.
+TEST(DistPartition, SkewedTensorKeepsEveryRankBusy) {
+  Rng rng(41);
+  const CooTensor t = skewed_root_tensor(rng);
+  const DenseTensor b = random_dense({t.dim(1), 4}, rng);
+  const DenseTensor c = random_dense({t.dim(2), 4}, rng);
+  const BoundKernel bound =
+      bind("A(i,r) = T(i,j,k)*B(j,r)*C(k,r)", t, {&b, &c});
+  const std::vector<std::int64_t> lb = bound.csf.leaf_offsets(1);
+  std::int64_t max_fiber = 0;
+  for (std::size_t f = 0; f + 1 < lb.size(); ++f) {
+    max_fiber = std::max(max_fiber, lb[f + 1] - lb[f]);
+  }
+  const int ranks = 16;
+  DistSpttn dist(bound, ranks);
+  for (const std::int64_t n : dist.local_nnz()) EXPECT_GT(n, 0);
+  ModeledComm comm(ranks);
+  DenseTensor out = make_output(bound);
+  const DistResult r = dist.run(comm, {}, &out, {});
+  const double mean = static_cast<double>(t.nnz()) / ranks;
+  EXPECT_LE(r.imbalance, 1.0 + static_cast<double>(max_fiber) / mean);
+  for (const double s : r.local_seconds) EXPECT_GT(s, 0.0);
+}
+
+// Every cut is a level-1 fiber boundary (any leaf for an order-1 tensor),
+// and the slices cover [0, nnz) in rank order.
+TEST(DistPartition, CutsLandOnFiberBoundariesAndCoverInOrder) {
+  Rng rng(43);
+  for (const std::vector<std::int64_t>& dims :
+       std::vector<std::vector<std::int64_t>>{
+           {40}, {12, 30}, {9, 8, 20}, {5, 6, 7, 8}}) {
+    SCOPED_TRACE("order " + std::to_string(dims.size()));
+    const CooTensor t = random_coo(dims, 200, rng);
+    // Partitioning reads only the sparse tensor and its CSF.
+    BoundKernel bound;
+    bound.coo = &t;
+    bound.csf = CsfTensor(t);
+    const std::vector<std::int64_t> lb =
+        bound.csf.leaf_offsets(bound.csf.order() > 1 ? 1 : 0);
+    for (const int ranks : {1, 3, 16}) {
+      SCOPED_TRACE("ranks " + std::to_string(ranks));
+      const DistSpttn dist(bound, ranks);
+      const std::vector<std::int64_t>& cuts = dist.leaf_cuts();
+      ASSERT_EQ(cuts.size(), static_cast<std::size_t>(ranks) + 1);
+      EXPECT_EQ(cuts.front(), 0);
+      EXPECT_EQ(cuts.back(), t.nnz());
+      for (int r = 0; r < ranks; ++r) {
+        const auto ur = static_cast<std::size_t>(r);
+        EXPECT_LE(cuts[ur], cuts[ur + 1]);
+        EXPECT_TRUE(std::binary_search(lb.begin(), lb.end(), cuts[ur + 1]));
+        EXPECT_EQ(dist.slice(r).nnz(), cuts[ur + 1] - cuts[ur]);
+        if (dist.slice(r).nnz() > 0) {
+          EXPECT_EQ(dist.slice(r).vals()[0], t.value(cuts[ur]));
+        }
+      }
     }
-    EXPECT_EQ(rank, r);
   }
 }
 
-TEST(ProcGrid, SingleProcessGridIsAllOnes) {
-  const std::vector<std::int64_t> modes{32, 16, 8};
-  const ProcGrid g = ProcGrid::make(1, modes);
-  EXPECT_EQ(g.size(), 1);
-  EXPECT_EQ(g.describe(), "1x1x1");
-  for (int d : g.dims()) EXPECT_EQ(d, 1);
-  EXPECT_EQ(g.owner_of({5, 3, 1}), 0);
-  EXPECT_EQ(g.rank_coord(0), (std::vector<int>{0, 0, 0}));
+// Zero nonzeros: every rank is idle, the dense output comes back zero and
+// the sparse output is empty.
+TEST(DistPartition, EmptyTensorRuns) {
+  Rng rng(47);
+  CooTensor t({5, 4, 3});
+  t.sort_dedup();
+  const DenseTensor u = random_dense({5, 2}, rng);
+  const DenseTensor b = random_dense({4, 2}, rng);
+  const DenseTensor c = random_dense({3, 2}, rng);
+  const BoundKernel dense_bound =
+      bind("A(i,r) = T(i,j,k)*B(j,r)*C(k,r)", t, {&b, &c});
+  const BoundKernel sparse_bound =
+      bind("Y(i,j,k) = T(i,j,k)*U(i,r)*B(j,r)*C(k,r)", t, {&u, &b, &c});
+  const int ranks = 4;
+  ModeledComm comm(ranks);
+  const DistSpttn dense_dist(dense_bound, ranks);
+  DenseTensor out = make_output(dense_bound);
+  out.fill(1.0);
+  const DistResult r = dense_dist.run(comm, {}, &out, {});
+  EXPECT_EQ(out.max_abs_diff(make_output(dense_bound)), 0.0);
+  EXPECT_DOUBLE_EQ(r.imbalance, 1.0);
+  EXPECT_DOUBLE_EQ(r.max_local_seconds, 0.0);
+  const DistSpttn sparse_dist(sparse_bound, ranks);
+  EXPECT_NO_THROW(sparse_dist.run(comm, {}, nullptr, {}));
 }
 
-TEST(ProcGrid, PrimeLargerThanAnyModeStaysWhole) {
-  // p = 13 has no nontrivial factorization, so it lands whole on one mode
-  // even though every extent is smaller; ownership must stay in range (the
-  // surplus ranks simply own no coordinates).
-  const std::vector<std::int64_t> modes{4, 5};
-  const ProcGrid g = ProcGrid::make(13, modes);
-  int prod = 1;
-  int max_dim = 0;
-  for (int d : g.dims()) {
-    prod *= d;
-    max_dim = std::max(max_dim, d);
-  }
-  EXPECT_EQ(prod, 13);
-  EXPECT_EQ(max_dim, 13);
-  for (std::int64_t i = 0; i < modes[0]; ++i) {
-    for (std::int64_t j = 0; j < modes[1]; ++j) {
-      const int r = g.owner_of({i, j});
-      EXPECT_GE(r, 0);
-      EXPECT_LT(r, g.size());
-    }
-  }
-}
-
-TEST(ProcGrid, SingleModeTensor) {
-  const std::vector<std::int64_t> modes{100};
-  const ProcGrid g = ProcGrid::make(6, modes);
-  EXPECT_EQ(g.order(), 1);
-  ASSERT_EQ(g.dims().size(), 1u);
-  EXPECT_EQ(g.dims()[0], 6);
-  for (std::int64_t i = 0; i < modes[0]; ++i) {
-    EXPECT_EQ(g.owner_of({i}), static_cast<int>(i % 6));
-  }
-  for (int r = 0; r < g.size(); ++r) {
-    EXPECT_EQ(g.rank_coord(r), (std::vector<int>{r}));
-  }
+// A sparse output passed as an empty span is computed and dropped.
+TEST(DistPartition, DiscardedSparseOutputRuns) {
+  const auto inst = testing::make_instance(paper_kernels()[4], 913);  // tttp
+  ASSERT_TRUE(inst->bound.kernel.output_is_sparse());
+  const int ranks = 3;
+  DistSpttn dist(inst->bound, ranks);
+  ModeledComm comm(ranks);
+  const DistResult r = dist.run(comm, {}, nullptr, {});
+  EXPECT_EQ(r.ranks, ranks);
+  EXPECT_GT(r.max_local_seconds, 0.0);
 }
 
 TEST(CommModel, CollectivesScaleSensibly) {
@@ -158,8 +180,8 @@ TEST_P(DistEquivalence, MatchesSequentialResult) {
 
 INSTANTIATE_TEST_SUITE_P(
     KernelsByRanks, DistEquivalence,
-    ::testing::Combine(::testing::Values(0, 2, 4, 5), ::testing::Values(1, 2,
-                                                                        4, 7)),
+    ::testing::Combine(::testing::Values(0, 2, 4, 5, 7, 8),
+                       ::testing::Values(1, 2, 4, 7)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return paper_kernels()[static_cast<std::size_t>(
                                  std::get<0>(info.param))]

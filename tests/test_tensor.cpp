@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "exec/spttn.hpp"
 #include "tensor/coo_tensor.hpp"
 #include "tensor/csf_tensor.hpp"
 #include "tensor/dense_tensor.hpp"
@@ -298,6 +299,83 @@ TEST(CsfTensor, RejectsBadPermutation) {
   t.push_back({1, 1}, 1.0);
   t.sort_dedup();
   EXPECT_THROW(CsfTensor(t, {0, 0}), Error);
+}
+
+/// Entry ranges that cut a tensor of `nnz` entries into slices, including
+/// empty ones at the front, middle and back.
+std::vector<std::int64_t> slice_cuts(std::int64_t nnz) {
+  return {0, 0, nnz / 3, nnz / 2, nnz / 2, nnz - 1, nnz, nnz};
+}
+
+TEST(CsfTensor, SlicesConcatenateToTheSourceCoo) {
+  Rng rng(31);
+  for (const std::vector<std::int64_t>& dims :
+       std::vector<std::vector<std::int64_t>>{
+           {50}, {9, 11}, {6, 7, 8}, {4, 5, 6, 3}}) {
+    SCOPED_TRACE("order " + std::to_string(dims.size()));
+    const CooTensor t = random_coo(dims, 80, rng);
+    const std::vector<std::int64_t> cuts = slice_cuts(t.nnz());
+    CooTensor joined(dims);
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+      const CsfTensor s = CsfTensor::slice(t, cuts[c], cuts[c + 1]);
+      EXPECT_EQ(s.level_dims(), dims);
+      ASSERT_EQ(s.nnz(), cuts[c + 1] - cuts[c]);
+      const CooTensor part = s.to_coo();
+      for (std::int64_t e = 0; e < part.nnz(); ++e) {
+        joined.push_back(part.coord(e), part.value(e));
+      }
+    }
+    ASSERT_EQ(joined.nnz(), t.nnz());
+    EXPECT_EQ(joined.raw_coords(), t.raw_coords());
+    for (std::int64_t e = 0; e < t.nnz(); ++e) {
+      EXPECT_EQ(joined.value(e), t.value(e));
+    }
+  }
+}
+
+TEST(CsfTensor, SliceFingerprintsAreNonzeroAndDifferFromWhole) {
+  Rng rng(37);
+  const CooTensor t = random_coo({6, 7, 8}, 60, rng);
+  const std::uint64_t whole = CsfTensor(t).structure_fingerprint();
+  const std::vector<std::int64_t> cuts = slice_cuts(t.nnz());
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    const std::uint64_t f =
+        CsfTensor::slice(t, cuts[c], cuts[c + 1]).structure_fingerprint();
+    EXPECT_NE(f, 0u);
+    EXPECT_NE(f, whole);
+  }
+  // Even a slice holding every entry is not the whole tensor.
+  EXPECT_NE(CsfTensor::slice(t, 0, t.nnz()).structure_fingerprint(), whole);
+  EXPECT_THROW(CsfTensor::slice(t, 5, 4), Error);
+  EXPECT_THROW(CsfTensor::slice(t, 0, t.nnz() + 1), Error);
+}
+
+// A plan carries the whole tensor's fingerprint, so the fingerprint-checked
+// executor refuses a slice, even one holding every entry.
+TEST(CsfTensor, PlanCheckedExecutorRefusesSlice) {
+  Rng rng(39);
+  const CooTensor t = random_coo({6, 7, 8}, 60, rng);
+  const DenseTensor b = random_dense({7, 3}, rng);
+  const DenseTensor c = random_dense({8, 3}, rng);
+  const BoundKernel bound =
+      bind("A(i,r) = T(i,j,k)*B(j,r)*C(k,r)", t, {&b, &c});
+  FusedExecutor exec(bound.kernel, plan_kernel(bound));
+  DenseTensor out = make_output(bound);
+  ExecArgs args;
+  args.dense = bound.dense;
+  args.out_dense = &out;
+  args.sparse = &bound.csf;
+  EXPECT_NO_THROW(exec.execute(args));
+  const CsfTensor s = CsfTensor::slice(t, 0, t.nnz());
+  args.sparse = &s;
+  try {
+    exec.execute(args);
+    ADD_FAILURE() << "slice executed against the whole tensor's plan";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Generate, RandomCooHitsTargetAndIsDeduped) {

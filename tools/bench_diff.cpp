@@ -4,7 +4,7 @@
 // Two gates, both reflected in the exit code:
 //  - schema: the fresh file must parse, carry the same "bench" id, and
 //    keep its bench-specific legacy fields: bench_fig8_scaling rows
-//    (ranks/grid/max_local_s/comm_s/total_s/speedup/imbalance),
+//    (ranks/max_local_s/comm_s/total_s/speedup/imbalance),
 //    bench_search rows (search-space columns plus the exact-vs-anytime
 //    comparison rows with cost_ratio/gap/plan seconds), bench_serve rows
 //    (per-kernel request counts and latency percentiles), and
