@@ -91,7 +91,9 @@ const std::vector<LintOptionSet>& lint_option_sets() {
     s.push_back({"default", {}});
     {
       PlannerOptions o;
-      o.buffer_dim_bound = 1;  // forces the relaxation loop on most kernels
+      // A tighter bound that every suite kernel meets without relaxing;
+      // bound 0 is where relaxation happens (see the verifier tests).
+      o.buffer_dim_bound = 1;
       s.push_back({"bound1", o});
     }
     {

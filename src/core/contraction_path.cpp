@@ -19,19 +19,9 @@ int ContractionPath::consumer_of(int i) const {
 }
 
 bool ContractionPath::csf_prefix_executable(const Kernel& kernel) const {
-  const auto& csf_order = kernel.sparse_ref().idx;
-  for (const PathTerm& t : terms) {
-    if (!t.carries_sparse) continue;
-    // Sparse refs of a sparse-carrying term must be exactly the first
-    // |sparse_refs| CSF modes.
-    IndexSet prefix;
-    const int k = t.sparse_refs.size();
-    for (int l = 0; l < k; ++l) {
-      prefix.insert(csf_order[static_cast<std::size_t>(l)]);
-    }
-    if (!(t.sparse_refs == prefix)) return false;
-  }
-  return true;
+  return std::all_of(terms.begin(), terms.end(), [&](const PathTerm& t) {
+    return term_csf_prefix_executable(kernel, t);
+  });
 }
 
 std::string ContractionPath::to_string(const Kernel& kernel) const {
@@ -225,15 +215,67 @@ double path_flops(const Kernel& kernel, const ContractionPath& path,
   return total;
 }
 
+bool term_csf_prefix_executable(const Kernel& kernel, const PathTerm& term) {
+  if (!term.carries_sparse) return true;
+  const auto& csf_order = kernel.sparse_ref().idx;
+  IndexSet prefix;
+  const int k = term.sparse_refs.size();
+  for (int l = 0; l < k; ++l) {
+    prefix.insert(csf_order[static_cast<std::size_t>(l)]);
+  }
+  return term.sparse_refs == prefix;
+}
+
+std::vector<PathItem> input_items(const Kernel& kernel) {
+  std::vector<PathItem> items(static_cast<std::size_t>(kernel.num_inputs()));
+  for (int i = 0; i < kernel.num_inputs(); ++i) {
+    PathItem& it = items[static_cast<std::size_t>(i)];
+    it.op.kind = PathOperand::Kind::kInput;
+    it.op.id = i;
+    it.op.iset = kernel.input(i).iset;
+    it.carries_sparse = (i == kernel.sparse_input());
+  }
+  return items;
+}
+
+PathTerm contract_pair(const Kernel& kernel, const std::vector<PathItem>& items,
+                       std::size_t a, std::size_t b,
+                       std::vector<PathItem>* rest) {
+  // Indices needed later = union over other items of their indices, plus the
+  // kernel output indices.
+  IndexSet needed = kernel.output_indices();
+  for (std::size_t c = 0; c < items.size(); ++c) {
+    if (c == a || c == b) continue;
+    needed |= items[c].op.iset;
+  }
+  PathTerm term;
+  term.lhs = items[a].op;
+  term.rhs = items[b].op;
+  term.refs = items[a].op.iset | items[b].op.iset;
+  term.out = term.refs & needed;
+  term.carries_sparse = items[a].carries_sparse || items[b].carries_sparse;
+  term.sparse_refs = term.refs & kernel.sparse_modes();
+  if (rest == nullptr) return term;
+
+  PathItem merged;
+  merged.op.kind = PathOperand::Kind::kIntermediate;
+  merged.op.id = kernel.num_inputs() - static_cast<int>(items.size());
+  merged.op.iset = term.out;
+  merged.carries_sparse = term.carries_sparse;
+  // Remove b then replace a (preserves order enough for enumeration
+  // completeness; pair choice is order-insensitive).
+  rest->clear();
+  rest->reserve(items.size() - 1);
+  for (std::size_t c = 0; c < items.size(); ++c) {
+    if (c == b) continue;
+    rest->push_back(c == a ? merged : items[c]);
+  }
+  return term;
+}
+
 namespace {
 
-/// Item in the enumeration working list.
-struct Item {
-  PathOperand op;
-  bool carries_sparse;
-};
-
-void enumerate_rec(const Kernel& kernel, std::vector<Item>& items,
+void enumerate_rec(const Kernel& kernel, const std::vector<PathItem>& items,
                    ContractionPath& partial,
                    std::vector<ContractionPath>& out) {
   const std::size_t n = items.size();
@@ -241,41 +283,11 @@ void enumerate_rec(const Kernel& kernel, std::vector<Item>& items,
     out.push_back(partial);
     return;
   }
-  // Indices needed later = union over other items of their indices, plus the
-  // kernel output indices.
+  std::vector<PathItem> rest;
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
-      IndexSet needed = kernel.output_indices();
-      for (std::size_t c = 0; c < n; ++c) {
-        if (c == a || c == b) continue;
-        needed |= items[c].op.iset;
-      }
-      PathTerm term;
-      term.lhs = items[a].op;
-      term.rhs = items[b].op;
-      term.refs = items[a].op.iset | items[b].op.iset;
-      term.out = term.refs & needed;
-      term.carries_sparse = items[a].carries_sparse || items[b].carries_sparse;
-      term.sparse_refs = term.refs & kernel.sparse_modes();
-
-      const int term_id = partial.num_terms();
-      partial.terms.push_back(term);
-
-      Item merged;
-      merged.op.kind = PathOperand::Kind::kIntermediate;
-      merged.op.id = term_id;
-      merged.op.iset = term.out;
-      merged.carries_sparse = term.carries_sparse;
-
-      // Reduce the list: remove b then replace a (preserves order enough for
-      // enumeration completeness; pair choice is order-insensitive).
-      std::vector<Item> next;
-      next.reserve(n - 1);
-      for (std::size_t c = 0; c < n; ++c) {
-        if (c == b) continue;
-        next.push_back(c == a ? merged : items[c]);
-      }
-      enumerate_rec(kernel, next, partial, out);
+      partial.terms.push_back(contract_pair(kernel, items, a, b, &rest));
+      enumerate_rec(kernel, rest, partial, out);
       partial.terms.pop_back();
     }
   }
@@ -284,24 +296,11 @@ void enumerate_rec(const Kernel& kernel, std::vector<Item>& items,
 }  // namespace
 
 std::vector<ContractionPath> enumerate_paths(const Kernel& kernel) {
-  std::vector<Item> items;
-  items.reserve(static_cast<std::size_t>(kernel.num_inputs()));
-  for (int i = 0; i < kernel.num_inputs(); ++i) {
-    Item it;
-    it.op.kind = PathOperand::Kind::kInput;
-    it.op.id = i;
-    it.op.iset = kernel.input(i).iset;
-    it.carries_sparse = (i == kernel.sparse_input());
-    items.push_back(it);
-  }
   std::vector<ContractionPath> out;
-  if (items.size() == 1) {
-    // Degenerate single-input kernel (e.g. a plain reduction): one empty
-    // path; the executor handles it as a single pass over the input.
-    return out;
-  }
+  // A single-input kernel (e.g. a plain reduction) has no contraction path.
+  if (kernel.num_inputs() < 2) return out;
   ContractionPath partial;
-  enumerate_rec(kernel, items, partial, out);
+  enumerate_rec(kernel, input_items(kernel), partial, out);
   return out;
 }
 

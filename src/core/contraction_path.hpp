@@ -54,9 +54,8 @@ struct ContractionPath {
   /// term (whose output is the kernel output).
   int consumer_of(int i) const;
 
-  /// True when every sparse-carrying term's referenced sparse indices form a
-  /// prefix of the CSF mode order — the condition for all-at-once execution
-  /// with a single CSF tree (paper Section 5).
+  /// True when every term passes term_csf_prefix_executable — the condition
+  /// for all-at-once execution with a single CSF tree (paper Section 5).
   bool csf_prefix_executable(const Kernel& kernel) const;
 
   /// Human-readable rendering, e.g.
@@ -65,6 +64,32 @@ struct ContractionPath {
 
   bool operator==(const ContractionPath&) const = default;
 };
+
+/// The single-CSF rule for one term: when sparse data flows through the
+/// term, its referenced sparse indices are exactly the first
+/// |sparse_refs| modes of the CSF order. A prefix of terms that breaks it
+/// has no executable completion.
+bool term_csf_prefix_executable(const Kernel& kernel, const PathTerm& term);
+
+/// One entry of a partial path's working list (Section 4.1.1 recursion): an
+/// operand still to be contracted, and whether sparse data flows through it.
+struct PathItem {
+  PathOperand op;
+  bool carries_sparse = false;
+};
+
+/// The working list before any contraction: every kernel input, in order.
+std::vector<PathItem> input_items(const Kernel& kernel);
+
+/// The pair-contraction rule of every path search: the term contracting
+/// items[a] * items[b] (a < b), whose output keeps the indices that another
+/// item or the kernel output still needs. When `rest` is non-null it
+/// receives the reduced working list: items[b] removed and items[a]
+/// replaced by the term's intermediate. Each term shortens the list by one,
+/// so that intermediate is term kernel.num_inputs() - items.size().
+PathTerm contract_pair(const Kernel& kernel, const std::vector<PathItem>& items,
+                       std::size_t a, std::size_t b,
+                       std::vector<PathItem>* rest = nullptr);
 
 /// Sparsity statistics driving path cost estimates: distinct-prefix counts
 /// along the CSF order (paper Section 2.2) plus cached projections onto

@@ -1,7 +1,9 @@
 // The SpTTN planner (paper Section 5): enumerate contraction paths, keep
 // the asymptotically cheapest executable ones, and pick the loop nest that
 // minimizes the configured tree-separable cost via Algorithm 1, falling back
-// to costlier paths (and looser buffer bounds) when constrained.
+// to costlier paths (and looser buffer bounds) when constrained. The exact
+// and anytime strategies differ only in how they propose paths; one
+// selector picks the nest (core/planner_strategy.hpp).
 #pragma once
 
 #include <memory>
@@ -22,15 +24,16 @@ enum class CostKind {
   kBoundedBufferBlas,  ///< the paper's experiment metric (default)
 };
 
-/// Which search produces the plan (see core/planner_strategy.hpp).
+/// Which source proposes the contraction paths the nest is chosen from.
 enum class StrategyKind {
-  /// Exhaustive path enumeration + order DP — optimal, but the path count
-  /// is n!(n-1)!/2^(n-1) in the input count, so order-8 networks are out
-  /// of reach.
+  /// Every executable path of the exhaustive enumeration — optimal, but the
+  /// path count is n!(n-1)!/2^(n-1) in the input count, so order-8
+  /// networks are out of reach.
   kExact,
-  /// Pruned breadth-first search over contraction sequences with
-  /// cost-model-seeded randomized restarts, under a PlanningBudget, with a
-  /// reported optimality gap (Pfeifer-style; ROADMAP item 4).
+  /// Paths found by cost-model-seeded randomized restarts and a pruned
+  /// breadth-first search over contraction sequences, under a
+  /// PlanningBudget, with a reported optimality gap (in the style of
+  /// Pfeifer et al.).
   kAnytime,
 };
 
@@ -72,20 +75,10 @@ struct PlannerOptions {
   bool sparse_aware_cache = true;
   /// Safety cap on DP invocations across path groups (0 = unlimited).
   int max_paths_searched = 256;
-  /// Search parallelism: the executable-path filter, the per-path FLOP
-  /// estimation, and the order DPs of each relaxation wave run
-  /// concurrently on the process-wide ThreadPool (waves of geometrically
-  /// growing group count; wave 1 is just the optimal-complexity group).
-  /// Results are merged in enumeration/group/path order and speculative
-  /// trailing groups are discarded, so the chosen Plan and the SearchStats
-  /// are identical to a sequential search regardless of this setting.
-  /// 1 = sequential; any other value fans out on the pool (whose lane
-  /// count, set by hardware or SPTTN_THREADS, is the concurrency bound).
-  int search_threads = 0;
   /// Run the static plan verifier (analysis/plan_verifier.hpp) on the
   /// chosen plan before make_plan returns, throwing spttn::Error on any
   /// error diagnostic. Debug builds always verify; this flag opts Release
-  /// builds in (a few hundred microseconds per plan, see BENCH_verify).
+  /// builds in (1–5 microseconds per suite plan, see BENCH_verify.json).
   /// Excluded from planner_options_hash: verification never changes the
   /// plan, so it must not fragment the kernel cache.
   bool verify = false;
@@ -109,26 +102,6 @@ struct PlannerOptions {
   int anytime_beam = 4096;
 };
 
-/// Statistics of one DP search over a group of contraction paths.
-struct SearchStats {
-  int paths_searched = 0;       ///< paths run through the DP
-  int paths_feasible = 0;       ///< paths admitting a loop nest under the bound
-  std::int64_t dp_subproblems = 0;
-  std::int64_t dp_evaluations = 0;
-
-  // Anytime-strategy diagnostics; all zero under the exact strategy.
-  std::int64_t nodes_expanded = 0;  ///< BFS states expanded
-  int restarts = 0;                 ///< greedy restarts attempted
-  /// Admissible lower bound on any executable path's FLOP estimate: partial
-  /// path flops are monotone additive, so the cheapest pruned/unexpanded
-  /// prefix bounds everything the search did not look at.
-  double flops_lower_bound = 0;
-  /// best_flops / flops_lower_bound - 1. Zero means the search completed
-  /// without dropping states — the flop estimate is proven optimal.
-  double optimality_gap = 0;
-  bool budget_exhausted = false;    ///< a PlanningBudget limit stopped the BFS
-};
-
 /// A fully planned SpTTN execution.
 struct Plan {
   ContractionPath path;
@@ -147,24 +120,32 @@ struct Plan {
   /// a structurally different tensor.
   std::uint64_t sparsity_fingerprint = 0;
 
-  // Search diagnostics.
+  // Search counts. paths_total and paths_executable count what the path
+  // source proposed (the anytime source counts distinct trees found); the
+  // rest accumulate over every group and buffer bound the selector tried.
   int paths_total = 0;          ///< enumerated contraction paths
   int paths_executable = 0;     ///< single-CSF executable paths
   int paths_searched = 0;       ///< paths run through the DP
   int paths_feasible = 0;       ///< searched paths with a feasible nest
-  std::int64_t dp_subproblems = 0;
-  std::int64_t dp_evaluations = 0;
+  std::int64_t dp_subproblems = 0;   ///< distinct memoized DP subproblems
+  std::int64_t dp_evaluations = 0;   ///< DP (root, split) candidates examined
 
-  /// Strategy that produced the plan, plus the anytime diagnostics (zero
-  /// under kExact; see SearchStats for semantics). plan_io serializes them
-  /// in an optional trailing record only when strategy != kExact, so exact
-  /// plan artifacts are byte-identical to the pre-strategy format.
+  /// Strategy that produced the plan. plan_io serializes the anytime
+  /// diagnostics below in an optional trailing record only when strategy
+  /// != kExact, so exact plan artifacts are byte-identical to the
+  /// pre-strategy format.
   StrategyKind strategy = StrategyKind::kExact;
-  std::int64_t nodes_expanded = 0;
-  int restarts = 0;
+  // Anytime diagnostics; all zero under kExact.
+  std::int64_t nodes_expanded = 0;  ///< BFS states expanded
+  int restarts = 0;                 ///< greedy restarts attempted
+  /// Admissible lower bound on any executable path's FLOP estimate: partial
+  /// path flops are monotone additive, so the cheapest pruned/unexpanded
+  /// prefix bounds everything the search did not look at.
   double flops_lower_bound = 0;
+  /// best_flops / flops_lower_bound - 1. Zero means the search completed
+  /// without dropping states — the flop estimate is proven optimal.
   double optimality_gap = 0;
-  bool budget_exhausted = false;
+  bool budget_exhausted = false;    ///< a PlanningBudget limit stopped the BFS
 
   /// Render the chosen loop nest with costs, in the style of the listings.
   std::string describe(const Kernel& kernel) const;
@@ -175,26 +156,25 @@ struct Plan {
 std::unique_ptr<TreeCost> make_cost_model(const PlannerOptions& options,
                                           const SparsityStats* stats);
 
-/// Plan a kernel through the strategy selected by `options.strategy`
-/// (core/planner_strategy.hpp). `stats` supplies the sparsity statistics of
-/// the sparse operand (exact or modeled). Throws spttn::Error when the
-/// kernel admits no executable loop nest. The chosen plan is verified by
-/// the static plan verifier in Debug builds, when `options.verify` is set,
-/// and always for anytime plans — a non-exhaustive search is only safe to
-/// serve behind the full static gate.
+/// Plan a kernel: `options.strategy` picks the path source, and one
+/// selector chooses the nest (core/planner_strategy.hpp). `stats` supplies
+/// the sparsity statistics of the sparse operand (exact or modeled).
+/// Throws spttn::Error when the kernel admits no executable loop nest. The
+/// chosen plan is verified by the static plan verifier in Debug builds,
+/// when `options.verify` is set, and always for anytime plans — a
+/// non-exhaustive search is only safe to serve behind the full static gate.
 Plan make_plan(const Kernel& kernel, const SparsityStats& stats,
                const PlannerOptions& options = {});
 
 /// All single-CSF-executable contraction paths sorted by estimated FLOPs
-/// (cheapest first). Exposed for benches and the autotuner. `threads`
-/// follows PlannerOptions::search_threads semantics (1 = sequential,
-/// anything else fans the per-path filter and FLOP estimates out over the
-/// process pool); the returned list is identical either way. `flops_out`,
-/// when non-null, receives each returned path's FLOP estimate (same
-/// order), saving callers that group by cost a second estimation sweep.
+/// (cheapest first, enumeration order on ties): the exact strategy's path
+/// source, also used by benches and the autotuner. The per-path filter and
+/// FLOP estimates fan out over the process pool; the returned list is the
+/// same on any lane count. `flops_out`, when non-null, receives each
+/// returned path's FLOP estimate (same order), saving callers that group by
+/// cost a second estimation sweep.
 std::vector<ContractionPath> executable_paths(
     const Kernel& kernel, const SparsityStats& stats,
-    int* total_paths = nullptr, int threads = 1,
-    std::vector<double>* flops_out = nullptr);
+    int* total_paths = nullptr, std::vector<double>* flops_out = nullptr);
 
 }  // namespace spttn

@@ -1,60 +1,41 @@
-// Pluggable planner strategies (ROADMAP item 4). make_plan dispatches to a
-// PlannerStrategy and then runs the shared verification gate, so every
-// search algorithm — exhaustive or budgeted — flows through one pipeline:
+// Planner internals (paper Section 5). make_plan takes executable
+// contraction paths from one of two sources and hands them to one loop-nest
+// selector, then runs the verification gate:
 //
-//   make_plan ─► strategy_for(options).plan(...) ─► verify ─► Plan
-//
-// ExactStrategy is the pre-refactor planner moved verbatim: its chosen Plan
-// and SearchStats are bit-identical to the historical search (sequential
-// and search_threads-parallel alike; tests/golden/ pins this). AnytimeStrategy
-// is a Pfeifer-style pruned breadth-first search over contraction sequences
-// with cost-model-seeded randomized restarts, bounded by
-// PlannerOptions::budget and reporting an admissible optimality gap.
+//   kExact    executable_paths ───────────────────┐
+//   kAnytime  plan_anytime's restarts and BFS ────┴─► select_nest ─► verify
 #pragma once
+
+#include <vector>
 
 #include "core/planner.hpp"
 
 namespace spttn {
 
-class PlannerStrategy {
- public:
-  virtual ~PlannerStrategy() = default;
+/// Choose the loop nest among `paths`, sorted by their FLOP estimates
+/// `flops` (ties in the caller's order). Paths within
+/// flop_group_tolerance of their group's first path form one group, and at
+/// most max_paths_searched paths are searched. Algorithm 1 runs group by
+/// group, cheapest first; the first group with a feasible nest wins, with
+/// its lowest-cost nest (the earliest path on ties). When no group fits
+/// under the buffer bound and relaxation is allowed, the bound grows by one
+/// and the scan restarts. Each pass scans waves of groups whose DPs fan out
+/// together on the process pool; waves double in size when the pool has
+/// more than one lane. Results merge in path order and groups after the
+/// winner are discarded, so the Plan is the same on any lane count. Fills
+/// every Plan field except paths_total, paths_executable, strategy and the
+/// anytime diagnostics. Throws spttn::Error when `paths` is empty or no
+/// nest fits.
+Plan select_nest(const Kernel& kernel, const SparsityStats& stats,
+                 const PlannerOptions& options,
+                 const std::vector<ContractionPath>& paths,
+                 const std::vector<double>& flops);
 
-  /// Stable identifier ("exact", "anytime") for logs and benches.
-  virtual const char* name() const = 0;
-
-  /// Produce a plan. Implementations fill every Plan field including the
-  /// search diagnostics; they do NOT run the plan verifier — make_plan owns
-  /// that gate so all strategies are checked identically.
-  virtual Plan plan(const Kernel& kernel, const SparsityStats& stats,
-                    const PlannerOptions& options) const = 0;
-};
-
-/// The historical exhaustive search: enumerate contraction paths, filter to
-/// single-CSF-executable ones, group by FLOP estimate, run the order DP per
-/// group with buffer-bound relaxation. Optimal under the configured cost
-/// model; cost is factorial in the input count.
-class ExactStrategy final : public PlannerStrategy {
- public:
-  const char* name() const override { return "exact"; }
-  Plan plan(const Kernel& kernel, const SparsityStats& stats,
-            const PlannerOptions& options) const override;
-};
-
-/// Cost-bounded anytime search: greedy seeded restarts establish a feasible
-/// incumbent fast, then a deduplicated breadth-first search over partial
-/// contraction sequences (pruned per-term on CSF-prefix executability and,
-/// under a budget, on the incumbent's FLOP estimate) improves on it until
-/// the PlanningBudget runs out. Reports best-vs-lower-bound gap; with an
-/// unlimited budget the search completes and the gap is zero.
-class AnytimeStrategy final : public PlannerStrategy {
- public:
-  const char* name() const override { return "anytime"; }
-  Plan plan(const Kernel& kernel, const SparsityStats& stats,
-            const PlannerOptions& options) const override;
-};
-
-/// The process-wide strategy instance selected by options.strategy.
-const PlannerStrategy& strategy_for(const PlannerOptions& options);
+/// The anytime path source (core/anytime_strategy.cpp): greedy restarts
+/// and a pruned breadth-first search under options.budget propose paths,
+/// select_nest chooses among them, and the returned Plan also carries the
+/// search's path counts and anytime diagnostics.
+Plan plan_anytime(const Kernel& kernel, const SparsityStats& stats,
+                  const PlannerOptions& options);
 
 }  // namespace spttn

@@ -36,11 +36,6 @@ void CommBackend::do_begin_run() {}
 
 void CommBackend::run_ranks(bool concurrent,
                             const std::function<void(std::int64_t)>& body) {
-  do_run_ranks(concurrent && ranks_ > 1, body);
-}
-
-void CommBackend::do_run_ranks(
-    bool concurrent, const std::function<void(std::int64_t)>& body) {
   if (concurrent) {
     ThreadPool::global().parallel_apply(ranks_, body);
   } else {

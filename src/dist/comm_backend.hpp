@@ -82,11 +82,10 @@ class CommBackend {
   /// Collectives issued since begin_run(), in issue order.
   const std::vector<CommEvent>& events() const { return events_; }
 
-  /// Schedule body(r) for every rank in [0, ranks). Backends choose the
-  /// schedule; the base implementation runs ranks sequentially, or as one
-  /// task each on the process-wide ThreadPool when `concurrent` is set
-  /// (lanes own contiguous rank ranges, so a rank's work stays on one
-  /// thread unless stolen).
+  /// Run body(r) for every rank in [0, ranks): sequentially, or as one task
+  /// each on the process-wide ThreadPool when `concurrent` is set (lanes
+  /// own contiguous rank ranges, so a rank's work stays on one thread
+  /// unless stolen).
   void run_ranks(bool concurrent, const std::function<void(std::int64_t)>& body);
 
   /// Allgather a dense factor: after the call every rank can read the full
@@ -107,8 +106,6 @@ class CommBackend {
                  DenseTensor* out);
 
  protected:
-  virtual void do_run_ranks(bool concurrent,
-                            const std::function<void(std::int64_t)>& body);
   /// Move the payload (if the transport moves bytes) and price the
   /// collective. `slot` is the id the wrapper will hand out.
   virtual CommEvent do_allgather(const DenseTensor& payload, int slot) = 0;

@@ -143,8 +143,8 @@ CsfSearchResult search_csf_orders(const std::string& expr,
                                   const std::string& sparse_name) {
   std::vector<int> perm(static_cast<std::size_t>(sparse.order()));
   for (std::size_t l = 0; l < perm.size(); ++l) perm[l] = static_cast<int>(l);
-  CsfSearchResult best;
-  bool first = true;
+  std::vector<CsfSearchResult> orders;
+  std::vector<double> flops;
   do {
     const std::string rewritten =
         rewrite_expr_with_csf_order(expr, perm, sparse_name);
@@ -152,18 +152,24 @@ CsfSearchResult search_csf_orders(const std::string& expr,
     BoundKernel bound = bind(rewritten, permuted, dense, sparse_name);
     try {
       const Plan plan = make_plan(bound.kernel, bound.stats, options);
-      if (first || plan.cost < best.cost) {
-        best.mode_order = perm;
-        best.cost = plan.cost;
-        best.expr = rewritten;
-        first = false;
-      }
+      orders.push_back({perm, plan.cost, rewritten});
+      flops.push_back(plan.flops);
     } catch (const Error&) {
       // No executable nest under this order; skip.
     }
   } while (std::next_permutation(perm.begin(), perm.end()));
-  SPTTN_CHECK_MSG(!first, "no CSF order admits an executable loop nest");
-  return best;
+  SPTTN_CHECK_MSG(!orders.empty(),
+                  "no CSF order admits an executable loop nest");
+  // make_plan's rule across orders: only orders within flop_group_tolerance
+  // of the cheapest order's flops compete on cost; the first in
+  // permutation order wins ties.
+  const double min_flops = *std::min_element(flops.begin(), flops.end());
+  std::size_t best = orders.size();
+  for (std::size_t i = 0; i < orders.size(); ++i) {
+    if (flops[i] > min_flops * options.flop_group_tolerance) continue;
+    if (best == orders.size() || orders[i].cost < orders[best].cost) best = i;
+  }
+  return orders[best];
 }
 
 AutotuneResult autotune_kernel(const BoundKernel& bound,

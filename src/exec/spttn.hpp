@@ -73,8 +73,10 @@ struct CsfSearchResult {
 };
 
 /// Try every permutation of the sparse tensor's modes, re-plan, and return
-/// the permutation whose optimal loop nest has the lowest model cost. The
-/// caller can then rebuild the problem with permute_sparse_modes().
+/// the permutation whose optimal loop nest has the lowest model cost among
+/// the orders within flop_group_tolerance of the cheapest order's flops
+/// (make_plan's rule; the first permutation wins ties). The caller can then
+/// rebuild the problem with permute_sparse_modes().
 CsfSearchResult search_csf_orders(const std::string& expr,
                                   const CooTensor& sparse,
                                   std::vector<const DenseTensor*> dense,

@@ -44,9 +44,8 @@ std::uint64_t planner_options_hash(const PlannerOptions& options) {
   h = hash_mix(h ^ static_cast<std::uint64_t>(options.cache_d));
   h = hash_mix(h ^ (options.sparse_aware_cache ? 4u : 0u));
   h = hash_mix(h ^ static_cast<std::uint64_t>(options.max_paths_searched));
-  // search_threads and verify deliberately excluded: the parallel search
-  // returns a plan identical to the sequential one and verification never
-  // changes the plan, so neither may fragment the cache.
+  // verify deliberately excluded: verification never changes the plan, so
+  // it may not fragment the cache.
   //
   // The anytime fields follow the same rule from the other side: under the
   // exact strategy they are inert (the plan cannot depend on them), so they

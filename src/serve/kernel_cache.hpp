@@ -48,7 +48,7 @@ struct KernelSignature {
   /// modeled prefix counts being absent, but never match an exact one.
   std::uint64_t sparsity_fingerprint = 0;
   /// Hash of the PlannerOptions fields that affect the chosen plan
-  /// (search_threads is excluded: the parallel search is plan-identical).
+  /// (verify is excluded: it never changes the plan).
   std::uint64_t options_hash = 0;
 
   bool operator==(const KernelSignature&) const = default;

@@ -2,8 +2,12 @@
 // storage-order search and measurement-based autotuning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "exec/reference.hpp"
 #include "exec/spttn.hpp"
+#include "tensor/generate.hpp"
 #include "test_helpers.hpp"
 
 namespace spttn {
@@ -63,6 +67,34 @@ TEST(CsfSearch, PermutedProblemExecutesCorrectly) {
   reference_execute(inst->bound.kernel, inst->sparse, inst->dense_slots(),
                     &want, {});
   EXPECT_LT(want.max_abs_diff(got), 1e-9);
+}
+
+// The order search applies make_plan's rule across storage orders: only
+// orders whose nest is within flop_group_tolerance of the cheapest order's
+// flops compete on cost. On this skewed TTMc-3 the lowest-cost nest over
+// all orders is asymptotically worse than the cheapest order's.
+TEST(CsfSearch, ChoosesWithinTheFlopGroup) {
+  Rng rng(1);
+  const CooTensor t = hierarchical_coo({1000, 100, 10}, 250, {2, 3}, rng);
+  const DenseTensor u = random_dense({100, 8}, rng);
+  const DenseTensor v = random_dense({10, 8}, rng);
+  const std::string expr = "Y(i,a,b) = T(i,j,k)*U(j,a)*V(k,b)";
+  const PlannerOptions options;
+  const auto flops_of = [&](const std::vector<int>& perm) {
+    const CooTensor permuted = permute_sparse_modes(t, perm);
+    const BoundKernel bound =
+        bind(rewrite_expr_with_csf_order(expr, perm), permuted, {&u, &v});
+    return plan_kernel(bound, options).flops;
+  };
+  std::vector<int> perm = {0, 1, 2};
+  double min_flops = std::numeric_limits<double>::infinity();
+  do {
+    min_flops = std::min(min_flops, flops_of(perm));
+  } while (std::next_permutation(perm.begin(), perm.end()));
+
+  const CsfSearchResult r = search_csf_orders(expr, t, {&u, &v}, options);
+  EXPECT_LE(flops_of(r.mode_order),
+            options.flop_group_tolerance * min_flops);
 }
 
 TEST(Autotune, ReturnsRunnableFastPlan) {

@@ -153,9 +153,10 @@ TEST(Planner, CostModelFactoryCoversAllKinds) {
 }
 
 // The parallel group search must be a pure speedup: same chosen plan (path,
-// order, cost) and identical search statistics as the sequential search,
-// for every kernel family. DP results merge in path order, so this holds
-// by construction — the test pins the contract.
+// order, cost) and identical search counts on a one-lane pool (waves of one
+// group, run inline) as on wider pools (growing waves fanned out), for
+// every kernel family. DP results merge in path order, so this holds by
+// construction — the test pins the contract.
 struct PlannerSearchConcurrency : ::testing::TestWithParam<int> {};
 
 TEST_P(PlannerSearchConcurrency, ParallelSearchMatchesSequential) {
@@ -163,14 +164,14 @@ TEST_P(PlannerSearchConcurrency, ParallelSearchMatchesSequential) {
   const auto inst = testing::make_instance(
       paper_kernels()[static_cast<std::size_t>(kernel_idx)],
       7000 + kernel_idx);
-  PlannerOptions seq_opts;
-  seq_opts.search_threads = 1;
-  const Plan seq = plan_kernel(inst->bound, seq_opts);
-  for (int threads : {0, 4, 16}) {  // 0 = every pool lane
-    SCOPED_TRACE("search_threads=" + std::to_string(threads));
-    PlannerOptions par_opts;
-    par_opts.search_threads = threads;
-    const Plan par = plan_kernel(inst->bound, par_opts);
+  const Plan seq = [&] {
+    testing::ScopedLanes one(1);
+    return plan_kernel(inst->bound);
+  }();
+  for (int lanes : {2, 4, 16}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    testing::ScopedLanes pool(lanes);
+    const Plan par = plan_kernel(inst->bound);
     const Kernel& k = inst->bound.kernel;
     EXPECT_EQ(par.path.to_string(k), seq.path.to_string(k));
     EXPECT_EQ(order_to_string(k, par.order), order_to_string(k, seq.order));
@@ -194,26 +195,35 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The parallel executable-path filter (and its precomputed FLOP sort keys)
-// must reproduce the sequential enumeration order exactly, on a fresh
+// must reproduce the one-lane enumeration order exactly, on a fresh
 // SparsityStats as well. path_flops reads only the precomputed prefix
 // counts, so this no longer touches the lazy projection cache;
 // ConcurrentProjectionCountsMatchCoo below races that cache instead.
 TEST(Planner, ParallelExecutablePathsMatchSequential) {
-  testing::ScopedLanes lanes(4);  // real lanes even on 1-core CI boxes
   for (int kernel_idx : {0, 2, 4, 6}) {
     const auto inst = testing::make_instance(
         paper_kernels()[static_cast<std::size_t>(kernel_idx)],
         7700 + kernel_idx);
     const Kernel& k = inst->bound.kernel;
     int total_seq = 0;
-    int total_par = 0;
-    const auto seq = executable_paths(k, inst->bound.stats, &total_seq, 1);
-    const SparsityStats cold = SparsityStats::from_coo(inst->sparse);
-    const auto par = executable_paths(k, cold, &total_par, 0);
-    EXPECT_EQ(total_seq, total_par);
-    ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      EXPECT_EQ(seq[i].to_string(k), par[i].to_string(k)) << "path " << i;
+    std::vector<double> flops_seq;
+    const auto seq = [&] {
+      testing::ScopedLanes one(1);
+      return executable_paths(k, inst->bound.stats, &total_seq, &flops_seq);
+    }();
+    for (int lanes : {2, 4, 16}) {  // real lanes even on 1-core CI boxes
+      SCOPED_TRACE("lanes=" + std::to_string(lanes));
+      testing::ScopedLanes pool(lanes);
+      int total_par = 0;
+      std::vector<double> flops_par;
+      const SparsityStats cold = SparsityStats::from_coo(inst->sparse);
+      const auto par = executable_paths(k, cold, &total_par, &flops_par);
+      EXPECT_EQ(total_seq, total_par);
+      EXPECT_EQ(flops_seq, flops_par);
+      ASSERT_EQ(seq.size(), par.size());
+      for (std::size_t i = 0; i < seq.size(); ++i) {
+        EXPECT_EQ(seq[i].to_string(k), par[i].to_string(k)) << "path " << i;
+      }
     }
   }
 }

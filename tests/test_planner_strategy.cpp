@@ -1,9 +1,9 @@
-// Planner strategy pipeline: the ExactStrategy refactor must be invisible
-// (bit-identical plan artifacts against the checked-in goldens, sequential
-// and parallel), and the
-// AnytimeStrategy must be deterministic under a node budget, feasible under
-// any budget, flop-optimal when uncapped, verifier-clean on networks the
-// exact search cannot touch, and correctly keyed in the kernel cache.
+// Planner strategies: both path sources feed one nest selector, whose plans
+// must match the checked-in goldens byte for byte on one pool lane and on
+// four. The anytime source must be deterministic under a node budget,
+// feasible under any budget, flop-optimal when uncapped, verifier-clean on
+// networks the exact search cannot touch, and correctly keyed in the
+// kernel cache.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -35,22 +35,22 @@ std::string read_golden(const std::string& kernel, const std::string& set) {
 
 /// Serialize exactly as tools/spttn_golden does, meta included, so the
 /// comparison covers the kernel header, the chosen path/order/tree, every
-/// cost double (hex bit patterns), and the full SearchStats block.
+/// cost double (hex bit patterns), and every search count.
 std::string golden_text(const SuiteInstance& inst, const std::string& kernel,
-                        const LintOptionSet& set, PlannerOptions options) {
-  const Plan plan = make_plan(inst.bound.kernel, inst.bound.stats, options);
+                        const LintOptionSet& set) {
+  const Plan plan =
+      make_plan(inst.bound.kernel, inst.bound.stats, set.options);
   return serialize_plan(inst.bound.kernel, plan,
                         {{"suite_kernel", kernel},
                          {"option_set", set.name},
                          {"seed", "42"}});
 }
 
-// The pipeline (make_plan -> strategy_for -> ExactStrategy) must reproduce
-// the checked-in golden plans byte for byte: same plan, same cost doubles,
-// same SearchStats, for every paper kernel under every lint option set. The
-// anytime sets pin the AnytimeStrategy the same way (their goldens double
-// as a determinism regression). Re-record with spttn_golden only when a
-// change is meant to alter them.
+// make_plan must reproduce the checked-in golden plans byte for byte: same
+// plan, same cost doubles, same search counts, for every paper kernel under
+// every lint option set. The anytime sets pin the anytime path source the
+// same way (their goldens double as a determinism regression). Re-record
+// with spttn_golden only when a change is meant to alter them.
 TEST(PlannerStrategy, GoldenEqualityAcrossSuiteAndOptionSets) {
   for (const SuiteKernel& sk : paper_kernels()) {
     const auto inst = make_suite_instance(sk, 42);
@@ -59,46 +59,61 @@ TEST(PlannerStrategy, GoldenEqualityAcrossSuiteAndOptionSets) {
       const std::string want = read_golden(sk.name, set.name);
       ASSERT_FALSE(want.empty()) << "missing golden artifact — regenerate "
                                     "with tools/spttn_golden";
-      EXPECT_EQ(golden_text(*inst, sk.name, set, set.options), want);
+      EXPECT_EQ(golden_text(*inst, sk.name, set), want);
     }
   }
 }
 
-// The wave-parallel exact search merges per-path results in enumeration
-// order, so fanning the search out must not change a byte either.
+// select_nest merges per-path DP results in path order for both path
+// sources, so neither a one-lane pool (inline waves of one group) nor a
+// four-lane pool (growing waves fanned out) may change a byte.
 TEST(PlannerStrategy, ParallelExactSearchMatchesGoldens) {
-  testing::ScopedLanes lanes(4);
-  for (const SuiteKernel& sk : paper_kernels()) {
-    const auto inst = make_suite_instance(sk, 42);
-    for (const LintOptionSet& set : lint_option_sets()) {
-      if (set.options.strategy != StrategyKind::kExact) continue;
-      SCOPED_TRACE(sk.name + " / " + set.name + " / threads=8");
-      PlannerOptions options = set.options;
-      options.search_threads = 8;
-      const std::string want = read_golden(sk.name, set.name);
-      ASSERT_FALSE(want.empty());
-      EXPECT_EQ(golden_text(*inst, sk.name, set, options), want);
+  for (int lanes : {1, 4}) {
+    testing::ScopedLanes pool(lanes);
+    for (const SuiteKernel& sk : paper_kernels()) {
+      const auto inst = make_suite_instance(sk, 42);
+      for (const LintOptionSet& set : lint_option_sets()) {
+        SCOPED_TRACE(sk.name + " / " + set.name +
+                     " / lanes=" + std::to_string(lanes));
+        const std::string want = read_golden(sk.name, set.name);
+        ASSERT_FALSE(want.empty());
+        EXPECT_EQ(golden_text(*inst, sk.name, set), want);
+      }
     }
   }
 }
 
 // Uncapped, the anytime search must land on the exact strategy's flop
 // choice on every paper kernel (the pruned BFS with Merkle dedup visits a
-// representative of every contraction tree, and phase 3 is the exact
-// group-and-relax DP), and prove it: zero gap, budget not exhausted.
+// representative of every contraction tree, and both feed the same
+// select_nest), and prove it: zero gap, budget not exhausted. At buffer
+// bound 0 some kernels must relax the bound, and both sources must relax
+// to the same bound and cost.
 TEST(PlannerStrategy, UncappedAnytimeMatchesExactFlops) {
-  PlannerOptions anytime;
-  anytime.strategy = StrategyKind::kAnytime;
-  for (const SuiteKernel& sk : paper_kernels()) {
-    SCOPED_TRACE(sk.name);
-    const auto inst = make_suite_instance(sk, 42);
-    const Plan exact = make_plan(inst->bound.kernel, inst->bound.stats);
-    const Plan any = make_plan(inst->bound.kernel, inst->bound.stats, anytime);
-    EXPECT_EQ(any.flops, exact.flops);
-    EXPECT_EQ(any.optimality_gap, 0.0);
-    EXPECT_FALSE(any.budget_exhausted);
-    EXPECT_EQ(any.strategy, StrategyKind::kAnytime);
-    EXPECT_GT(any.nodes_expanded, 0);
+  PlannerOptions bound0;
+  bound0.buffer_dim_bound = 0;
+  for (const PlannerOptions& exact_opts : {PlannerOptions{}, bound0}) {
+    PlannerOptions anytime = exact_opts;
+    anytime.strategy = StrategyKind::kAnytime;
+    for (const SuiteKernel& sk : paper_kernels()) {
+      SCOPED_TRACE(sk.name + " / bound " +
+                   std::to_string(exact_opts.buffer_dim_bound));
+      const auto inst = make_suite_instance(sk, 42);
+      const Plan exact =
+          make_plan(inst->bound.kernel, inst->bound.stats, exact_opts);
+      const Plan any =
+          make_plan(inst->bound.kernel, inst->bound.stats, anytime);
+      EXPECT_EQ(any.flops, exact.flops);
+      EXPECT_EQ(any.optimality_gap, 0.0);
+      EXPECT_FALSE(any.budget_exhausted);
+      EXPECT_EQ(any.strategy, StrategyKind::kAnytime);
+      EXPECT_GT(any.nodes_expanded, 0);
+      if (exact_opts.buffer_dim_bound == 0) {
+        EXPECT_EQ(any.buffer_dim_bound, exact.buffer_dim_bound);
+        EXPECT_TRUE(any.cost == exact.cost)
+            << any.cost.to_string() << " vs " << exact.cost.to_string();
+      }
+    }
   }
 }
 

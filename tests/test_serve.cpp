@@ -56,12 +56,6 @@ TEST(KernelSignature, EqualityAndHashTrackInputs) {
   const KernelSignature c =
       make_signature(inst->bound.kernel, inst->bound.stats, other);
   EXPECT_NE(a, c);
-
-  // search_threads must NOT fragment the cache (plan-identical by spec).
-  PlannerOptions threaded = options;
-  threaded.search_threads = 4;
-  EXPECT_EQ(a, make_signature(inst->bound.kernel, inst->bound.stats,
-                              threaded));
 }
 
 TEST(KernelCache, HitAfterIdenticalBind) {

@@ -102,16 +102,19 @@ TEST(PlanVerifier, AllPaperKernelPlansVerifyClean) {
 
 TEST(PlanVerifier, RelaxedBoundPlansVerifyClean) {
   PlannerOptions options;
-  options.buffer_dim_bound = 1;  // most kernels must relax upward
+  options.buffer_dim_bound = 0;  // some kernels must relax upward
+  int relaxed = 0;
   for (const auto& kc : paper_kernels()) {
     const auto inst = make_instance(kc, 42);
     const Plan plan =
         make_plan(inst->bound.kernel, inst->bound.stats, options);
+    if (plan.buffer_dim_bound > options.buffer_dim_bound) ++relaxed;
     const VerifyReport report =
         PlanVerifier(inst->bound.kernel, options, &inst->bound.stats)
             .verify(plan);
     EXPECT_TRUE(report.ok()) << kc.name << ":\n" << report.to_string();
   }
+  EXPECT_GT(relaxed, 0) << "no kernel exercised the relaxation loop";
 }
 
 TEST(PlanVerifier, ReleaseOptInFlagVerifies) {

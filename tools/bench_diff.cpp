@@ -1,7 +1,7 @@
 // bench_diff: compare a freshly produced bench JSON against a checked-in
 // BENCH_*.json baseline — the "diff bench results across PRs" tool.
 //
-// Two gates, both reflected in the exit code:
+// Three gates, all reflected in the exit code:
 //  - schema: the fresh file must parse, carry the same "bench" id, and
 //    keep its bench-specific legacy fields: bench_fig8_scaling rows
 //    (ranks/max_local_s/comm_s/total_s/speedup/imbalance),
@@ -17,6 +17,9 @@
 //    regressions. Only seconds-like fields ("*_s", "*seconds*", p50/p99/
 //    max latencies) are thresholded; counts/bytes/speedups are identity
 //    and informational.
+//  - plan quality: bench_search's anytime rows fail when cost_ratio or gap
+//    exceeds the baseline's. Both are deterministic (node budgets, fixed
+//    seeds), so the only slack is 1e-9 and --max-regress does not apply.
 //
 // Baselines may predate a schema change: rows missing the "backend" field
 // are treated as backend=modeled, and comparison runs over the identity
@@ -261,6 +264,13 @@ bool is_seconds_metric(const std::string& key) {
          key == "p99" || key == "max" || key == "secs";
 }
 
+/// bench_search's anytime plan-quality metrics: lower is better, and any
+/// increase past float noise is a regression.
+bool is_quality_metric(const std::string& bench, const std::string& key) {
+  return bench == "bench_search" && (key == "cost_ratio" || key == "gap");
+}
+constexpr double kQualitySlack = 1e-9;
+
 /// identity -> (metric name -> value). Identity is the ordered
 /// concatenation of identity fields along the path from the root.
 using Metrics = std::map<std::string, std::map<std::string, double>>;
@@ -486,8 +496,19 @@ int main(int argc, char** argv) {
         const auto mit = it->second.find(metric);
         if (mit == it->second.end()) continue;
         ++compared;
-        if (*schema_only || !is_seconds_metric(metric)) continue;
+        if (*schema_only) continue;
         const double fresh_val = mit->second;
+        if (is_quality_metric(id, metric)) {
+          if (fresh_val > base_val + kQualitySlack) {
+            ++regressions;
+            std::cout << strfmt("REGRESSION %s %s: %.6f -> %.6f (plan "
+                                "quality; deterministic, no slack)\n",
+                                row_id.c_str(), metric.c_str(), base_val,
+                                fresh_val);
+          }
+          continue;
+        }
+        if (!is_seconds_metric(metric)) continue;
         if (fresh_val > base_val * *max_regress &&
             fresh_val - base_val > *min_delta) {
           ++regressions;

@@ -1,9 +1,9 @@
 // spttn_golden: dump the planner's chosen plan for every paper-suite kernel
-// under every exact lint option set, serialized with core/plan_io, into a
-// golden directory (default tests/golden/). test_planner_strategy compares
-// ExactStrategy's output byte-for-byte against the checked-in artifacts, so
-// any change that silently alters the chosen plan, its cost/flops doubles,
-// or the SearchStats trips the golden test instead of shipping.
+// under every lint option set, serialized with core/plan_io, into a golden
+// directory (default tests/golden/). test_planner_strategy compares
+// make_plan's output byte-for-byte against the checked-in artifacts, so any
+// change that silently alters the chosen plan, its cost/flops doubles, or
+// its search counts trips the golden test instead of shipping.
 //
 // The same directory holds outputs.txt: one row per golden output case
 // (analysis/kernel_suite.hpp golden_output_line) with the output length and
