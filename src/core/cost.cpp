@@ -170,24 +170,18 @@ Cost BoundedBufferBlasCost::phi(const PeelContext& ctx, const Cost& x) const {
     }
   }
 
-  // Independent dense loops: the root covers exactly one term, iterates
-  // densely, and everything still to iterate for that term is dense too —
-  // i.e. the loop belongs to a trailing all-dense chain the executor can
+  // Independent dense loops: the root covers exactly one term, and every
+  // index that term still iterates, the root among them, is dense — i.e.
+  // the loop belongs to a trailing all-dense chain the executor can
   // collapse into a BLAS-style kernel. Outer dense loops wrapped around
   // sparse traversals do not count (they cannot be offloaded and force
-  // repeated CSF walks).
-  bool independent_dense = false;
-  if ((ctx.split_end - ctx.first) == 1 && !root_iterates_sparsely(ctx)) {
-    independent_dense = true;
-    const IndexSet rest = ctx.path->term(ctx.first).refs - ctx.removed -
-                          IndexSet{ctx.root};
-    for (int id : rest.elements()) {
-      if (ctx.kernel->csf_level(id) >= 0) {
-        independent_dense = false;
-        break;
-      }
-    }
-  }
+  // repeated CSF walks). Neither does a sparse mode run as a dense range:
+  // that densification is what term_flops charges prefix_nnz · extent for,
+  // and rewarding it here would outrank a lower-flop path in the group.
+  const bool independent_dense =
+      ctx.split_end - ctx.first == 1 &&
+      !(ctx.path->term(ctx.first).refs - ctx.removed)
+           .intersects(ctx.kernel->sparse_modes());
   out.secondary = x.secondary - (independent_dense ? 1.0 : 0.0);
 
   // Cache misses for tie-breaking.

@@ -168,7 +168,11 @@ class CacheMissCost final : public TreeCost {
 ///               the mode's full extent, zeroed per parent fiber, and
 ///               touched only at the fiber's fanout. The count is additive
 ///               and never makes a kernel infeasible.
-///   secondary : minus the number of independent dense loops
+///   secondary : minus the number of independent dense loops. Such a loop
+///               runs over a dense index (no CSF level), covers one term,
+///               and every index that term still iterates is dense too. A
+///               sparse mode run as a dense range never counts: term_flops
+///               already charges that densification.
 ///   tertiary  : cache misses (Definition 4.6)
 class BoundedBufferBlasCost final : public TreeCost {
  public:

@@ -65,9 +65,10 @@ struct PlannerOptions {
   bool restrict_csf_order = true;
   /// Paths whose FLOP estimate is within this factor of the best are
   /// considered the same asymptotic-cost group and compared by the cost
-  /// model (constant-factor flop differences are the cost model's job;
-  /// asymptotically worse paths differ by whole index extents and fall
-  /// outside the group).
+  /// model. The group is not purely asymptotic: a path that runs a sparse
+  /// mode densely can cost a whole index extent more and still fall inside
+  /// it (nell-2's mode-1 MTTKRP fill path is 1.66x the per-fiber one), so
+  /// the cost model must not reward such a loop (see BoundedBufferBlasCost).
   double flop_group_tolerance = 3.0;
   /// Cache-model subtensor order D (Definition 4.6).
   int cache_d = 1;

@@ -148,6 +148,15 @@ TEST_F(Ttmc3Cost, BoundedBlasCountsIndependentDenseLoops) {
   EXPECT_GT(l4.secondary, l3.secondary);  // fewer independent dense loops
 }
 
+/// True when `term` contracts kernel inputs `a` and `b`, in either order.
+bool pair_of(const PathTerm& term, int a, int b) {
+  const auto is_input = [](const PathOperand& op, int id) {
+    return op.kind == PathOperand::Kind::kInput && op.id == id;
+  };
+  return (is_input(term.lhs, a) && is_input(term.rhs, b)) ||
+         (is_input(term.lhs, b) && is_input(term.rhs, a));
+}
+
 TEST(CostValue, LexicographicOrdering) {
   const Cost a{0, -3, 100};
   const Cost b{0, -2, 1};
@@ -177,13 +186,6 @@ TEST(BoundedBlasFiberBuffers, ChargesBufferZeroedPerParentFiber) {
   const int i1 = k.index_id("i1");
   const int i2 = k.index_id("i2");
   const int r = k.index_id("r");
-  const auto is_input = [](const PathOperand& op, int id) {
-    return op.kind == PathOperand::Kind::kInput && op.id == id;
-  };
-  const auto pair_of = [&](const PathTerm& term, int a, int b) {
-    return (is_input(term.lhs, a) && is_input(term.rhs, b)) ||
-           (is_input(term.lhs, b) && is_input(term.rhs, a));
-  };
   ContractionPath t_u2_first;
   for (const auto& p : enumerate_paths(k)) {
     if (pair_of(p.terms[0], 0, 3) && pair_of(p.terms[1], 1, 2)) {
@@ -204,6 +206,41 @@ TEST(BoundedBlasFiberBuffers, ChargesBufferZeroedPerParentFiber) {
                                     *make_cost_model(effective, &stats));
   EXPECT_EQ(chosen.primary, 0.0) << plan.describe(k);
   EXPECT_TRUE(chosen == plan.cost);
+}
+
+TEST(BoundedBlasDenseLoops, SparseModeRunAsDenseRangeIsNotABlasLoop) {
+  // Mode-1 MTTKRP on the nell-2 shape (few roots, leaf extent above the
+  // nonzeros per root). Contracting A*C first builds X(k, r) per root by
+  // running the sparse mode k as a dense range, which term_flops charges
+  // prefix_nnz(i)·K·R for. That k loop is not a BLAS loop: only the two r
+  // loops count, so the lower-flop T*C-first path wins the flop group.
+  Kernel k = Kernel::parse("M(j,r) = T(i,j,k)*A(i,r)*C(k,r)");
+  Rng rng(7);
+  const CooTensor t = hierarchical_coo({60, 60, 300}, 10, {20, 8}, rng);
+  const int i = k.index_id("i");
+  const int j = k.index_id("j");
+  const int kk = k.index_id("k");
+  const int r = k.index_id("r");
+  k.set_index_dim(i, t.dim(0));
+  k.set_index_dim(j, t.dim(1));
+  k.set_index_dim(kk, t.dim(2));
+  k.set_index_dim(r, 8);
+  const SparsityStats stats = SparsityStats::from_coo(t);
+  ContractionPath a_c_first;
+  for (const auto& p : enumerate_paths(k)) {
+    if (pair_of(p.terms[0], 1, 2)) a_c_first = p;
+  }
+  ASSERT_EQ(a_c_first.num_terms(), 2);
+
+  const PlannerOptions options;
+  const auto model = make_cost_model(options, &stats);
+  const Cost fill = evaluate_cost(k, a_c_first, {{i, kk, r}, {i, j, kk, r}},
+                                  *model);
+  EXPECT_EQ(fill, (Cost{0, -2, 14074})) << fill.to_string();
+
+  const Plan plan = make_plan(k, stats, options);
+  EXPECT_TRUE(pair_of(plan.path.terms[0], 0, 2)) << plan.describe(k);
+  EXPECT_EQ(plan.cost, (Cost{0, -2, 2922})) << plan.cost.to_string();
 }
 
 }  // namespace

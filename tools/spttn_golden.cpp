@@ -15,12 +15,17 @@
 //   spttn_golden --out DIR            # write DIR/*.plan and DIR/outputs.txt
 //   spttn_golden --check              # compare instead of write (exit 1 on drift)
 //
+// --check names what drifted: the first differing line of each drifted plan
+// (recorded and produced), and the key (kernel, option set, threads) of each
+// outputs.txt row that differs, is missing from the file, or is extra in it.
+//
 // Regenerate only when a planner change is *supposed* to alter plans, or an
 // executor change is *supposed* to alter output bits, and say so in the
 // commit message.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <span>
 #include <string>
@@ -78,6 +83,68 @@ std::string read_file(const std::filesystem::path& p) {
   return os.str();
 }
 
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Print the first line at which a drifted plan differs from its record.
+void print_first_difference(const std::string& recorded,
+                            const std::string& produced) {
+  const std::vector<std::string> a = lines_of(recorded);
+  const std::vector<std::string> b = lines_of(produced);
+  std::size_t n = 0;
+  while (n < a.size() && n < b.size() && a[n] == b[n]) ++n;
+  const auto at = [n](const std::vector<std::string>& lines) {
+    return n < lines.size() ? lines[n] : std::string("<end of file>");
+  };
+  std::printf("        line %zu recorded: %s\n", n + 1, at(a).c_str());
+  std::printf("        line %zu produced: %s\n", n + 1, at(b).c_str());
+}
+
+/// outputs.txt rows keyed by "kernel option_set threads"; the value is the
+/// rest of the row (output length and hash).
+std::map<std::string, std::string> rows_by_key(const std::string& text) {
+  std::map<std::string, std::string> rows;
+  for (const std::string& line : lines_of(text)) {
+    std::istringstream fields(line);
+    std::string kernel, set, threads, rest;
+    fields >> kernel >> set >> threads;
+    std::getline(fields >> std::ws, rest);
+    rows[kernel + " " + set + " " + threads] = rest;
+  }
+  return rows;
+}
+
+/// Print the key of every outputs.txt row that differs from its record, is
+/// missing from the recorded file, or is extra in it.
+void print_row_drift(const std::string& recorded,
+                     const std::string& produced) {
+  const auto old_rows = rows_by_key(recorded);
+  const auto new_rows = rows_by_key(produced);
+  int named = 0;
+  for (const auto& [key, value] : new_rows) {
+    const auto it = old_rows.find(key);
+    if (it == old_rows.end()) {
+      std::printf("        missing row %s\n", key.c_str());
+      ++named;
+    } else if (it->second != value) {
+      std::printf("        row %s: recorded %s, produced %s\n", key.c_str(),
+                  it->second.c_str(), value.c_str());
+      ++named;
+    }
+  }
+  for (const auto& [key, value] : old_rows) {
+    if (!new_rows.contains(key)) {
+      std::printf("        extra row %s\n", key.c_str());
+      ++named;
+    }
+  }
+  if (named == 0) std::printf("        rows equal, order or bytes differ\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,6 +185,7 @@ int main(int argc, char** argv) {
         }
         if (old != text) {
           std::printf("DRIFT   %s\n", file.string().c_str());
+          print_first_difference(old, text);
           ++drifted;
         }
       } else {
@@ -147,8 +215,10 @@ int main(int argc, char** argv) {
   const std::filesystem::path outputs_file = dir / "outputs.txt";
   if (*check) {
     try {
-      if (read_file(outputs_file) != outputs) {
+      const std::string old = read_file(outputs_file);
+      if (old != outputs) {
         std::printf("DRIFT   %s\n", outputs_file.string().c_str());
+        print_row_drift(old, outputs);
         ++drifted;
       }
     } catch (const std::exception& e) {
