@@ -5,10 +5,10 @@
 // execute-many claim. Persists machine-readable rows to BENCH_serve.json
 // (--json=path), same schema family as BENCH_verify.json.
 //
-// Every client runs its requests synchronously on its own thread (the
-// request is the unit of parallelism, matching Session::submit's model);
-// the cache is warmed by the prepare phase, so the measured latencies are
-// pure serve-path: signature hash, cache probe, and the compiled nest.
+// Every client runs its requests synchronously on its own thread through
+// Session::run (the request is the unit of parallelism); the cache is
+// warmed by the prepare phase, so the measured latencies are pure
+// serve-path: signature hash, cache probe, and the compiled nest.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

@@ -5,10 +5,9 @@
 // Demonstrates the plan/format caching layer (src/serve/): a Session owns
 // one CSF build + one stats extraction, every kernel resolves through the
 // process-wide KernelCache (the planner search runs at most once per
-// distinct kernel), and submit() overlaps independent requests on the
-// thread pool. The timing table shows per-iteration plan cost collapsing
-// to ~0 after the first iteration — the paper's search-once-execute-many
-// value proposition made a process-wide property.
+// distinct kernel). The timing table shows per-iteration plan cost
+// collapsing to ~0 after the first iteration — the paper's
+// search-once-execute-many value proposition made a process-wide property.
 #include <iostream>
 #include <vector>
 
@@ -29,12 +28,9 @@ int main() {
   const DenseTensor u2 = random_dense({1000, 32}, rng);
   std::cout << "sparse tensor: " << t.describe() << "\n\n";
 
-  // Bind once: CSF + exact sparsity statistics + structure fingerprint.
-  Session session(t);
-
   // Prepare the CP-ALS per-mode MTTKRP family. Each prepare() is a cache
-  // miss the first time (planner search runs) and a pure lookup from then
-  // on — including in future sessions over the same structure.
+  // miss the first time (planner search runs) and a cache hit from then on
+  // — including in future sessions over the same structure.
   const std::vector<std::string> exprs = {
       "M0(i,r) = T(i,j,k) * U1(j,r) * U2(k,r)",
       "M1(j,r) = T(i,j,k) * U0(i,r) * U2(k,r)",
@@ -48,7 +44,8 @@ int main() {
   std::vector<int> ids(exprs.size(), -1);
   for (int iter = 0; iter < 4; ++iter) {
     // Fresh session per iteration to show the cross-session amortization;
-    // within one session prepare() is memoized by expression anyway.
+    // within one session prepare() is memoized by expression anyway. Each
+    // binds once: CSF + exact sparsity statistics + structure fingerprint.
     Session s(t);
     Timer prep_t;
     for (std::size_t m = 0; m < exprs.size(); ++m) {
@@ -63,24 +60,6 @@ int main() {
     std::cout << strfmt("%4d   %11.3f   %8.3f\n", iter + 1, prep_ms,
                         exec_t.millis());
   }
-
-  // Batched service: submit() enqueues executions on the process pool and
-  // returns waitable handles; independent requests overlap on pool lanes.
-  for (std::size_t m = 0; m < exprs.size(); ++m) {
-    ids[m] = session.prepare(exprs[m], factors[m]);
-  }
-  std::vector<DenseTensor> outs;
-  for (std::size_t m = 0; m < exprs.size(); ++m) {
-    outs.push_back(session.make_output(ids[m]));
-  }
-  Timer batch_t;
-  std::vector<TaskHandle> handles;
-  for (std::size_t m = 0; m < exprs.size(); ++m) {
-    handles.push_back(session.submit(ids[m], &outs[m]));
-  }
-  for (auto& h : handles) h.wait();
-  std::cout << "\nbatched 3 MTTKRPs via submit(): "
-            << strfmt("%.3f", batch_t.millis()) << " ms\n";
 
   const auto c = KernelCache::global().counters();
   std::cout << "\nglobal KernelCache: " << c.hits << " hits, " << c.misses

@@ -466,13 +466,6 @@ int FusedExecutor::offloaded_terms() const { return impl_->offloaded_terms; }
 int FusedExecutor::collapsed_loops() const { return impl_->collapsed_loops; }
 bool FusedExecutor::collapse_dense() const { return impl_->collapse_dense; }
 
-std::size_t FusedExecutor::program_bytes() const {
-  const Impl& im = *impl_;
-  return im.low.bytes() + im.buffer_len.capacity() * sizeof(std::int64_t) +
-         im.top_meta.capacity() * sizeof(Impl::TopMeta) +
-         im.buffer_shared.capacity() * sizeof(char);
-}
-
 std::vector<FusedExecutor::ParallelRegionInfo>
 FusedExecutor::parallel_regions() const {
   std::vector<ParallelRegionInfo> out;

@@ -142,11 +142,6 @@ class FusedExecutor {
   int offloaded_terms() const;
   int collapsed_loops() const;
 
-  /// Heap footprint of the lowered program plus the buffer and region
-  /// metadata (used by KernelCache::estimate_entry_bytes for byte
-  /// budgeting).
-  std::size_t program_bytes() const;
-
   /// Compile-time locality facts of one top-level root-loop region, as
   /// decided by analyze_parallel from the operand and chain strides of the
   /// lowered program every execution runs. Exposed so the plan verifier

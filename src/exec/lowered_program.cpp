@@ -257,17 +257,4 @@ void run_top(const LoweredProgram& p, ExecCtx& ctx, std::size_t t) {
   run_op(p, ctx, p.top[t]);
 }
 
-std::size_t LoweredProgram::bytes() const {
-  std::size_t b = sizeof(LoweredProgram);
-  b += loops.capacity() * sizeof(LLoop);
-  for (const LLoop& l : loops) b += l.body.capacity() * sizeof(LOp);
-  b += terms.capacity() * sizeof(LTerm);
-  b += resets.capacity() * sizeof(LReset);
-  b += slots.capacity() * sizeof(SlotSource);
-  b += top.capacity() * sizeof(LOp);
-  b += deps.capacity() * sizeof(Dep);
-  b += levels.capacity() * sizeof(Level);
-  return b;
-}
-
 }  // namespace spttn::lowered

@@ -154,9 +154,6 @@ struct LoweredProgram {
   std::vector<Dep> deps;
   std::vector<Level> levels;
   std::vector<SlotSource> slots;
-
-  /// Heap footprint of this program (for cache byte budgeting).
-  std::size_t bytes() const;
 };
 
 /// One worker's execution state: the current value of every kernel index,

@@ -23,6 +23,7 @@ namespace spttn {
 std::uint64_t KernelSignature::hash() const {
   std::uint64_t h = 0x452821e638d01377ULL;
   for (char c : expr) h = hash_mix(h ^ static_cast<std::uint64_t>(c));
+  h = hash_mix(h ^ static_cast<std::uint64_t>(sparse_input));
   for (std::int64_t e : extents) {
     h = hash_mix(h ^ static_cast<std::uint64_t>(e));
   }
@@ -67,71 +68,27 @@ std::uint64_t planner_options_hash(const PlannerOptions& options) {
   return h;
 }
 
-KernelSignature make_signature(const Kernel& kernel,
-                               const SparsityStats& stats,
-                               const PlannerOptions& options) {
+namespace {
+
+/// The signature of `kernel` (dims bound) keyed under an already known
+/// fingerprint and options hash; load_dir rebuilds keys this way from an
+/// artifact's kernel and meta.
+KernelSignature signature_of(const Kernel& kernel,
+                             std::uint64_t sparsity_fingerprint,
+                             std::uint64_t options_hash) {
   SPTTN_CHECK_MSG(kernel.dims_bound(),
                   "signature needs bound index dimensions");
   KernelSignature sig;
   sig.expr = kernel.to_string();
+  sig.sparse_input = kernel.sparse_input();
   sig.extents.reserve(static_cast<std::size_t>(kernel.num_indices()));
   for (int id = 0; id < kernel.num_indices(); ++id) {
     sig.extents.push_back(kernel.index_dim(id));
   }
-  sig.sparsity_fingerprint = stats.fingerprint();
-  sig.options_hash = planner_options_hash(options);
+  sig.sparsity_fingerprint = sparsity_fingerprint;
+  sig.options_hash = options_hash;
   return sig;
 }
-
-std::size_t estimate_entry_bytes(const KernelSignature& sig,
-                                 const Kernel& kernel, const Plan& plan,
-                                 const FusedExecutor* exec) {
-  // Deliberately an estimate: the point is a byte budget that tracks the
-  // actual heavy parts (the per-execution buffer working set dominates for
-  // large-intermediate kernels; structure metadata dominates for tiny
-  // ones), not an allocator-exact audit.
-  std::size_t b = sizeof(KernelCache::Entry);
-  b += sig.expr.size() + sig.extents.size() * sizeof(std::int64_t);
-  // Kernel: tensor refs (name + index lists) and the index name table.
-  const auto ref_bytes = [](const TensorRef& r) {
-    return sizeof(TensorRef) + r.name.size() + r.idx.size() * sizeof(int);
-  };
-  b += ref_bytes(kernel.output());
-  for (const TensorRef& in : kernel.inputs()) b += ref_bytes(in);
-  b += static_cast<std::size_t>(kernel.num_indices()) *
-       (sizeof(std::string) + sizeof(std::int64_t) + 8);
-  // Plan: path terms, loop order, tree nodes/actions/buffers.
-  b += plan.path.terms.size() * sizeof(PathTerm);
-  for (const std::vector<int>& o : plan.order) {
-    b += sizeof(std::vector<int>) + o.size() * sizeof(int);
-  }
-  std::size_t actions = plan.tree.top().size();
-  for (const LoopTree::Node& n : plan.tree.nodes()) {
-    b += sizeof(LoopTree::Node) + n.body.size() * sizeof(LoopTree::Action);
-    actions += n.body.size();
-  }
-  b += plan.tree.top().size() * sizeof(LoopTree::Action);
-  for (const BufferSpec& spec : plan.tree.buffers()) {
-    b += sizeof(BufferSpec) +
-         spec.indices.size() * sizeof(int) +
-         spec.dims.size() * sizeof(std::int64_t);
-  }
-  // Compiled executor: the exact program footprint when the caller hands
-  // us the compiled executor (FusedExecutor::program_bytes); otherwise the
-  // historical per-action heuristic (roughly a cache line per
-  // loop/action). Plus the intermediate-buffer storage every execution
-  // materializes.
-  if (exec != nullptr) {
-    b += exec->program_bytes();
-  } else {
-    b += (plan.tree.nodes().size() + actions) * 64;
-  }
-  b += static_cast<std::size_t>(plan.tree.total_buffer_size()) *
-       sizeof(double);
-  return b;
-}
-
-namespace {
 
 struct SigHash {
   std::size_t operator()(const KernelSignature& s) const {
@@ -151,13 +108,18 @@ std::uint64_t parse_hex_or_throw(const std::string& s, const char* what) {
   return v;
 }
 
-using Clock = std::chrono::steady_clock;
-
 }  // namespace
+
+KernelSignature make_signature(const Kernel& kernel,
+                               const SparsityStats& stats,
+                               const PlannerOptions& options) {
+  return signature_of(kernel, stats.fingerprint(),
+                      planner_options_hash(options));
+}
 
 struct KernelCache::Impl {
   mutable std::mutex m;
-  Config config;
+  std::size_t capacity = 0;
   /// MRU-first recency list of resident entries.
   std::list<std::shared_ptr<const Entry>> lru;
   std::unordered_map<KernelSignature,
@@ -178,57 +140,30 @@ struct KernelCache::Impl {
   std::unordered_map<KernelSignature, std::shared_ptr<Flight>, SigHash>
       flights;
 
-  bool pass_through() const {
-    return config.capacity == 0 || config.max_bytes == 0;
-  }
-
   void erase_resident(std::list<std::shared_ptr<const Entry>>::iterator it) {
-    counters.bytes_resident -= (*it)->bytes;
     by_sig.erase((*it)->signature);
     lru.erase(it);
   }
 
-  /// Drop every entry past its TTL. Caller holds m.
-  void sweep_expired(Clock::time_point now) {
-    if (config.ttl.count() <= 0) return;
-    for (auto it = lru.begin(); it != lru.end();) {
-      if (now - (*it)->inserted > config.ttl) {
-        counters.expired += 1;
-        erase_resident(it++);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  /// Resident probe with TTL enforcement and recency refresh. Caller
-  /// holds m; does not touch hit/miss counters.
-  std::shared_ptr<const Entry> find_resident(const KernelSignature& sig,
-                                             Clock::time_point now) {
+  /// Resident probe with recency refresh. Caller holds m; does not touch
+  /// hit/miss counters.
+  std::shared_ptr<const Entry> find_resident(const KernelSignature& sig) {
     const auto it = by_sig.find(sig);
     if (it == by_sig.end()) return nullptr;
-    if (config.ttl.count() > 0 && now - (*it->second)->inserted > config.ttl) {
-      counters.expired += 1;
-      erase_resident(it->second);
-      return nullptr;
-    }
     lru.splice(lru.begin(), lru, it->second);  // refresh recency
     return *it->second;
   }
 
-  /// Publish `entry`, evicting expired entries and LRU victims beyond the
-  /// entry-count and byte budgets. Returns the resident entry for the
-  /// signature (the existing one when a concurrent planner already
-  /// published it — first writer wins, the loser's work is dropped rather
-  /// than invalidating handed-out pointers). On a pass-through cache (or
-  /// for an entry that alone exceeds the byte budget) the entry is
-  /// returned unpublished: plan, verify, serve — never insert.
+  /// Publish `entry`, evicting LRU victims beyond the capacity. Returns
+  /// the resident entry for the signature (the existing one when a
+  /// concurrent planner already published it — first writer wins, the
+  /// loser's work is dropped rather than invalidating handed-out
+  /// pointers). On a pass-through cache the entry is returned
+  /// unpublished: plan, verify, serve — never insert.
   std::shared_ptr<const Entry> publish(std::shared_ptr<Entry> entry,
                                        bool replace) {
     std::lock_guard<std::mutex> lk(m);
-    if (pass_through() || entry->bytes > config.max_bytes) return entry;
-    const auto now = Clock::now();
-    sweep_expired(now);
+    if (capacity == 0) return entry;
     const auto it = by_sig.find(entry->signature);
     if (it != by_sig.end()) {
       if (!replace) {
@@ -237,13 +172,10 @@ struct KernelCache::Impl {
       }
       erase_resident(it->second);
     }
-    entry->inserted = now;
     counters.inserts += 1;
-    counters.bytes_resident += entry->bytes;
     lru.push_front(std::move(entry));
     by_sig[lru.front()->signature] = lru.begin();
-    while (lru.size() > config.capacity ||
-           counters.bytes_resident > config.max_bytes) {
+    while (lru.size() > capacity) {
       counters.evictions += 1;
       erase_resident(std::prev(lru.end()));
     }
@@ -253,27 +185,10 @@ struct KernelCache::Impl {
 
 KernelCache::KernelCache(std::size_t capacity)
     : impl_(std::make_unique<Impl>()) {
-  impl_->config.capacity = capacity;
-}
-
-KernelCache::KernelCache(const Config& config)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->config = config;
+  impl_->capacity = capacity;
 }
 
 KernelCache::~KernelCache() = default;
-
-std::shared_ptr<const KernelCache::Entry> KernelCache::lookup(
-    const KernelSignature& sig) {
-  std::lock_guard<std::mutex> lk(impl_->m);
-  auto hit = impl_->find_resident(sig, Clock::now());
-  if (hit == nullptr) {
-    impl_->counters.misses += 1;
-  } else {
-    impl_->counters.hits += 1;
-  }
-  return hit;
-}
 
 std::shared_ptr<const KernelCache::Entry> KernelCache::get_or_plan(
     const Kernel& kernel, const SparsityStats& stats,
@@ -283,7 +198,7 @@ std::shared_ptr<const KernelCache::Entry> KernelCache::get_or_plan(
   bool leader = false;
   {
     std::lock_guard<std::mutex> lk(impl_->m);
-    if (auto hit = impl_->find_resident(sig, Clock::now())) {
+    if (auto hit = impl_->find_resident(sig)) {
       impl_->counters.hits += 1;
       if (was_cached != nullptr) *was_cached = true;
       return hit;
@@ -331,8 +246,6 @@ std::shared_ptr<const KernelCache::Entry> KernelCache::get_or_plan(
                     "kernel cache rejects unverifiable plan for "
                         << kernel.to_string() << ":\n"
                         << report.to_string());
-    entry->bytes = estimate_entry_bytes(entry->signature, kernel,
-                                        entry->plan, entry->exec.get());
     published = impl_->publish(std::move(entry), /*replace=*/false);
   } catch (...) {
     {
@@ -381,8 +294,6 @@ std::shared_ptr<const KernelCache::Entry> KernelCache::put(
   entry->kernel = kernel;
   entry->plan = std::move(plan);
   entry->exec = std::make_shared<FusedExecutor>(kernel, entry->plan);
-  entry->bytes = estimate_entry_bytes(entry->signature, kernel, entry->plan,
-                                      entry->exec.get());
   return impl_->publish(std::move(entry), /*replace=*/true);
 }
 
@@ -435,9 +346,9 @@ KernelCache::DirReport KernelCache::load_dir(const std::string& dir) {
   DirReport report;
   {
     std::lock_guard<std::mutex> lk(impl_->m);
-    if (impl_->pass_through()) {
+    if (impl_->capacity == 0) {
       report.errors.push_back(
-          "cache is pass-through (zero capacity or byte budget); "
+          "cache is pass-through (zero capacity); "
           "no artifact can become resident");
       return report;
     }
@@ -498,18 +409,8 @@ KernelCache::DirReport KernelCache::load_dir(const std::string& dir) {
       SPTTN_CHECK_MSG(cross.ok(), "executor cross-check failed:\n"
                                       << cross.to_string());
 
-      KernelSignature sig;
-      sig.expr = entry->kernel.to_string();
-      sig.extents.reserve(
-          static_cast<std::size_t>(entry->kernel.num_indices()));
-      for (int id = 0; id < entry->kernel.num_indices(); ++id) {
-        sig.extents.push_back(entry->kernel.index_dim(id));
-      }
-      sig.sparsity_fingerprint = sig_fingerprint;
-      sig.options_hash = options_hash;
-      entry->signature = std::move(sig);
-      entry->bytes = estimate_entry_bytes(entry->signature, entry->kernel,
-                                          entry->plan, entry->exec.get());
+      entry->signature =
+          signature_of(entry->kernel, sig_fingerprint, options_hash);
       impl_->publish(std::move(entry), /*replace=*/false);
       report.processed += 1;
     } catch (const std::exception& ex) {
@@ -527,11 +428,7 @@ KernelCache::Counters KernelCache::counters() const {
   return c;
 }
 
-std::size_t KernelCache::capacity() const { return impl_->config.capacity; }
-
-const KernelCache::Config& KernelCache::config() const {
-  return impl_->config;
-}
+std::size_t KernelCache::capacity() const { return impl_->capacity; }
 
 void KernelCache::clear() {
   std::lock_guard<std::mutex> lk(impl_->m);

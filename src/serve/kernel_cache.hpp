@@ -6,25 +6,23 @@
 // a process-wide property instead of a per-call-site discipline: it
 // memoizes the planner's result (Plan) together with the compiled loop
 // nest (FusedExecutor) under a canonical kernel signature — expression
-// structure, index extents, planner options, and an exact sparsity
-// fingerprint — so any consumer (sessions, the decomposition drivers, the
-// simulated distributed runtime, the autotuner) that binds a structurally
-// identical problem skips the path enumeration and order DP entirely.
+// structure, which input is sparse, index extents, planner options, and an
+// exact sparsity fingerprint — so any consumer (sessions, the
+// decomposition drivers, the simulated distributed runtime, the autotuner)
+// that binds a structurally identical problem skips the path enumeration
+// and order DP entirely.
 //
-// Fleet-grade admission policy: compiled executors and their per-execution
-// buffer working sets are the heavy part of an entry, so the cache budgets
-// bytes (Config::max_bytes) in addition to entry count, with TTL expiry as
-// a second knob for long-lived servers. Plans persist: save_dir writes
-// every resident plan as a versioned, checksummed artifact (core/plan_io)
-// and load_dir re-admits them through the static plan verifier plus the
+// Admission policy: an entry-count bound with LRU eviction (capacity 0 is
+// a pass-through) and single-flight planning, so concurrent misses on one
+// signature cost one search. Plans persist: save_dir writes every resident
+// plan as a versioned, checksummed artifact (core/plan_io) and load_dir
+// re-admits them through the static plan verifier plus the
 // sparsity-fingerprint consistency check, so a restarted process serves
 // every warmed kernel with zero planner searches — and a stale or
 // corrupted artifact can never reach an executor.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +39,9 @@ namespace spttn {
 struct KernelSignature {
   /// Canonical expression rendering (tensor names, index names, order).
   std::string expr;
+  /// Input position of the sparse operand (Kernel::sparse_input()); the
+  /// rendering above does not say which input is sparse.
+  int sparse_input = 0;
   /// Dimension of every kernel index, in index-id order.
   std::vector<std::int64_t> extents;
   /// Exact sparsity-structure fingerprint (SparsityStats::fingerprint());
@@ -65,7 +66,7 @@ KernelSignature make_signature(const Kernel& kernel,
 /// Hash of the plan-relevant PlannerOptions fields.
 std::uint64_t planner_options_hash(const PlannerOptions& options);
 
-/// Thread-safe byte-budgeted LRU cache of planned kernels.
+/// Thread-safe count-bounded LRU cache of planned kernels.
 ///
 /// Entries are immutable once published and handed out as shared
 /// pointers, so a hit costs one mutex-guarded map probe; eviction can
@@ -75,23 +76,6 @@ std::uint64_t planner_options_hash(const PlannerOptions& options);
 /// entry are safe — that is what lets many serving sessions share it.
 class KernelCache {
  public:
-  /// Admission/eviction policy. Entry count and resident bytes are both
-  /// budgets (eviction triggers on whichever is exceeded); TTL is absolute
-  /// from insertion. A zero capacity or zero byte budget makes the cache a
-  /// pass-through: get_or_plan still plans, verifies and returns working
-  /// entries (and still deduplicates concurrent planning), but nothing is
-  /// ever inserted — there is no insert-then-immediately-evict churn.
-  struct Config {
-    /// Maximum resident entries; 0 = pass-through.
-    std::size_t capacity = 128;
-    /// Maximum summed Entry::bytes resident; 0 = pass-through, the default
-    /// (SIZE_MAX) is unbounded.
-    std::size_t max_bytes = std::numeric_limits<std::size_t>::max();
-    /// Entries older than this (since insertion) are expired on the next
-    /// probe or insertion sweep; zero disables expiry.
-    std::chrono::milliseconds ttl{0};
-  };
-
   /// One memoized planning result.
   struct Entry {
     KernelSignature signature;
@@ -99,25 +83,17 @@ class KernelCache {
     Plan plan;
     /// Compiled nest; safe for concurrent execute() calls.
     std::shared_ptr<FusedExecutor> exec;
-    /// Estimated resident size: plan tree + loop order + path + signature
-    /// structures, the executor's program footprint, and its
-    /// per-execution buffer working set. The byte budget sums these.
-    std::size_t bytes = 0;
-    /// Insertion time (steady clock) driving TTL expiry; meaningless for
-    /// pass-through entries that were never resident.
-    std::chrono::steady_clock::time_point inserted{};
   };
 
   /// Hit/miss/eviction counters for observability (bench_serve, the
-  /// serving example, and capacity/byte-budget tuning). `planned` counts
-  /// actual planner searches; with single-flight deduplication it can be
-  /// far below `misses` under concurrent load (the difference shows up in
+  /// serving example, and capacity tuning). `planned` counts actual
+  /// planner searches; with single-flight deduplication it can be far
+  /// below `misses` under concurrent load (the difference shows up in
   /// `coalesced`).
   struct Counters {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;  ///< capacity- or byte-budget evictions
-    std::uint64_t expired = 0;    ///< TTL expirations
+    std::uint64_t evictions = 0;  ///< LRU evictions at capacity
     std::uint64_t inserts = 0;
     /// Planner searches actually executed (misses that were not coalesced).
     std::uint64_t planned = 0;
@@ -125,23 +101,18 @@ class KernelCache {
     /// the same signature instead of running a duplicate search.
     std::uint64_t coalesced = 0;
     std::size_t entries = 0;
-    /// Summed Entry::bytes of the resident entries.
-    std::size_t bytes_resident = 0;
   };
 
-  /// Legacy count-only constructor: `capacity` bounds the number of
-  /// resident entries, bytes unbounded. Capacity 0 = pass-through.
+  /// `capacity` bounds the number of resident entries; past it the least
+  /// recently used entry is evicted. Capacity 0 makes the cache a
+  /// pass-through: get_or_plan still plans, verifies and returns working
+  /// entries (and still deduplicates concurrent planning), but nothing is
+  /// ever inserted — there is no insert-then-immediately-evict churn.
   explicit KernelCache(std::size_t capacity = 128);
-  /// Fleet configuration: entry count, byte budget, TTL.
-  explicit KernelCache(const Config& config);
   ~KernelCache();
 
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
-
-  /// Probe without planning; null on miss. Counts a hit or a miss; an
-  /// entry past its TTL is expired (counted, erased) and reported a miss.
-  std::shared_ptr<const Entry> lookup(const KernelSignature& sig);
 
   /// The workhorse: return the cached entry for (kernel, stats, options),
   /// planning and compiling on a miss. Planning runs outside the cache
@@ -203,15 +174,14 @@ class KernelCache {
   /// the plan's recorded fingerprint) — before it becomes resident. A
   /// corrupted, truncated, version-mismatched or wrong-fingerprint
   /// artifact is rejected with a structured error; it can never execute.
-  /// Loaded entries land with fresh TTL and count as inserts, not
-  /// planner searches — after a warm load, get_or_plan over the same
-  /// problems is pure hits (Counters::planned stays 0). On a pass-through
-  /// cache the sweep rejects everything (nothing can become resident).
+  /// Loaded entries count as inserts, not planner searches — after a warm
+  /// load, get_or_plan over the same problems is pure hits
+  /// (Counters::planned stays 0). On a pass-through cache the sweep
+  /// rejects everything (nothing can become resident).
   DirReport load_dir(const std::string& dir);
 
   Counters counters() const;
   std::size_t capacity() const;
-  const Config& config() const;
   void clear();
 
   /// Process-wide cache shared by the convenience overloads
@@ -223,18 +193,6 @@ class KernelCache {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Estimated resident bytes of one cache entry: signature + kernel + plan
-/// (path, order, tree, buffers) structure sizes plus the compiled
-/// executor's program metadata and per-execution buffer working set.
-/// When `exec` is provided, its actual program footprint (the lowered
-/// program plus its buffer and region metadata,
-/// FusedExecutor::program_bytes) replaces the per-action metadata
-/// heuristic, so max_bytes budgeting charges what the executor really
-/// holds. Exposed for tests and the spttn_cache inspect CLI.
-std::size_t estimate_entry_bytes(const KernelSignature& sig,
-                                 const Kernel& kernel, const Plan& plan,
-                                 const FusedExecutor* exec = nullptr);
 
 /// Cache-aware planning: fetch or compute the plan for `bound`.
 Plan plan_kernel(const BoundKernel& bound, const PlannerOptions& options,

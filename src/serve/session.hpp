@@ -13,26 +13,25 @@
 //   DenseTensor out = s.make_output(mttkrp);
 //   for (int sweep = 0; sweep < n; ++sweep) s.run(mttkrp, &out);   // no search
 //
-// submit() enqueues the execution on the process-wide ThreadPool and
-// returns a waitable TaskHandle, making the session a batching front-end:
-// independent requests overlap on pool lanes while each request's own loop
-// nest runs single-threaded (the request is the unit of parallelism).
+// Serving is synchronous: concurrent clients call run()/run_with() from
+// their own threads against one session, and each call returns only after
+// its execution finished.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "serve/kernel_cache.hpp"
-#include "util/thread_pool.hpp"
 
 namespace spttn {
 
 /// One sparse tensor bound for repeated/batched contraction service.
 ///
 /// Thread-safety: prepare() calls must not race with each other or with
-/// executions. run()/submit() on already prepared kernels are safe from
+/// executions. run()/run_with() on already prepared kernels are safe from
 /// concurrent threads (the cached executors build private runtime state
 /// per execution). values() mutation must be externally ordered against
 /// executions, like any tensor data.
@@ -51,9 +50,10 @@ class Session {
 
   /// Resolve a kernel over the bound tensor: parse, bind dims against the
   /// dense factors (in order of appearance), and fetch-or-plan through the
-  /// cache. Returns a kernel id for run()/submit(). Preparing the same
-  /// expression again returns the existing id (the factor pointers of the
-  /// first call stay bound). The dense tensors must outlive the session.
+  /// cache. Returns a kernel id for run(). Preparing the same expression
+  /// with the same sparse operand again returns the existing id (the
+  /// factor pointers of the first call stay bound). The dense tensors must
+  /// outlive the session.
   int prepare(const std::string& expr,
               std::vector<const DenseTensor*> dense_factors,
               const std::string& sparse_name = "");
@@ -72,17 +72,6 @@ class Session {
                 DenseTensor* out_dense, std::span<double> out_sparse = {},
                 int num_threads = 1);
 
-  /// Enqueue an execution on the process-wide ThreadPool; the returned
-  /// handle's wait() blocks until it ran (helping inline when unclaimed)
-  /// and rethrows any execution error. The outputs and factors must stay
-  /// alive until the handle completes; the task keeps the session's bound
-  /// state (CSF, plans) alive on its own, so the Session object may be
-  /// destroyed with submissions still in flight. Submitted executions run
-  /// their loop nest single-threaded on one lane — concurrent requests
-  /// are the parallelism.
-  TaskHandle submit(int kernel_id, DenseTensor* out_dense,
-                    std::span<double> out_sparse = {});
-
   /// Allocate a correctly shaped dense output for a prepared kernel.
   DenseTensor make_output(int kernel_id) const;
 
@@ -96,16 +85,7 @@ class Session {
   /// Mutable nonzero values of the bound CSF, aligned with the sorted COO
   /// entry order — in-place value updates (residuals, reweighting) reuse
   /// every cached plan because plans depend only on structure.
-  ///
-  /// Mutation hazard guard: while any submit()ted execution is still
-  /// queued or running, handing out a mutable view would race with the
-  /// executor reading the same values, so this throws spttn::Error until
-  /// every outstanding handle completed (wait() on them first). run() and
-  /// synchronous callers are unaffected — they already ordered themselves.
   std::span<double> values();
-
-  /// Number of submit()ted executions not yet completed.
-  std::size_t in_flight() const;
 
   const CsfTensor& csf() const;
   const SparsityStats& stats() const;
@@ -115,9 +95,7 @@ class Session {
 
  private:
   struct Impl;
-  /// Shared, not unique: submitted tasks capture it so in-flight requests
-  /// outlive the Session object itself.
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace spttn

@@ -3,11 +3,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace spttn {
@@ -20,61 +18,6 @@ namespace {
 thread_local bool tl_in_pool_task = false;
 
 }  // namespace
-
-/// Shared state of one submitted task. Claiming is an atomic flag so that
-/// exactly one thread — a worker or a helping waiter — runs the body.
-struct TaskHandle::State {
-  std::function<void()> fn;
-  std::atomic<bool> claimed{false};
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;               // guarded by m
-  std::exception_ptr error;        // guarded by m
-
-  bool try_claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
-
-  /// Run the body (caller must have claimed), record the outcome, wake
-  /// waiters, and release the body (it may own captures worth freeing).
-  void run() {
-    std::exception_ptr err;
-    // Task bodies count as pool work wherever they run (worker or helping
-    // waiter): nested parallel_apply calls execute inline, so a submitted
-    // request computes the same partition shape on every path — the
-    // submitted request, not its inner loops, is the unit of parallelism.
-    const bool was_in_pool_task = tl_in_pool_task;
-    tl_in_pool_task = true;
-    try {
-      fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    tl_in_pool_task = was_in_pool_task;
-    {
-      std::lock_guard<std::mutex> lk(m);
-      done = true;
-      error = err;
-      fn = nullptr;
-    }
-    cv.notify_all();
-  }
-};
-
-bool TaskHandle::done() const {
-  if (state_ == nullptr) return false;
-  std::lock_guard<std::mutex> lk(state_->m);
-  return state_->done;
-}
-
-void TaskHandle::wait() {
-  if (state_ == nullptr) return;
-  // Help-first: an unclaimed task runs inline on the waiting thread, so
-  // wait() makes progress even when every worker is busy (or there are
-  // none). A worker that already claimed it wins the exchange and we block.
-  if (state_->try_claim()) state_->run();
-  std::unique_lock<std::mutex> lk(state_->m);
-  state_->cv.wait(lk, [&] { return state_->done; });
-  if (state_->error) std::rethrow_exception(state_->error);
-}
 
 struct ThreadPool::Impl {
   /// One lane's share of a batch: a contiguous, not-yet-claimed index
@@ -107,10 +50,6 @@ struct ThreadPool::Impl {
   std::shared_ptr<Batch> current;  // guarded by m
   std::uint64_t generation = 0;    // guarded by m
   bool stopping = false;           // guarded by m
-  /// FIFO of tasks submitted with submit(); guarded by m. Workers drain it
-  /// whenever no (new) batch is pending — batches keep priority so
-  /// parallel_apply latency is unaffected by queued serving traffic.
-  std::deque<std::shared_ptr<TaskHandle::State>> async_q;
 
   /// Serializes submitters so one batch runs at a time.
   std::mutex submit_m;
@@ -123,30 +62,17 @@ struct ThreadPool::Impl {
     std::uint64_t seen = 0;
     while (true) {
       std::shared_ptr<Batch> batch;
-      std::shared_ptr<TaskHandle::State> task;
       {
         std::unique_lock<std::mutex> lk(m);
         wake_cv.wait(lk, [&] {
           return stopping ||
-                 (current != nullptr && current->generation != seen) ||
-                 !async_q.empty();
+                 (current != nullptr && current->generation != seen);
         });
         if (stopping) return;
-        if (current != nullptr && current->generation != seen) {
-          batch = current;
-          seen = batch->generation;
-        } else {
-          task = std::move(async_q.front());
-          async_q.pop_front();
-        }
+        batch = current;
+        seen = batch->generation;
       }
-      if (batch != nullptr) {
-        run_tasks(*batch, lane);
-      } else if (task->try_claim()) {
-        // A helping waiter may have claimed it first; then it is already
-        // running (or done) and this pop just drops the queue reference.
-        task->run();
-      }
+      run_tasks(*batch, lane);
     }
   }
 
@@ -251,21 +177,6 @@ ThreadPool::~ThreadPool() {
   }
   impl_->wake_cv.notify_all();
   for (auto& w : impl_->workers) w.join();
-  // Run any still-queued submitted tasks to completion so their handles
-  // never block forever (workers are gone; nobody else will claim them).
-  // Pop-and-run rather than iterate: a drained task body may itself call
-  // submit(), which with `stopping` set runs inline, but popping keeps the
-  // drain correct even if the queue changes shape under it.
-  while (true) {
-    std::shared_ptr<TaskHandle::State> task;
-    {
-      std::lock_guard<std::mutex> lk(impl_->m);
-      if (impl_->async_q.empty()) break;
-      task = std::move(impl_->async_q.front());
-      impl_->async_q.pop_front();
-    }
-    if (task->try_claim()) task->run();
-  }
 }
 
 int ThreadPool::size() const {
@@ -274,32 +185,6 @@ int ThreadPool::size() const {
 
 std::uint64_t ThreadPool::steal_count() const {
   return impl_->steals.load(std::memory_order_relaxed);
-}
-
-TaskHandle ThreadPool::submit(std::function<void()> fn) {
-  TaskHandle handle;
-  handle.state_ = std::make_shared<TaskHandle::State>();
-  handle.state_->fn = std::move(fn);
-  bool inline_run = impl_->workers.empty();
-  if (!inline_run) {
-    std::lock_guard<std::mutex> lk(impl_->m);
-    if (impl_->stopping) {
-      // Shutting down (e.g. a continuation submitted from a task being
-      // drained by the destructor): nobody will claim queued work.
-      inline_run = true;
-    } else {
-      impl_->async_q.push_back(handle.state_);
-    }
-  }
-  if (inline_run) {
-    // No workers to hand the task to; run it before returning so the
-    // handle's contract (wait() returns after the task ran) holds without
-    // a queue nobody drains.
-    if (handle.state_->try_claim()) handle.state_->run();
-    return handle;
-  }
-  impl_->wake_cv.notify_one();
-  return handle;
 }
 
 void ThreadPool::parallel_apply(std::int64_t n,

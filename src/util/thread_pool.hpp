@@ -4,7 +4,7 @@
 //
 // One pool is created per instance; ThreadPool::global() holds a lazily
 // constructed process-wide pool sized to the hardware (rebuildable via
-// set_global_threads). Work is submitted as an indexed batch
+// set_global_threads). The one way to run work is an indexed batch
 // (parallel_apply): the calling thread participates, so a pool of size 1
 // degenerates to an inline loop with zero synchronization.
 //
@@ -26,35 +26,6 @@
 #include <memory>
 
 namespace spttn {
-
-/// Waitable handle for one task submitted with ThreadPool::submit().
-///
-/// wait() blocks until the task has run and rethrows its exception, if any.
-/// A waiter may "help": when the task has not been claimed by a worker yet,
-/// wait() claims and runs it inline on the waiting thread, so waiting can
-/// never deadlock — not even on a one-lane pool or from inside another pool
-/// task. Handles are cheap shared references; copies observe the same task.
-class TaskHandle {
- public:
-  TaskHandle() = default;
-
-  /// True when bound to a submitted task.
-  bool valid() const { return state_ != nullptr; }
-
-  /// Non-blocking: has the task finished (normally or with an exception)?
-  bool done() const;
-
-  /// Block until the task has run (claiming it inline when still
-  /// unclaimed), then rethrow the task's exception if it threw. Safe to
-  /// call multiple times and from multiple threads; each call that observes
-  /// a stored exception rethrows it.
-  void wait();
-
- private:
-  friend class ThreadPool;
-  struct State;
-  std::shared_ptr<State> state_;
-};
 
 class ThreadPool {
  public:
@@ -80,17 +51,6 @@ class ThreadPool {
   /// inside a task) run inline in the calling worker.
   void parallel_apply(std::int64_t n,
                       const std::function<void(std::int64_t)>& fn);
-
-  /// Enqueue one task for asynchronous execution on a pool worker and
-  /// return a waitable handle — the serving-layer entry point (see
-  /// serve/session.hpp): each submitted request is the unit of
-  /// parallelism, runs on one lane, and nested parallel_apply calls from
-  /// inside it run inline. Tasks start in submission order as workers free
-  /// up; parallel_apply batches take priority over queued tasks. On a pool
-  /// with no workers (size() == 1) the task runs inline before submit
-  /// returns. Tasks still queued when the pool is destroyed are run to
-  /// completion on the destroying thread, so handles never dangle.
-  TaskHandle submit(std::function<void()> fn);
 
   /// Successful steals performed by this pool's lanes since construction.
   /// Monotonic; observability hook for the steal-heavy stress tests and

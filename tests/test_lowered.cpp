@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "analysis/kernel_suite.hpp"
+#include "core/planner.hpp"
 #include "exec/executor.hpp"
 #include "exec/unfactorized.hpp"
-#include "serve/kernel_cache.hpp"
 #include "test_helpers.hpp"
 
 namespace spttn {
@@ -171,28 +171,6 @@ TEST(LoweredDifferential, GoldenTableHasOneRowPerCase) {
   for (const auto& [key, line] : read_golden_outputs()) keys.insert(key);
   EXPECT_EQ(keys, expected);
   EXPECT_EQ(expected.size(), 146u);
-}
-
-TEST(LoweredDifferential, EntryBytesAccountForTheCompiledPrograms) {
-  const auto& suite = paper_kernel_suite();
-  const auto inst = make_suite_instance(suite.front(), 13);
-  const PlannerOptions options;
-  const Plan plan =
-      make_plan(inst->bound.kernel, inst->bound.stats, options);
-  const FusedExecutor exec(inst->bound.kernel, plan);
-  EXPECT_GT(exec.program_bytes(), 0u);
-
-  const KernelSignature sig =
-      make_signature(inst->bound.kernel, inst->bound.stats, options);
-  const std::size_t with_exec =
-      estimate_entry_bytes(sig, inst->bound.kernel, plan, &exec);
-  const std::size_t heuristic =
-      estimate_entry_bytes(sig, inst->bound.kernel, plan);
-  // The exec-aware estimate swaps the per-action heuristic for the real
-  // program footprint; both must include it (strictly more than the
-  // structure-only parts, i.e. nonzero either way).
-  EXPECT_GT(with_exec, exec.program_bytes());
-  EXPECT_GT(heuristic, 0u);
 }
 
 }  // namespace

@@ -2,21 +2,20 @@
 // miss on changed extents / sparsity fingerprint / options), bit-identical
 // cached-vs-fresh execution (sequential and threaded), LRU eviction, the
 // stale-stats fingerprint guard, Session behavior (prepare memoization,
-// value rewrites, sparse outputs), and concurrent submit() — the latter is
+// value rewrites, sparse outputs), and concurrent run() — the latter is
 // part of the TSan CI job's test list.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/plan_io.hpp"
+#include "exec/reference.hpp"
 #include "serve/kernel_cache.hpp"
 #include "serve/session.hpp"
 #include "test_helpers.hpp"
@@ -56,6 +55,23 @@ TEST(KernelSignature, EqualityAndHashTrackInputs) {
   const KernelSignature c =
       make_signature(inst->bound.kernel, inst->bound.stats, other);
   EXPECT_NE(a, c);
+
+  // Same text, extents and tensor, but the other input is sparse: a
+  // different kernel, so a different signature.
+  Rng rng(11);
+  const CooTensor t = random_coo({6, 6}, 20, rng);
+  const DenseTensor d = random_dense({6, 6}, rng);
+  const std::string expr = "C(i,j) = A(i,k)*B(k,j)";
+  const BoundKernel a_sparse = spttn::bind(expr, t, {&d});
+  const BoundKernel b_sparse = spttn::bind(expr, t, {&d}, "B");
+  const KernelSignature sa =
+      make_signature(a_sparse.kernel, a_sparse.stats, options);
+  const KernelSignature sb =
+      make_signature(b_sparse.kernel, b_sparse.stats, options);
+  EXPECT_EQ(sa.expr, sb.expr);
+  EXPECT_EQ(sa.extents, sb.extents);
+  EXPECT_NE(sa, sb);
+  EXPECT_NE(sa.hash(), sb.hash());
 }
 
 TEST(KernelCache, HitAfterIdenticalBind) {
@@ -317,82 +333,39 @@ TEST(Session, ValueRewritesReusePlans) {
   EXPECT_EQ(cache.counters().misses, 1u);
 }
 
-TEST(Session, SubmitReturnsWaitableHandles) {
-  ScopedLanes lanes(4);
-  Rng rng(35);
-  const CooTensor t = random_coo({14, 12, 10}, 120, rng);
-  const DenseTensor u0 = random_dense({14, 6}, rng);
-  const DenseTensor u1 = random_dense({12, 6}, rng);
-  const DenseTensor u2 = random_dense({10, 6}, rng);
+TEST(Session, PrepareKeysOnSparseOperand) {
+  // One square tensor bound as A (T*D) and as B (D*T): the same expression
+  // text and extents, two different kernels. Each id must compute its own
+  // product, checked against the reference executor.
+  Rng rng(34);
+  const CooTensor t = random_coo({6, 6}, 20, rng);
+  const DenseTensor d = random_dense({6, 6}, rng);
+  const std::string expr = "C(i,j) = A(i,k)*B(k,j)";
 
   KernelCache cache;
   Session session(t, {}, &cache);
-  const std::vector<std::string> exprs = {
-      "M0(i,r) = T(i,j,k)*U1(j,r)*U2(k,r)",
-      "M1(j,r) = T(i,j,k)*U0(i,r)*U2(k,r)",
-      "M2(k,r) = T(i,j,k)*U0(i,r)*U1(j,r)"};
-  const std::vector<std::vector<const DenseTensor*>> slots = {
-      {&u1, &u2}, {&u0, &u2}, {&u0, &u1}};
-  std::vector<int> ids;
-  std::vector<DenseTensor> expected, got;
-  for (std::size_t m = 0; m < exprs.size(); ++m) {
-    ids.push_back(session.prepare(exprs[m], slots[m]));
-    expected.push_back(session.make_output(ids.back()));
-    session.run(ids.back(), &expected.back());
-    got.push_back(session.make_output(ids.back()));
-  }
+  const int a_sparse = session.prepare(expr, {&d});
+  const int b_sparse = session.prepare(expr, {&d}, "B");
+  EXPECT_NE(a_sparse, b_sparse);
+  EXPECT_EQ(cache.counters().misses, 2u);
 
-  std::vector<TaskHandle> handles;
-  for (std::size_t m = 0; m < exprs.size(); ++m) {
-    handles.push_back(session.submit(ids[m], &got[m]));
-  }
-  for (auto& h : handles) h.wait();
-  for (std::size_t m = 0; m < exprs.size(); ++m) {
-    for (std::int64_t i = 0; i < expected[m].size(); ++i) {
-      ASSERT_EQ(std::memcmp(&expected[m].data()[i], &got[m].data()[i],
-                            sizeof(double)), 0)
-          << "kernel " << m << " elem " << i;
-    }
-  }
-  EXPECT_THROW(session.submit(99, &got[0]), Error);
-}
-
-TEST(Session, SubmittedWorkSurvivesSessionDestruction) {
-  // A queued request captures the session's shared bound state, so the
-  // Session object may die (and its handle still complete correctly) with
-  // submissions in flight.
-  ScopedLanes lanes(2);
-  Rng rng(36);
-  const CooTensor t = random_coo({10, 9, 8}, 70, rng);
-  const DenseTensor u1 = random_dense({9, 4}, rng);
-  const DenseTensor u2 = random_dense({8, 4}, rng);
-
-  KernelCache cache;
-  DenseTensor expected;
-  std::vector<DenseTensor> outs;
-  std::vector<TaskHandle> handles;
-  {
-    Session session(t, {}, &cache);
-    const int id = session.prepare("M(i,r) = T(i,j,k)*U1(j,r)*U2(k,r)",
-                                   {&u1, &u2});
-    expected = session.make_output(id);
-    session.run(id, &expected);
-    for (int q = 0; q < 16; ++q) outs.push_back(session.make_output(id));
-    for (int q = 0; q < 16; ++q) {
-      handles.push_back(session.submit(id, &outs[static_cast<std::size_t>(q)]));
-    }
-  }  // session destroyed; queued tasks keep the bound state alive
-  for (auto& h : handles) h.wait();
-  for (const DenseTensor& got : outs) {
-    for (std::int64_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&expected.data()[i], &got.data()[i],
-                            sizeof(double)), 0);
+  const std::vector<const DenseTensor*> a_slots = {nullptr, &d};
+  const std::vector<const DenseTensor*> b_slots = {&d, nullptr};
+  for (const auto& [id, slots] :
+       {std::pair{a_sparse, a_slots}, std::pair{b_sparse, b_slots}}) {
+    DenseTensor got = session.make_output(id);
+    session.run(id, &got);
+    DenseTensor want = session.make_output(id);
+    reference_execute(session.kernel(id), t, slots, &want, {});
+    for (std::int64_t i = 0; i < want.size(); ++i) {
+      ASSERT_NEAR(got.data()[i], want.data()[i], 1e-12)
+          << "kernel " << id << " elem " << i;
     }
   }
 }
 
-TEST(Session, ConcurrentSubmitFromManyThreads) {
-  // The TSan target: several client threads submit against one session
+TEST(Session, ConcurrentRunFromManyThreads) {
+  // The TSan target: several client threads run() against one session
   // (shared cached executor, shared CSF) and verify their private outputs.
   ScopedLanes lanes(4);
   Rng rng(37);
@@ -406,6 +379,7 @@ TEST(Session, ConcurrentSubmitFromManyThreads) {
                                  {&u1, &u2});
   DenseTensor expected = session.make_output(id);
   session.run(id, &expected);
+  EXPECT_THROW(session.run(99, &expected), Error);
 
   constexpr int kClients = 4;
   constexpr int kRequests = 8;
@@ -415,8 +389,7 @@ TEST(Session, ConcurrentSubmitFromManyThreads) {
     clients.emplace_back([&] {
       for (int q = 0; q < kRequests; ++q) {
         DenseTensor out = session.make_output(id);
-        TaskHandle h = session.submit(id, &out);
-        h.wait();
+        session.run(id, &out);
         for (std::int64_t i = 0; i < expected.size(); ++i) {
           if (std::memcmp(&expected.data()[i], &out.data()[i],
                           sizeof(double)) != 0) {
@@ -455,46 +428,6 @@ TEST(KernelCache, ConcurrentGetOrPlanRaces) {
     EXPECT_EQ(entries[0]->plan.order,
               entries[static_cast<std::size_t>(i)]->plan.order);
   }
-}
-
-TEST(Session, ValuesRefusedWhileSubmissionsInFlight) {
-  // Mutation hazard: a mutable values() view handed out while a submitted
-  // execution is queued or running would race the executor's reads, so the
-  // session must fail fast instead. Deterministic setup: block every pool
-  // lane with gate tasks so the submitted request cannot start, assert the
-  // refusal, then drain and assert values() works again. This test is part
-  // of the TSan CI job's list.
-  ScopedLanes lanes(2);
-  Rng rng(51);
-  const CooTensor t = random_coo({10, 9, 8}, 80, rng);
-  const DenseTensor u = random_dense({9, 4}, rng);
-  const DenseTensor v = random_dense({8, 4}, rng);
-
-  KernelCache cache;
-  Session session(t, {}, &cache);
-  const int id = session.prepare("M(i,r) = T(i,j,k)*U(j,r)*V(k,r)", {&u, &v});
-  DenseTensor out = session.make_output(id);
-
-  // The pool presents `lanes` lanes but the caller counts as one, so a
-  // 2-lane pool has exactly one worker — one gate task pins it.
-  std::latch entered(1);
-  std::latch release(1);
-  std::vector<TaskHandle> gates;
-  gates.push_back(ThreadPool::global().submit([&] {
-    entered.count_down();
-    release.wait();
-  }));
-  entered.wait();  // the only worker is now blocked
-
-  TaskHandle h = session.submit(id, &out);
-  EXPECT_EQ(session.in_flight(), 1u);
-  EXPECT_THROW((void)session.values(), Error);
-
-  release.count_down();
-  h.wait();
-  for (auto& g : gates) g.wait();
-  EXPECT_EQ(session.in_flight(), 0u);
-  EXPECT_EQ(session.values().size(), static_cast<std::size_t>(t.nnz()));
 }
 
 // ---------------------------------------------------------------------------
@@ -681,37 +614,28 @@ TEST(KernelCache, SingleFlightCoalescesConcurrentMisses) {
 }
 
 TEST(KernelCache, ZeroCapacityIsPassThrough) {
-  // Capacity 0 (and byte budget 0) = pass-through: plan, verify, serve —
-  // never insert, never churn.
+  // Capacity 0 = pass-through: plan, verify, serve — never insert, never
+  // churn.
   auto inst = make_instance(kernel_case("mttkrp3"), 44);
-  for (const bool via_bytes : {false, true}) {
-    KernelCache::Config cfg;
-    if (via_bytes) {
-      cfg.max_bytes = 0;
-    } else {
-      cfg.capacity = 0;
-    }
-    KernelCache cache(cfg);
-    const auto e1 = cache.get_or_plan(inst->bound);
-    const auto e2 = cache.get_or_plan(inst->bound);
-    ASSERT_NE(e1, nullptr);
-    ASSERT_NE(e2, nullptr);
-    const auto c = cache.counters();
-    EXPECT_EQ(c.entries, 0u);
-    EXPECT_EQ(c.inserts, 0u);
-    EXPECT_EQ(c.evictions, 0u);
-    EXPECT_EQ(c.bytes_resident, 0u);
-    EXPECT_EQ(c.misses, 2u);
-    EXPECT_EQ(c.planned, 2u);
+  KernelCache cache(0);
+  const auto e1 = cache.get_or_plan(inst->bound);
+  const auto e2 = cache.get_or_plan(inst->bound);
+  ASSERT_NE(e1, nullptr);
+  ASSERT_NE(e2, nullptr);
+  const auto c = cache.counters();
+  EXPECT_EQ(c.entries, 0u);
+  EXPECT_EQ(c.inserts, 0u);
+  EXPECT_EQ(c.evictions, 0u);
+  EXPECT_EQ(c.misses, 2u);
+  EXPECT_EQ(c.planned, 2u);
 
-    // Pass-through entries still execute correctly.
-    DenseTensor out = make_output(inst->bound);
-    ExecArgs args;
-    args.sparse = &inst->bound.csf;
-    args.dense = inst->bound.dense;
-    args.out_dense = &out;
-    e1->exec->execute(args);
-  }
+  // Pass-through entries still execute correctly.
+  DenseTensor out = make_output(inst->bound);
+  ExecArgs args;
+  args.sparse = &inst->bound.csf;
+  args.dense = inst->bound.dense;
+  args.out_dense = &out;
+  e1->exec->execute(args);
 }
 
 TEST(KernelCache, CapacityOneKeepsLatest) {
@@ -728,67 +652,6 @@ TEST(KernelCache, CapacityOneKeepsLatest) {
   EXPECT_TRUE(was_cached);
   (void)cache.get_or_plan(a->bound, {}, &was_cached);  // evicted earlier
   EXPECT_FALSE(was_cached);
-}
-
-TEST(KernelCache, ByteBudgetEvictsLeastRecentlyUsed) {
-  auto a = make_instance(kernel_case("mttkrp3"), 46);
-  auto b = make_instance(kernel_case("ttmc3"), 46);
-  // Learn the two entry sizes from an unbounded cache.
-  std::size_t bytes_a = 0, bytes_b = 0;
-  {
-    KernelCache probe;
-    bytes_a = probe.get_or_plan(a->bound)->bytes;
-    bytes_b = probe.get_or_plan(b->bound)->bytes;
-    EXPECT_EQ(probe.counters().bytes_resident, bytes_a + bytes_b);
-  }
-  ASSERT_GT(bytes_a, 0u);
-  ASSERT_GT(bytes_b, 0u);
-
-  // Budget that admits either alone but not both together: inserting B
-  // must evict A (the LRU victim), never hand out a dead entry.
-  KernelCache::Config cfg;
-  cfg.max_bytes = bytes_a + bytes_b - 1;
-  KernelCache cache(cfg);
-  const auto ea = cache.get_or_plan(a->bound);
-  const auto eb = cache.get_or_plan(b->bound);
-  const auto c = cache.counters();
-  EXPECT_EQ(c.entries, 1u);
-  EXPECT_EQ(c.evictions, 1u);
-  EXPECT_EQ(c.bytes_resident, bytes_b);
-  EXPECT_LE(c.bytes_resident, cfg.max_bytes);
-  // The evicted entry's shared_ptr stays valid for in-flight callers.
-  EXPECT_EQ(ea->kernel.to_string(), a->bound.kernel.to_string());
-  EXPECT_EQ(eb->kernel.to_string(), b->bound.kernel.to_string());
-}
-
-TEST(KernelCache, OversizedEntryServedButNeverAdmitted) {
-  // A single entry larger than the whole byte budget is planned, verified
-  // and served — but not inserted (no insert-then-evict churn).
-  auto inst = make_instance(kernel_case("mttkrp3"), 47);
-  KernelCache::Config cfg;
-  cfg.max_bytes = 1;  // nonzero: not pass-through, but nothing fits
-  KernelCache cache(cfg);
-  const auto e = cache.get_or_plan(inst->bound);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(cache.counters().entries, 0u);
-  EXPECT_EQ(cache.counters().inserts, 0u);
-  EXPECT_EQ(cache.counters().evictions, 0u);
-}
-
-TEST(KernelCache, TtlExpiresEntries) {
-  auto inst = make_instance(kernel_case("mttkrp3"), 48);
-  KernelCache::Config cfg;
-  cfg.ttl = std::chrono::milliseconds(1);
-  KernelCache cache(cfg);
-  (void)cache.get_or_plan(inst->bound);
-  EXPECT_EQ(cache.counters().entries, 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  bool was_cached = true;
-  (void)cache.get_or_plan(inst->bound, {}, &was_cached);
-  EXPECT_FALSE(was_cached);  // expired, replanned
-  const auto c = cache.counters();
-  EXPECT_GE(c.expired, 1u);
-  EXPECT_EQ(c.planned, 2u);
 }
 
 }  // namespace

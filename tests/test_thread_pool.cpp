@@ -130,105 +130,5 @@ TEST(ThreadPool, SetGlobalThreadsRebuildsThePool) {
   EXPECT_EQ(ThreadPool::global().size(), ThreadPool::default_threads());
 }
 
-TEST(TaskHandle, SubmitRunsTasksAndWaitBlocks) {
-  ThreadPool pool(4);
-  constexpr int kTasks = 64;
-  std::vector<std::atomic<int>> ran(kTasks);
-  std::vector<TaskHandle> handles;
-  for (int t = 0; t < kTasks; ++t) {
-    handles.push_back(pool.submit([&ran, t] {
-      ran[static_cast<std::size_t>(t)].fetch_add(1);
-    }));
-  }
-  for (auto& h : handles) {
-    EXPECT_TRUE(h.valid());
-    h.wait();
-  }
-  for (int t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(ran[static_cast<std::size_t>(t)].load(), 1) << "task " << t;
-  }
-}
-
-TEST(TaskHandle, WaitHelpsOnSingleLanePool) {
-  // No workers exist: submit must still complete (inline) and wait() must
-  // not block forever.
-  ThreadPool pool(1);
-  bool ran = false;
-  TaskHandle h = pool.submit([&] { ran = true; });
-  h.wait();
-  EXPECT_TRUE(ran);
-  EXPECT_TRUE(h.done());
-}
-
-TEST(TaskHandle, WaitRethrowsTaskException) {
-  ThreadPool pool(2);
-  TaskHandle h = pool.submit([] { throw std::runtime_error("task boom"); });
-  try {
-    h.wait();
-    FAIL() << "expected the task's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task boom");
-  }
-  EXPECT_TRUE(h.done());  // done even though it threw
-}
-
-TEST(TaskHandle, DefaultHandleIsInert) {
-  TaskHandle h;
-  EXPECT_FALSE(h.valid());
-  EXPECT_FALSE(h.done());
-  h.wait();  // no-op, must not crash
-}
-
-TEST(TaskHandle, QueuedTasksSurvivePoolDestruction) {
-  // Submit more tasks than workers can start and destroy the pool: the
-  // destructor drains the queue, so every handle completes.
-  std::vector<TaskHandle> handles;
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int t = 0; t < 32; ++t) {
-      handles.push_back(pool.submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ran.fetch_add(1);
-      }));
-    }
-  }
-  for (auto& h : handles) h.wait();
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(TaskHandle, SubmittedTaskNestedApplyRunsInline) {
-  // A submitted task is the unit of parallelism: parallel_apply from
-  // inside it runs inline rather than re-entering the pool.
-  ThreadPool pool(4);
-  std::atomic<std::int64_t> sum{0};
-  TaskHandle h = pool.submit([&] {
-    std::int64_t local = 0;
-    pool.parallel_apply(100, [&](std::int64_t i) { local += i; });  // inline
-    sum.store(local);
-  });
-  h.wait();
-  EXPECT_EQ(sum.load(), 99 * 100 / 2);
-}
-
-TEST(TaskHandle, BatchesAndTasksInterleave) {
-  // parallel_apply keeps working while submitted tasks queue and drain.
-  ThreadPool pool(4);
-  std::atomic<int> task_ran{0};
-  std::vector<TaskHandle> handles;
-  for (int t = 0; t < 16; ++t) {
-    handles.push_back(pool.submit([&] { task_ran.fetch_add(1); }));
-  }
-  std::vector<std::atomic<int>> hits(256);
-  pool.parallel_apply(256, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (auto& h : handles) h.wait();
-  EXPECT_EQ(task_ran.load(), 16);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "batch index " << i;
-  }
-}
-
 }  // namespace
 }  // namespace spttn

@@ -3,14 +3,17 @@
 //
 //   spttn_cache --dir=plans --prewarm   # plan the paper suite, save it
 //   spttn_cache --dir=plans             # list the artifacts in the dir
-//   spttn_cache --dir=plans --check     # also re-verify every artifact
+//   spttn_cache --dir=plans --check     # also admit them via load_dir
 //
 // Prewarm plans every paper-suite kernel (deterministic tensors from
 // --seed, the same generator the tests and benches use) through a
 // KernelCache and persists the resident set, so a serving process pointed
 // at the directory starts with zero planner searches. Inspect prints one
-// line per artifact: kernel, extents, sparsity fingerprint, cost, and the
-// estimated resident bytes the byte budget would charge for it.
+// line per artifact: kernel, extents, sparsity fingerprint and cost.
+// --check then loads the directory into a fresh KernelCache with
+// KernelCache::load_dir — the same admission gate a serving process runs
+// (plan verifier, executor cross-check, fingerprint consistency) — and
+// prints its report.
 //
 // Exit code: 0 when every artifact processed cleanly, 1 otherwise.
 #include <algorithm>
@@ -23,7 +26,6 @@
 #include <vector>
 
 #include "analysis/kernel_suite.hpp"
-#include "analysis/plan_verifier.hpp"
 #include "core/plan_io.hpp"
 #include "serve/kernel_cache.hpp"
 #include "util/cli.hpp"
@@ -45,9 +47,8 @@ int prewarm(const std::string& dir, const std::string& filter,
     const auto inst = spttn::make_suite_instance(sk, seed);
     const auto entry = cache.get_or_plan(inst->bound);
     ++planned;
-    std::printf("planned  %-12s cost=%.3g flops=%.3g bytes=%zu\n",
-                sk.name.c_str(), entry->plan.cost.primary, entry->plan.flops,
-                entry->bytes);
+    std::printf("planned  %-12s cost=%.3g flops=%.3g\n", sk.name.c_str(),
+                entry->plan.cost.primary, entry->plan.flops);
   }
   const auto report = cache.save_dir(dir);
   std::printf("saved %d artifact(s) to %s (%d rejected)\n", report.processed,
@@ -74,7 +75,6 @@ int inspect(const std::string& dir, bool check) {
   }
   std::sort(files.begin(), files.end());
   int bad = 0;
-  std::size_t total_bytes = 0;
   for (const fs::path& path : files) {
     try {
       std::ifstream is(path, std::ios::binary);
@@ -83,45 +83,30 @@ int inspect(const std::string& dir, bool check) {
       buf << is.rdbuf();
       const spttn::LoadedPlan loaded = spttn::deserialize_plan(buf.str());
 
-      spttn::KernelSignature sig;
-      sig.expr = loaded.kernel.to_string();
       std::string extents;
       for (int id = 0; id < loaded.kernel.num_indices(); ++id) {
-        const std::int64_t d = loaded.kernel.index_dim(id);
-        sig.extents.push_back(d);
         if (!extents.empty()) extents += "x";
-        extents += std::to_string(d);
-      }
-      const std::size_t bytes =
-          spttn::estimate_entry_bytes(sig, loaded.kernel, loaded.plan);
-      total_bytes += bytes;
-
-      std::string status = "ok";
-      if (check) {
-        const auto report =
-            spttn::verify_external_plan(loaded.kernel, loaded.plan);
-        if (!report.ok()) {
-          status = "VERIFY-FAIL";
-          ++bad;
-          std::fprintf(stderr, "%s:\n%s\n", path.filename().string().c_str(),
-                       report.to_string().c_str());
-        }
+        extents += std::to_string(loaded.kernel.index_dim(id));
       }
       std::printf(
-          "%-28s %-11s %s  extents=%s fingerprint=%016llx cost=%.3g "
-          "bytes=%zu\n",
-          path.filename().string().c_str(), status.c_str(), sig.expr.c_str(),
-          extents.c_str(),
+          "%-28s ok          %s  extents=%s fingerprint=%016llx cost=%.3g\n",
+          path.filename().string().c_str(),
+          loaded.kernel.to_string().c_str(), extents.c_str(),
           static_cast<unsigned long long>(loaded.plan.sparsity_fingerprint),
-          loaded.plan.cost.primary, bytes);
+          loaded.plan.cost.primary);
     } catch (const std::exception& ex) {
       ++bad;
       std::printf("%-28s REJECTED    %s\n",
                   path.filename().string().c_str(), ex.what());
     }
   }
-  std::printf("%zu artifact(s), %zu estimated resident byte(s), %d bad\n",
-              files.size(), total_bytes, bad);
+  std::printf("%zu artifact(s), %d bad\n", files.size(), bad);
+  if (check) {
+    KernelCache cache;
+    const KernelCache::DirReport report = cache.load_dir(dir);
+    std::printf("load_dir: %s\n", report.to_string().c_str());
+    if (!report.errors.empty()) ++bad;
+  }
   return bad == 0 ? 0 : 1;
 }
 
@@ -134,7 +119,8 @@ int main(int argc, char** argv) {
   const bool* do_prewarm = cli.add_bool(
       "prewarm", false, "plan the paper suite and save it to --dir");
   const bool* do_check = cli.add_bool(
-      "check", false, "re-run the plan verifier on every inspected artifact");
+      "check", false,
+      "admit every artifact through KernelCache::load_dir on a fresh cache");
   const std::string* filter = cli.add_string(
       "kernel", "", "prewarm only suite kernels whose name contains this");
   const std::int64_t* seed =
