@@ -3,13 +3,11 @@
 // sparsity, R=32; 64 MPI ranks per node).
 //
 // Local kernels execute for real per rank (max measured), and each row
-// reports the run with the median total over --reps. Collectives flow
-// through a pluggable CommBackend selected with --backend: "modeled"
-// charges the alpha-beta model (see src/dist/comm_model.hpp and
-// EXPERIMENTS.md for constants — the paper's simulation-first methodology),
-// "shmem" moves real bytes on the process-wide pool and reports *measured*
-// collective seconds, turning Figure 8 from simulated into measured.
-#include "dist/comm_backend.hpp"
+// reports the run with the median total over --reps. Collectives move real
+// bytes through ShmemComm on the process-wide pool; each row reports their
+// measured seconds beside the alpha-beta model's price of the same
+// collectives (see src/dist/comm.hpp and EXPERIMENTS.md for the constants —
+// the paper's simulation-first methodology), both from the one run.
 #include "dist/dist_spttn.hpp"
 
 #include <algorithm>
@@ -111,18 +109,17 @@ void skew_scaling_table(const std::string& title,
                        *p, threads, reps);
 }
 
-/// Machine-readable rows for one scaling table (--json output). The old
-/// schema's fields (comm_s, total_s, ...) are kept verbatim so
-/// tools/bench_diff can compare across the backend-era schema change.
+/// Machine-readable rows for one scaling table (--json output). comm_s and
+/// total_s are measured; model_comm_s and model_total_s price the same
+/// collectives with the alpha-beta model.
 struct ScalingJson {
   std::string figure;
   std::string kernel;
-  std::string backend;
-  bool modeled = true;
   struct Row {
     int ranks = 0;
     double max_local_s = 0, comm_s = 0, total_s = 0, speedup = 0,
            imbalance = 0;
+    double model_comm_s = 0, model_total_s = 0;
     double allgather_s = 0, allreduce_s = 0;
     std::int64_t allgather_bytes = 0, allreduce_bytes = 0;
     int allgather_count = 0, allreduce_count = 0;
@@ -131,23 +128,22 @@ struct ScalingJson {
 };
 
 void scaling_table(const std::string& title, const Problem& p,
-                   const std::vector<int>& ranks, const std::string& backend,
-                   int local_threads, bool concurrent_ranks, int reps,
-                   ScalingJson* json = nullptr) {
-  Table table(title + ", backend=" + backend);
+                   const std::vector<int>& ranks, int local_threads,
+                   bool concurrent_ranks, int reps, ScalingJson* json) {
+  Table table(title);
   table.set_header({"ranks", "max-local[s]", "allgather[s]",
                     "allreduce[s]", "comm[s]", "total[s]", "speedup",
-                    "efficiency", "imbalance"});
+                    "efficiency", "imbalance", "model-comm[s]",
+                    "model-total[s]"});
   double t1 = 0;
-  bool modeled = true;
   for (int r : ranks) {
     DistSpttn dist(p.bound, r);
-    const auto comm = make_comm_backend(backend, r);
+    ShmemComm comm(r);
     // The run with the median total keeps every column from one run.
     std::vector<DistResult> runs;
     for (int i = 0; i < std::max(reps, 1); ++i) {
       runs.push_back(
-          dist.run(*comm, {}, nullptr, {}, local_threads, concurrent_ranks));
+          dist.run(comm, {}, nullptr, {}, local_threads, concurrent_ranks));
     }
     const auto mid =
         runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2);
@@ -156,7 +152,6 @@ void scaling_table(const std::string& title, const Problem& p,
                        return a.time() < b.time();
                      });
     const DistResult& res = *mid;
-    modeled = res.modeled;
     const CommBreakdown ag = res.breakdown(CollectiveKind::kAllgather);
     const CommBreakdown ar = res.breakdown(CollectiveKind::kAllreduce);
     if (r == ranks.front()) t1 = res.time();
@@ -168,21 +163,19 @@ void scaling_table(const std::string& title, const Problem& p,
                    strfmt("%.0f%%", 100.0 * t1 / res.time() /
                                         static_cast<double>(r) *
                                         static_cast<double>(ranks.front())),
-                   strfmt("%.2f", res.imbalance)});
-    if (json != nullptr) {
-      json->backend = res.backend;
-      json->modeled = res.modeled;
-      json->rows.push_back({r, res.max_local_seconds,
-                            res.comm_seconds, res.time(), t1 / res.time(),
-                            res.imbalance, ag.seconds, ar.seconds, ag.bytes,
-                            ar.bytes, ag.count, ar.count});
-    }
+                   strfmt("%.2f", res.imbalance),
+                   strfmt("%.5f", res.comm_model_seconds),
+                   strfmt("%.4f", res.model_time())});
+    json->rows.push_back({r, res.max_local_seconds, res.comm_seconds,
+                          res.time(), t1 / res.time(), res.imbalance,
+                          res.comm_model_seconds, res.model_time(),
+                          ag.seconds, ar.seconds, ag.bytes, ar.bytes,
+                          ag.count, ar.count});
   }
-  table.add_note(modeled
-                     ? "collectives charged to the alpha-beta model "
-                       "(simulated; the paper's methodology)"
-                     : "collectives measured around real buffer movement "
-                       "(per-rank factor replicas, tiled partial reduce)");
+  table.add_note("comm[s]: measured around real buffer movement (per-rank "
+                 "factor replicas, tiled partial reduce); model-*: the same "
+                 "collectives priced by the alpha-beta model (simulated; "
+                 "the paper's methodology)");
   table.add_note("paper Fig. 8: near-linear scaling for all three kernels");
   table.print(std::cout);
 }
@@ -194,9 +187,7 @@ void write_fig8_json(const std::string& path,
      << "  \"figures\": [\n";
   for (std::size_t f = 0; f < figs.size(); ++f) {
     os << "    {\"figure\": \"" << figs[f].figure << "\", \"kernel\": \""
-       << figs[f].kernel << "\", \"backend\": \"" << figs[f].backend
-       << "\", \"modeled\": " << (figs[f].modeled ? "true" : "false")
-       << ", \"rows\": [\n";
+       << figs[f].kernel << "\", \"rows\": [\n";
     for (std::size_t i = 0; i < figs[f].rows.size(); ++i) {
       const auto& r = figs[f].rows[i];
       os << "      {\"ranks\": " << r.ranks
@@ -205,6 +196,8 @@ void write_fig8_json(const std::string& path,
          << strfmt("%.6f", r.total_s) << ", \"speedup\": "
          << strfmt("%.3f", r.speedup) << ", \"imbalance\": "
          << strfmt("%.3f", r.imbalance)
+         << ", \"model_comm_s\": " << strfmt("%.6f", r.model_comm_s)
+         << ", \"model_total_s\": " << strfmt("%.6f", r.model_total_s)
          << ",\n       \"allgather_s\": " << strfmt("%.6f", r.allgather_s)
          << ", \"allgather_bytes\": " << r.allgather_bytes
          << ", \"allgather_count\": " << r.allgather_count
@@ -240,11 +233,6 @@ int main(int argc, char** argv) {
       "cores, so leave off for timing-faithful rows)");
   const auto* skew = cli.add_bool(
       "skew", true, "also run the skewed-root MTTKRP scaling table");
-  const std::string* backend_list = cli.add_string(
-      "backend", "modeled,shmem",
-      "comma-separated comm backends for the scaling tables: 'modeled' "
-      "(alpha-beta charged, simulated) and/or 'shmem' (real buffer "
-      "movement, measured collective seconds)");
   const auto* reps = cli.add_int("reps", 3, "timing repetitions per row");
   const auto* seed = cli.add_int("seed", 7, "generator seed");
   const std::string* json =
@@ -252,9 +240,6 @@ int main(int argc, char** argv) {
                      "output path for machine-readable rows ('' = skip)");
   cli.parse(argc, argv);
   std::vector<ScalingJson> json_figs;
-
-  const std::vector<std::string> backends = split(*backend_list, ',');
-  for (const std::string& b : backends) make_comm_backend(b, 1);  // validate
 
   std::vector<int> ranks;
   for (int r = 1; r <= *max_ranks; r *= 2) ranks.push_back(r);
@@ -273,30 +258,26 @@ int main(int argc, char** argv) {
     CooTensor t = random_coo({*n3, *n3, *n3}, nnz3, rng);
     auto p = make_problem(ttmc3_expr(), std::move(t),
                           {{"r", *rank}, {"s", *rank}}, rng);
-    for (const std::string& b : backends) {
-      scaling_table(strfmt("Figure 8(a) — TTMc strong scaling, order-3 "
-                           "N=%lld nnz=%lld R=%lld",
-                           static_cast<long long>(*n3),
-                           static_cast<long long>(p->sparse.nnz()),
-                           static_cast<long long>(*rank)),
-                    *p, ranks, b, *local_threads, *concurrent_ranks,
-                    static_cast<int>(*reps),
-                    &json_figs.emplace_back(ScalingJson{"8a", "ttmc3", b, true, {}}));
-    }
+    scaling_table(strfmt("Figure 8(a) — TTMc strong scaling, order-3 "
+                         "N=%lld nnz=%lld R=%lld",
+                         static_cast<long long>(*n3),
+                         static_cast<long long>(p->sparse.nnz()),
+                         static_cast<long long>(*rank)),
+                  *p, ranks, *local_threads, *concurrent_ranks,
+                  static_cast<int>(*reps),
+                  &json_figs.emplace_back(ScalingJson{"8a", "ttmc3", {}}));
   }
   {
     CooTensor t = random_coo({*n4, *n4, *n4, *n4}, nnz4, rng);
     auto p = make_problem(mttkrp4_expr(), std::move(t), {{"r", *rank}}, rng);
-    for (const std::string& b : backends) {
-      scaling_table(strfmt("Figure 8(b) — MTTKRP strong scaling, order-4 "
-                           "N=%lld nnz=%lld R=%lld",
-                           static_cast<long long>(*n4),
-                           static_cast<long long>(p->sparse.nnz()),
-                           static_cast<long long>(*rank)),
-                    *p, ranks, b, *local_threads, *concurrent_ranks,
-                    static_cast<int>(*reps),
-                    &json_figs.emplace_back(ScalingJson{"8b", "mttkrp4", b, true, {}}));
-    }
+    scaling_table(strfmt("Figure 8(b) — MTTKRP strong scaling, order-4 "
+                         "N=%lld nnz=%lld R=%lld",
+                         static_cast<long long>(*n4),
+                         static_cast<long long>(p->sparse.nnz()),
+                         static_cast<long long>(*rank)),
+                  *p, ranks, *local_threads, *concurrent_ranks,
+                  static_cast<int>(*reps),
+                  &json_figs.emplace_back(ScalingJson{"8b", "mttkrp4", {}}));
     if (!threads.empty() && threads.back() > 1) {
       thread_scaling_table(
           strfmt("Figure 8(b') — MTTKRP shared-memory thread scaling, "
@@ -310,16 +291,14 @@ int main(int argc, char** argv) {
   {
     CooTensor t = random_coo({*n3, *n3, *n3}, nnz3, rng);
     auto p = make_problem(tttp3_expr(), std::move(t), {{"r", *rank}}, rng);
-    for (const std::string& b : backends) {
-      scaling_table(strfmt("Figure 8(c) — TTTP strong scaling, order-3 "
-                           "N=%lld nnz=%lld R=%lld",
-                           static_cast<long long>(*n3),
-                           static_cast<long long>(p->sparse.nnz()),
-                           static_cast<long long>(*rank)),
-                    *p, ranks, b, *local_threads, *concurrent_ranks,
-                    static_cast<int>(*reps),
-                    &json_figs.emplace_back(ScalingJson{"8c", "tttp3", b, true, {}}));
-    }
+    scaling_table(strfmt("Figure 8(c) — TTTP strong scaling, order-3 "
+                         "N=%lld nnz=%lld R=%lld",
+                         static_cast<long long>(*n3),
+                         static_cast<long long>(p->sparse.nnz()),
+                         static_cast<long long>(*rank)),
+                  *p, ranks, *local_threads, *concurrent_ranks,
+                  static_cast<int>(*reps),
+                  &json_figs.emplace_back(ScalingJson{"8c", "tttp3", {}}));
     if (!threads.empty() && threads.back() > 1) {
       thread_scaling_table(
           strfmt("Figure 8(c') — TTTP shared-memory thread scaling, "

@@ -72,16 +72,17 @@ int main(int argc, char** argv) {
 
   // Strong-scaling table for the sparser instance.
   Table scaling("Section 7 — TTTc strong scaling (simulated ranks)");
-  scaling.set_header({"ranks", "max-local[s]", "comm[s]", "total[s]",
-                      "speedup"});
+  scaling.set_header({"ranks", "max-local[s]", "comm[s]", "model-comm[s]",
+                      "total[s]", "speedup"});
   double t1 = 0;
   for (int r = 1; r <= *max_ranks; r *= 2) {
     DistSpttn dist(scaling_problem->bound, r);
-    ModeledComm comm(r);
+    ShmemComm comm(r);
     const DistResult res = dist.run(comm, {}, nullptr, {});
     if (r == 1) t1 = res.time();
     scaling.add_row({std::to_string(r), strfmt("%.4f", res.max_local_seconds),
                      strfmt("%.5f", res.comm_seconds),
+                     strfmt("%.5f", res.comm_model_seconds),
                      strfmt("%.4f", res.time()),
                      strfmt("%.2fx", t1 / res.time())});
   }

@@ -1,14 +1,12 @@
 // Distributed-memory SpTTN execution: each rank owns a contiguous,
 // nnz-balanced range of whole fibers and runs its local kernel, with
-// collectives through a pluggable backend (paper Section 5.2) — modeled
-// alpha-beta charges by default, measured shared-memory movement with
-// --backend shmem.
+// collectives through the shared-memory transport (paper Section 5.2). Each
+// row reports the measured collective seconds beside the alpha-beta
+// model's price of the same collectives.
 //
 //   build/examples/distributed_scaling [--ranks 16] [--kernel mttkrp|ttmc]
-//                                      [--backend modeled|shmem]
 #include <iostream>
 
-#include "dist/comm_backend.hpp"
 #include "dist/dist_spttn.hpp"
 #include "exec/spttn.hpp"
 #include "tensor/generate.hpp"
@@ -25,9 +23,6 @@ int main(int argc, char** argv) {
   const auto* kernel_name =
       cli.add_string("kernel", "mttkrp", "mttkrp or ttmc");
   const auto* seed = cli.add_int("seed", 4, "random seed");
-  const auto* backend =
-      cli.add_string("backend", "modeled",
-                     "comm backend: modeled (alpha-beta) or shmem (measured)");
   cli.parse(argc, argv);
 
   Rng rng(static_cast<std::uint64_t>(*seed));
@@ -42,26 +37,26 @@ int main(int argc, char** argv) {
   const BoundKernel bound = bind(expr, t, {&u, &v});
   std::cout << "kernel: " << bound.kernel.to_string() << "\n"
             << "tensor: " << t.describe() << "\n\n";
-  std::cout << "ranks  local[s]  comm[s]   total[s]  speedup  imbalance\n";
+  std::cout << "ranks  local[s]  comm[s]   model[s]  total[s]  speedup  "
+               "imbalance\n";
 
   double t1 = 0;
   for (int p = 1; p <= *max_ranks; p *= 2) {
     DistSpttn dist(bound, p);
-    const auto comm = make_comm_backend(*backend, p);
+    ShmemComm comm(p);
     // Sequential ranks: this table reads per-rank seconds, so don't let
     // concurrently scheduled ranks time-share the cores under the timer.
-    const DistResult r = dist.run(*comm, {}, nullptr, {},
+    const DistResult r = dist.run(comm, {}, nullptr, {},
                                   /*local_threads=*/1,
                                   /*concurrent_ranks=*/false);
     if (p == 1) t1 = r.time();
-    std::cout << strfmt("%5d  %.5f   %.6f  %.5f   %5.2fx   %.2f\n", p,
-                        r.max_local_seconds, r.comm_seconds, r.time(),
-                        t1 / r.time(), r.imbalance);
+    std::cout << strfmt("%5d  %.5f   %.6f  %.6f  %.5f   %5.2fx   %.2f\n", p,
+                        r.max_local_seconds, r.comm_seconds,
+                        r.comm_model_seconds, r.time(), t1 / r.time(),
+                        r.imbalance);
   }
-  std::cout << "\n(local kernel times are measured per rank; collectives "
-            << (*backend == "modeled"
-                    ? "follow the alpha-beta model of src/dist/comm_model.hpp"
-                    : "are measured around real buffer movement")
-            << ")\n";
+  std::cout << "\n(local kernel times and comm[s] are measured; model[s] "
+               "prices the same collectives with the alpha-beta model of "
+               "src/dist/comm.hpp)\n";
   return 0;
 }

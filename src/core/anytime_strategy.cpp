@@ -235,7 +235,7 @@ Plan plan_anytime(const Kernel& kernel, const SparsityStats& stats,
       const State& s = frontier[si];
       ++nodes;
       const double prune_limit =
-          limited ? incumbent_flops * options.flop_group_tolerance
+          limited ? incumbent_flops * kFlopGroupTolerance
                   : std::numeric_limits<double>::infinity();
       for (std::size_t a = 0; a < s.items.size(); ++a) {
         for (std::size_t b = a + 1; b < s.items.size(); ++b) {

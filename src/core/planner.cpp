@@ -38,11 +38,11 @@ std::unique_ptr<TreeCost> make_cost_model(const PlannerOptions& options,
     case CostKind::kMaxBufferSize:
       return std::make_unique<MaxBufferSizeCost>();
     case CostKind::kCacheMiss:
-      return std::make_unique<CacheMissCost>(options.cache_d, stats,
+      return std::make_unique<CacheMissCost>(kCacheD, stats,
                                              options.sparse_aware_cache);
     case CostKind::kBoundedBufferBlas:
       return std::make_unique<BoundedBufferBlasCost>(
-          options.buffer_dim_bound, options.cache_d, stats,
+          options.buffer_dim_bound, kCacheD, stats,
           options.sparse_aware_cache);
   }
   SPTTN_CHECK(false);
@@ -125,17 +125,14 @@ Plan select_nest(const Kernel& kernel, const SparsityStats& stats,
   SPTTN_CHECK_MSG(!paths.empty(),
                   "no single-CSF executable contraction path for kernel "
                       << kernel.to_string());
-  std::size_t searched = paths.size();
-  if (options.max_paths_searched > 0) {
-    searched = std::min(
-        searched, static_cast<std::size_t>(options.max_paths_searched));
-  }
+  const std::size_t searched =
+      std::min(paths.size(), static_cast<std::size_t>(kMaxPathsSearched));
   // Group g holds paths [starts[g], starts[g + 1]): a path joins the open
   // group while its flops stay within the tolerance of the group's first.
   std::vector<std::size_t> starts;
   for (std::size_t i = 0; i < searched; ++i) {
     if (starts.empty() ||
-        flops[i] > flops[starts.back()] * options.flop_group_tolerance) {
+        flops[i] > flops[starts.back()] * kFlopGroupTolerance) {
       starts.push_back(i);
     }
   }

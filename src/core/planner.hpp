@@ -54,6 +54,24 @@ struct PlanningBudget {
   bool unlimited() const { return max_millis <= 0 && max_nodes <= 0; }
 };
 
+/// Paths whose FLOP estimate is within this factor of the best are
+/// considered the same asymptotic-cost group and compared by the cost
+/// model. The group is not purely asymptotic: a path that runs a sparse
+/// mode densely can cost a whole index extent more and still fall inside
+/// it (nell-2's mode-1 MTTKRP fill path is 1.66x the per-fiber one), so
+/// the cost model must not reward such a loop (see BoundedBufferBlasCost).
+inline constexpr double kFlopGroupTolerance = 3.0;
+/// Cache-model subtensor order D (Definition 4.6).
+inline constexpr int kCacheD = 1;
+/// Safety cap on DP invocations across path groups.
+inline constexpr int kMaxPathsSearched = 256;
+/// Identity of the planner's cost model. KernelCache::save_dir stamps it
+/// into every plan artifact (`meta cost_model <N>`) and load_dir rejects an
+/// artifact whose stamp is missing or different, so the kernel re-plans
+/// instead of serving a nest an older model chose. Bump it whenever a
+/// change re-records golden plans (spttn_golden --out tests/golden).
+inline constexpr int kCostModelVersion = 1;
+
 struct PlannerOptions {
   CostKind cost = CostKind::kBoundedBufferBlas;
   /// Intermediate-dimension bound for kBoundedBufferBlas (paper uses 2).
@@ -63,19 +81,8 @@ struct PlannerOptions {
   bool allow_bound_relaxation = true;
   /// Sparse-carrying terms iterate sparse modes in CSF order.
   bool restrict_csf_order = true;
-  /// Paths whose FLOP estimate is within this factor of the best are
-  /// considered the same asymptotic-cost group and compared by the cost
-  /// model. The group is not purely asymptotic: a path that runs a sparse
-  /// mode densely can cost a whole index extent more and still fall inside
-  /// it (nell-2's mode-1 MTTKRP fill path is 1.66x the per-fiber one), so
-  /// the cost model must not reward such a loop (see BoundedBufferBlasCost).
-  double flop_group_tolerance = 3.0;
-  /// Cache-model subtensor order D (Definition 4.6).
-  int cache_d = 1;
   /// Use CSF fan-outs instead of dense dims for sparse loop trip counts.
   bool sparse_aware_cache = true;
-  /// Safety cap on DP invocations across path groups (0 = unlimited).
-  int max_paths_searched = 256;
   /// Run the static plan verifier (analysis/plan_verifier.hpp) on the
   /// chosen plan before make_plan returns, throwing spttn::Error on any
   /// error diagnostic. Debug builds always verify; this flag opts Release

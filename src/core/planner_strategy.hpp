@@ -14,8 +14,8 @@ namespace spttn {
 
 /// Choose the loop nest among `paths`, sorted by their FLOP estimates
 /// `flops` (ties in the caller's order). Paths within
-/// flop_group_tolerance of their group's first path form one group, and at
-/// most max_paths_searched paths are searched. Algorithm 1 runs group by
+/// kFlopGroupTolerance of their group's first path form one group, and at
+/// most kMaxPathsSearched paths are searched. Algorithm 1 runs group by
 /// group, cheapest first; the first group with a feasible nest wins, with
 /// its lowest-cost nest (the earliest path on ties). When no group fits
 /// under the buffer bound and relaxation is allowed, the bound grows by one

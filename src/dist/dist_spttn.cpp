@@ -6,6 +6,7 @@
 #include "exec/executor.hpp"
 #include "serve/kernel_cache.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace spttn {
@@ -17,6 +18,7 @@ CommBreakdown DistResult::breakdown(CollectiveKind kind) const {
     ++b.count;
     b.bytes += ev.bytes;
     b.seconds += ev.seconds;
+    b.model_seconds += ev.model_seconds;
   }
   return b;
 }
@@ -53,12 +55,12 @@ std::vector<std::int64_t> DistSpttn::local_nnz() const {
   return n;
 }
 
-DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
+DistResult DistSpttn::run(ShmemComm& comm, const PlannerOptions& options,
                           DenseTensor* dense_out,
                           std::span<double> sparse_out,
                           int local_threads, bool concurrent_ranks) const {
   SPTTN_CHECK_MSG(comm.ranks() == ranks_,
-                  "backend built for " << comm.ranks() << " ranks, runtime "
+                  "comm built for " << comm.ranks() << " ranks, runtime "
                                        << "partitioned for " << ranks_);
   const Kernel& kernel = bound_->kernel;
   const bool sparse_output = kernel.output_is_sparse();
@@ -74,8 +76,6 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
 
   DistResult res;
   res.ranks = ranks_;
-  res.backend = comm.name();
-  res.modeled = comm.modeled();
   res.local_seconds.assign(static_cast<std::size_t>(ranks_), 0.0);
 
   // One cached plan serves every rank (SPMD: all ranks run the same nest),
@@ -103,10 +103,9 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
   comm.begin_run();
 
   // Allgather every dense factor up front so each rank can index it by
-  // arbitrary local coordinates: ModeledComm charges the model and ranks
-  // read the original, real transports hand each rank its own replica of
-  // the gathered payload. On a single rank factors are already local and
-  // no collective is issued (matching the historical charging).
+  // arbitrary local coordinates; each rank reads its own replica of the
+  // gathered payload. On a single rank factors are already local and no
+  // collective is issued.
   std::vector<int> slot_of(bound_->dense.size(), -1);
   if (ranks_ > 1) {
     for (std::size_t i = 0; i < bound_->dense.size(); ++i) {
@@ -119,13 +118,12 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
   // outputs go into a rank-private partial (the value a real rank holds
   // before the closing collective); sparse outputs go straight into the
   // rank's own entry range of sparse_out, disjoint from every other rank's.
-  // Rank scheduling belongs to the backend; results cannot depend on it
-  // because the backend's all-reduce folds the partials in ascending rank
-  // order — the fold order, not the execution order, fixes every output
-  // bit. Each rank's wall-clock is measured around its own local run
-  // either way (honest measurement; on an oversubscribed machine
-  // concurrent ranks time-share cores, so use concurrent_ranks = false for
-  // timing-faithful rows).
+  // Results cannot depend on the rank schedule because the all-reduce folds
+  // the partials in ascending rank order — the fold order, not the
+  // execution order, fixes every output bit. Each rank's wall-clock is
+  // measured around its own local run either way (honest measurement; on
+  // an oversubscribed machine concurrent ranks time-share cores, so use
+  // concurrent_ranks = false for timing-faithful rows).
   std::vector<DenseTensor> rank_dense(
       sparse_output ? 0 : static_cast<std::size_t>(ranks_));
   const auto run_rank = [&](std::int64_t r) {
@@ -153,12 +151,15 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
     exec.execute(args);
     res.local_seconds[ur] = t.seconds();
   };
-  comm.run_ranks(concurrent_ranks, run_rank);
+  if (concurrent_ranks) {
+    ThreadPool::global().parallel_apply(ranks_, run_rank);
+  } else {
+    for (std::int64_t r = 0; r < ranks_; ++r) run_rank(r);
+  }
 
   // Closing collective: dense outputs all-reduce the rank partials
-  // (ascending-rank element-wise fold, bit-deterministic per the backend
-  // contract). Sparse outputs stay with their owners and need no
-  // reduction.
+  // (ascending-rank element-wise fold, bit-deterministic). Sparse outputs
+  // stay with their owners and need no reduction.
   if (!sparse_output) {
     DenseTensor reduced = make_output(*bound_);
     std::vector<const DenseTensor*> partials(
@@ -177,6 +178,7 @@ DistResult DistSpttn::run(CommBackend& comm, const PlannerOptions& options,
   for (const CommEvent& ev : res.events) {
     res.comm_bytes += ev.bytes;
     res.comm_seconds += ev.seconds;
+    res.comm_model_seconds += ev.model_seconds;
   }
 
   if (nnz > 0) {

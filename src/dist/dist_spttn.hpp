@@ -1,29 +1,25 @@
-// Distributed-memory SpTTN execution (paper Section 5.2) over pluggable
-// communication backends.
+// Distributed-memory SpTTN execution (paper Section 5.2) over the
+// shared-memory transport of dist/comm.hpp.
 //
 // The sparse tensor is cut into contiguous, nnz-balanced ranges of whole
 // level-1 fibers, one per rank (the owner-computes layout of SPLATT's
 // distributed CP-ALS), and each rank's CSF slice is built once at
 // construction. Each rank runs the planner-chosen loop nest on its slice
-// (timed for real). Rank scheduling, the dense-factor allgathers, and the
-// closing output all-reduce all flow through a CommBackend
-// (dist/comm_backend.hpp): ModeledComm charges the alpha-beta model of
-// dist/comm_model.hpp — the historical simulated transport, how CoNST and
-// SparseAuto validate distributed schedules without a live cluster — while
-// ShmemComm moves real bytes (per-rank factor replicas, tiled partial
-// reduction) and reports measured seconds. Every backend folds rank
-// partials in ascending rank order, so kernel outputs are bit-identical
-// across backends and across sequential/concurrent rank scheduling. Sparse
-// outputs (TTTP) are written in place: each rank owns a disjoint entry
-// range of the output and needs no reduction.
+// (timed for real). The dense-factor allgathers and the closing output
+// all-reduce go through ShmemComm, which moves real bytes (per-rank factor
+// replicas, tiled partial reduction) and prices every collective both
+// ways: measured seconds and the alpha-beta model's seconds. The
+// all-reduce folds rank partials in ascending rank order, so kernel
+// outputs are bit-identical across sequential and concurrent rank
+// scheduling. Sparse outputs (TTTP) are written in place: each rank owns a
+// disjoint entry range of the output and needs no reduction.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "dist/comm_backend.hpp"
+#include "dist/comm.hpp"
 #include "exec/spttn.hpp"
 
 namespace spttn {
@@ -32,25 +28,23 @@ namespace spttn {
 struct CommBreakdown {
   int count = 0;
   std::int64_t bytes = 0;
-  double seconds = 0;
+  double seconds = 0;        ///< measured
+  double model_seconds = 0;  ///< alpha-beta priced
 };
 
 /// Outcome of one distributed run.
 struct DistResult {
   int ranks = 1;
-  /// Name of the transport the run used ("modeled", "shmem").
-  std::string backend = "modeled";
-  /// True when comm seconds were charged to the alpha-beta model, false
-  /// when they were measured around real buffer movement.
-  bool modeled = true;
   /// Measured wall-clock of each rank's local kernel (zero for idle ranks).
   std::vector<double> local_seconds;
   double max_local_seconds = 0;
   /// Total collective time / volume (factor allgathers + output
-  /// all-reduce; zero on a single rank). Sum over `events`.
+  /// all-reduce; zero on a single rank), summed over `events`: measured
+  /// seconds, alpha-beta priced seconds and payload bytes.
   double comm_seconds = 0;
+  double comm_model_seconds = 0;
   std::int64_t comm_bytes = 0;
-  /// Every collective the backend issued, in issue order.
+  /// Every collective the run issued, in issue order.
   std::vector<CommEvent> events;
   /// Load imbalance: max over ranks of local nnz divided by the mean.
   double imbalance = 1.0;
@@ -58,8 +52,12 @@ struct DistResult {
   /// Totals for one collective kind (allgather vs allreduce observability).
   CommBreakdown breakdown(CollectiveKind kind) const;
 
-  /// End-to-end time: slowest rank plus collectives.
+  /// End-to-end time: slowest rank plus measured collectives.
   double time() const { return max_local_seconds + comm_seconds; }
+  /// The same with the collectives priced by the alpha-beta model.
+  double model_time() const {
+    return max_local_seconds + comm_model_seconds;
+  }
 };
 
 /// A bound kernel prepared for execution on `ranks` processes.
@@ -72,11 +70,10 @@ struct DistResult {
 /// be, which keeps a skewed root from idling ranks). run() plans once
 /// from the global sparsity statistics — SPMD ranks execute the same nest
 /// — then executes every rank's slice and merges the partials through the
-/// communication backend. Planning goes through the process-wide
-/// KernelCache, so repeated runs over the same bound tensor (rank-count
-/// sweeps, iterative drivers) reuse one cached plan instead of re-searching
-/// per run. The bound kernel and its sparse tensor must outlive this
-/// object.
+/// transport. Planning goes through the process-wide KernelCache, so
+/// repeated runs over the same bound tensor (rank-count sweeps, iterative
+/// drivers) reuse one cached plan instead of re-searching per run. The
+/// bound kernel and its sparse tensor must outlive this object.
 class DistSpttn {
  public:
   DistSpttn(const BoundKernel& bound, int ranks);
@@ -102,9 +99,10 @@ class DistSpttn {
   /// `local_threads` > 1 runs each rank's local loop nest through the
   /// process-wide thread pool (hybrid MPI+threads, paper Section 5.2's
   /// 64-rank-per-node setup maps ranks*threads onto one machine here).
-  /// `concurrent_ranks` asks the backend to schedule ranks concurrently on
-  /// the pool. Dense outputs go through one private partial per non-empty
-  /// rank either way, folded by the backend in ascending rank order;
+  /// `concurrent_ranks` runs the ranks as tasks on the process-wide pool
+  /// (lanes own contiguous rank ranges) instead of one after another.
+  /// Dense outputs go through one private partial per non-empty rank
+  /// either way, folded by the all-reduce in ascending rank order;
   /// sparse outputs are written in place into each rank's disjoint entry
   /// range. Results are therefore bit-identical to sequential rank
   /// scheduling. Per-rank wall-clock is measured around each rank's own
@@ -116,9 +114,9 @@ class DistSpttn {
   /// shape inline, since rank tasks already occupy the pool) but adds no
   /// concurrency — prefer local_threads = 1 when ranks run concurrently.
   /// Peak memory holds one dense output partial per non-empty rank until
-  /// the backend's all-reduce (the collective operates on the rank
-  /// partials, exactly as a real transport would).
-  DistResult run(CommBackend& comm, const PlannerOptions& options,
+  /// the all-reduce (the collective operates on the rank partials, exactly
+  /// as a network transport would).
+  DistResult run(ShmemComm& comm, const PlannerOptions& options,
                  DenseTensor* dense_out, std::span<double> sparse_out,
                  int local_threads = 1, bool concurrent_ranks = false) const;
 

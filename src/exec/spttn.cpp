@@ -160,13 +160,13 @@ CsfSearchResult search_csf_orders(const std::string& expr,
   } while (std::next_permutation(perm.begin(), perm.end()));
   SPTTN_CHECK_MSG(!orders.empty(),
                   "no CSF order admits an executable loop nest");
-  // make_plan's rule across orders: only orders within flop_group_tolerance
+  // make_plan's rule across orders: only orders within kFlopGroupTolerance
   // of the cheapest order's flops compete on cost; the first in
   // permutation order wins ties.
   const double min_flops = *std::min_element(flops.begin(), flops.end());
   std::size_t best = orders.size();
   for (std::size_t i = 0; i < orders.size(); ++i) {
-    if (flops[i] > min_flops * options.flop_group_tolerance) continue;
+    if (flops[i] > min_flops * kFlopGroupTolerance) continue;
     if (best == orders.size() || orders[i].cost < orders[best].cost) best = i;
   }
   return orders[best];

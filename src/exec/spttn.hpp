@@ -74,7 +74,7 @@ struct CsfSearchResult {
 
 /// Try every permutation of the sparse tensor's modes, re-plan, and return
 /// the permutation whose optimal loop nest has the lowest model cost among
-/// the orders within flop_group_tolerance of the cheapest order's flops
+/// the orders within kFlopGroupTolerance of the cheapest order's flops
 /// (make_plan's rule; the first permutation wins ties). The caller can then
 /// rebuild the problem with permute_sparse_modes().
 CsfSearchResult search_csf_orders(const std::string& expr,

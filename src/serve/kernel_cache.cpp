@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <condition_variable>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <list>
@@ -38,24 +37,16 @@ std::uint64_t planner_options_hash(const PlannerOptions& options) {
   h = hash_mix(h ^ static_cast<std::uint64_t>(options.buffer_dim_bound));
   h = hash_mix(h ^ (options.allow_bound_relaxation ? 1u : 0u));
   h = hash_mix(h ^ (options.restrict_csf_order ? 2u : 0u));
-  std::uint64_t tol_bits = 0;
-  static_assert(sizeof(tol_bits) == sizeof(options.flop_group_tolerance));
-  std::memcpy(&tol_bits, &options.flop_group_tolerance, sizeof(tol_bits));
-  h = hash_mix(h ^ tol_bits);
-  h = hash_mix(h ^ static_cast<std::uint64_t>(options.cache_d));
   h = hash_mix(h ^ (options.sparse_aware_cache ? 4u : 0u));
-  h = hash_mix(h ^ static_cast<std::uint64_t>(options.max_paths_searched));
   // verify deliberately excluded: verification never changes the plan, so
   // it may not fragment the cache.
   //
   // The anytime fields follow the same rule from the other side: under the
   // exact strategy they are inert (the plan cannot depend on them), so they
-  // are excluded and the exact-options hash is byte-identical to the
-  // pre-strategy one — no cache fragmentation, and persisted exact
-  // artifacts keyed by the old hash stay valid. Under the anytime strategy
-  // the budget, seed, and search knobs select the plan, so they are mixed
-  // in: two sessions planning the same kernel under different budgets must
-  // not serve each other's plans.
+  // are excluded and toggling them cannot fragment the exact cache. Under
+  // the anytime strategy the budget, seed, and search knobs select the
+  // plan, so they are mixed in: two sessions planning the same kernel under
+  // different budgets must not serve each other's plans.
   if (options.strategy != StrategyKind::kExact) {
     h = hash_mix(h ^ 0xa17e11117e5eedULL);
     h = hash_mix(h ^ static_cast<std::uint64_t>(options.strategy));
@@ -325,7 +316,8 @@ KernelCache::DirReport KernelCache::save_dir(const std::string& dir) const {
           entry->kernel, entry->plan,
           {{"options_hash", hex16(entry->signature.options_hash)},
            {"sparsity_fingerprint",
-            hex16(entry->signature.sparsity_fingerprint)}});
+            hex16(entry->signature.sparsity_fingerprint)},
+           {"cost_model", std::to_string(kCostModelVersion)}});
       std::ofstream os(path, std::ios::binary | std::ios::trunc);
       SPTTN_CHECK_MSG(os.good(), "cannot open '" << path.string()
                                                  << "' for writing");
@@ -390,6 +382,14 @@ KernelCache::DirReport KernelCache::load_dir(const std::string& dir) {
           "sparsity fingerprint mismatch: artifact keyed for "
               << hex16(sig_fingerprint) << " but the plan was derived from "
               << hex16(loaded.plan.sparsity_fingerprint));
+
+      // Cost-model identity: a nest chosen by an older model is a miss, so
+      // the kernel re-plans under the current one.
+      const std::string model = loaded.meta_value("cost_model");
+      SPTTN_CHECK_MSG(model == std::to_string(kCostModelVersion),
+                      "cost model mismatch: artifact stamped cost_model "
+                          << (model.empty() ? "(none)" : model)
+                          << ", planner is cost_model " << kCostModelVersion);
 
       // Structural verification BEFORE the executor ever sees the plan: a
       // malformed tree yields diagnostics from the verifier, never UB in

@@ -15,11 +15,12 @@
 // Admission policy: an entry-count bound with LRU eviction (capacity 0 is
 // a pass-through) and single-flight planning, so concurrent misses on one
 // signature cost one search. Plans persist: save_dir writes every resident
-// plan as a versioned, checksummed artifact (core/plan_io) and load_dir
-// re-admits them through the static plan verifier plus the
-// sparsity-fingerprint consistency check, so a restarted process serves
-// every warmed kernel with zero planner searches — and a stale or
-// corrupted artifact can never reach an executor.
+// plan as a versioned, checksummed artifact (core/plan_io) stamped with the
+// planner's cost-model identity, and load_dir re-admits them through the
+// static plan verifier plus the sparsity-fingerprint and cost-model
+// checks, so a restarted process serves every warmed kernel with zero
+// planner searches — and a stale or corrupted artifact can never reach an
+// executor.
 #pragma once
 
 #include <cstdint>
@@ -161,19 +162,22 @@ class KernelCache {
 
   /// Persist every resident entry to `dir` (created if needed) as one
   /// versioned artifact per signature (core/plan_io format, file name
-  /// derived from the signature hash). Concurrent cache use is safe; the
+  /// derived from the signature hash), stamped `meta cost_model
+  /// <kCostModelVersion>`. Concurrent cache use is safe; the
   /// sweep snapshots the resident set. Throws spttn::Error only when `dir`
   /// cannot be created; per-file failures land in the report.
   DirReport save_dir(const std::string& dir) const;
 
   /// Re-admit previously saved artifacts: every `*.plan` file in `dir` is
   /// deserialized, its kernel rebuilt, and the plan pushed through the
-  /// full admission gate — the static plan verifier's structural rules,
-  /// the executor locality cross-check, and the sparsity-fingerprint
-  /// consistency check (the artifact's signature fingerprint must equal
-  /// the plan's recorded fingerprint) — before it becomes resident. A
-  /// corrupted, truncated, version-mismatched or wrong-fingerprint
-  /// artifact is rejected with a structured error; it can never execute.
+  /// full admission gate — the sparsity-fingerprint consistency check
+  /// (the artifact's signature fingerprint must equal the plan's recorded
+  /// fingerprint), the cost-model stamp (it must equal kCostModelVersion),
+  /// the static plan verifier's structural rules and the executor locality
+  /// cross-check — before it becomes resident. A corrupted, truncated,
+  /// version-mismatched, wrong-fingerprint or other-model artifact is
+  /// rejected with a structured error; it can never execute, and the
+  /// kernel re-plans on its next get_or_plan.
   /// Loaded entries count as inserts, not planner searches — after a warm
   /// load, get_or_plan over the same problems is pure hits
   /// (Counters::planned stays 0). On a pass-through cache the sweep

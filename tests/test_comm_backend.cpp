@@ -1,18 +1,16 @@
-// Communication-backend suite: the transport seam of the distributed
-// runtime. ModeledComm must reproduce the historical inline alpha-beta
-// charging bit-for-bit; ShmemComm must produce bit-identical kernel
-// outputs with measured (not charged) collective seconds; both must agree
-// under sequential and concurrent rank scheduling, including empty-rank
-// and ranks-greater-than-nnz partitions. Runs in the TSan CI job (the
-// shmem transport moves real bytes on the process-wide pool).
+// Transport suite of the distributed runtime. ShmemComm must produce
+// bit-identical kernel outputs under sequential and concurrent rank
+// scheduling, including empty-rank and ranks-greater-than-nnz partitions;
+// every collective it issues carries measured seconds and the exact
+// alpha-beta price of dist/comm.hpp. Runs in the TSan CI job (the
+// transport moves real bytes on the process-wide pool).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
-#include "dist/comm_backend.hpp"
-#include "dist/comm_model.hpp"
 #include "dist/dist_spttn.hpp"
+#include "exec/reference.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -21,7 +19,7 @@ namespace {
 
 using testing::paper_kernels;
 
-/// Run `dist` over a fresh backend and return the outputs (exactly one of
+/// Run `dist` over `comm` and return the outputs (exactly one of
 /// dense/sparse is populated, matching the kernel's output kind).
 struct RunOut {
   DistResult res;
@@ -30,19 +28,25 @@ struct RunOut {
 };
 
 RunOut run_with(const DistSpttn& dist, const BoundKernel& bound,
-                const std::string& backend, int ranks, std::int64_t nnz,
-                bool concurrent, int local_threads = 1) {
+                ShmemComm& comm, std::int64_t nnz, bool concurrent,
+                int local_threads = 1) {
   RunOut out;
-  const auto comm = make_comm_backend(backend, ranks);
   if (bound.kernel.output_is_sparse()) {
     out.sparse.assign(static_cast<std::size_t>(nnz), 0.0);
-    out.res = dist.run(*comm, {}, nullptr, out.sparse, local_threads,
+    out.res = dist.run(comm, {}, nullptr, out.sparse, local_threads,
                        concurrent);
   } else {
     out.dense = make_output(bound);
-    out.res = dist.run(*comm, {}, &out.dense, {}, local_threads, concurrent);
+    out.res = dist.run(comm, {}, &out.dense, {}, local_threads, concurrent);
   }
   return out;
+}
+
+/// The same over a fresh ShmemComm with default CommParams.
+RunOut run_with(const DistSpttn& dist, const BoundKernel& bound, int ranks,
+                std::int64_t nnz, bool concurrent, int local_threads = 1) {
+  ShmemComm comm(ranks);
+  return run_with(dist, bound, comm, nnz, concurrent, local_threads);
 }
 
 void expect_bit_identical(const RunOut& want, const RunOut& got) {
@@ -56,12 +60,10 @@ void expect_bit_identical(const RunOut& want, const RunOut& got) {
   }
 }
 
-// Every paper kernel (dense and sparse outputs), both shipped backends,
-// sequential and concurrent rank scheduling: outputs must be bit-identical
-// across all four combinations (the backend contract folds partials in
-// ascending rank order, so neither transport nor schedule may change a
-// bit).
-TEST(CommBackendEquivalence, WholeSuiteBitIdenticalAcrossBackends) {
+// Every paper kernel (dense and sparse outputs), sequential and concurrent
+// rank scheduling: outputs must be bit-identical (the all-reduce folds
+// partials in ascending rank order, so the schedule may not change a bit).
+TEST(RankScheduling, WholeSuiteBitIdentical) {
   testing::ScopedLanes lanes(4);
   const auto kernels = paper_kernels();
   for (std::size_t i = 0; i < kernels.size(); ++i) {
@@ -71,28 +73,19 @@ TEST(CommBackendEquivalence, WholeSuiteBitIdenticalAcrossBackends) {
     const int ranks = 3;  // uneven fiber-range partitions
     DistSpttn dist(inst->bound, ranks);
     const std::int64_t nnz = inst->sparse.nnz();
-    const RunOut want =
-        run_with(dist, inst->bound, "modeled", ranks, nnz, false);
+    const RunOut want = run_with(dist, inst->bound, ranks, nnz, false);
     for (const bool concurrent : {false, true}) {
       SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
-      const RunOut modeled =
-          run_with(dist, inst->bound, "modeled", ranks, nnz, concurrent);
-      const RunOut shmem =
-          run_with(dist, inst->bound, "shmem", ranks, nnz, concurrent);
-      expect_bit_identical(want, modeled);
-      expect_bit_identical(want, shmem);
-      EXPECT_TRUE(modeled.res.modeled);
-      EXPECT_FALSE(shmem.res.modeled);
-      EXPECT_EQ(modeled.res.backend, "modeled");
-      EXPECT_EQ(shmem.res.backend, "shmem");
+      expect_bit_identical(
+          want, run_with(dist, inst->bound, ranks, nnz, concurrent));
     }
   }
 }
 
-// Hybrid rank x thread execution stays bit-identical across transports
-// (each rank's local nest partitions the same way regardless of where its
-// factor views live).
-TEST(CommBackendEquivalence, HybridLocalThreadsMatchAcrossBackends) {
+// Hybrid rank x thread execution: each rank's local nest partitions the
+// same way whether the ranks run one after another or as pool tasks (where
+// the inner parallel_apply runs inline), for both output kinds.
+TEST(RankScheduling, HybridLocalThreadsBitIdentical) {
   testing::ScopedLanes lanes(4);
   for (int kernel_idx : {0, 4}) {  // mttkrp3 (dense out), tttp3 (sparse out)
     SCOPED_TRACE(paper_kernels()[static_cast<std::size_t>(kernel_idx)].name);
@@ -102,18 +95,18 @@ TEST(CommBackendEquivalence, HybridLocalThreadsMatchAcrossBackends) {
     const int ranks = 3;
     DistSpttn dist(inst->bound, ranks);
     const std::int64_t nnz = inst->sparse.nnz();
-    const RunOut want = run_with(dist, inst->bound, "modeled", ranks, nnz,
-                                 false, /*local_threads=*/2);
-    const RunOut got = run_with(dist, inst->bound, "shmem", ranks, nnz,
-                                false, /*local_threads=*/2);
+    const RunOut want = run_with(dist, inst->bound, ranks, nnz, false,
+                                 /*local_threads=*/2);
+    const RunOut got = run_with(dist, inst->bound, ranks, nnz, true,
+                                /*local_threads=*/2);
     expect_bit_identical(want, got);
   }
 }
 
-// More ranks than nonzeros: most ranks own nothing. Both backends must
-// skip idle ranks (no partials, no gathered reads that matter) and still
-// merge the few live partials correctly, sequentially and concurrently.
-TEST(CommBackendEquivalence, RanksGreaterThanNnzEdgeCase) {
+// More ranks than nonzeros: most ranks own nothing. Idle ranks must be
+// skipped (no partials) and the few live partials still merged correctly,
+// sequentially and concurrently.
+TEST(RankScheduling, RanksGreaterThanNnzEdgeCase) {
   testing::ScopedLanes lanes(4);
   Rng rng(99);
   CooTensor t({6, 5, 4});
@@ -129,114 +122,142 @@ TEST(CommBackendEquivalence, RanksGreaterThanNnzEdgeCase) {
   const BoundKernel sparse_bound =
       bind("Y(i,j,k) = T(i,j,k)*U(i,r)*B(j,r)*C(k,r)", t, {&u, &b, &c});
   for (const BoundKernel* bound : {&dense_bound, &sparse_bound}) {
-    SCOPED_TRACE(bound->kernel.output_is_sparse() ? "sparse-out"
-                                                  : "dense-out");
+    const bool sparse_out = bound->kernel.output_is_sparse();
+    SCOPED_TRACE(sparse_out ? "sparse-out" : "dense-out");
     const int ranks = 7;  // > nnz == 3, so at least four ranks are empty
     DistSpttn dist(*bound, ranks);
     std::int64_t live = 0;
     for (const std::int64_t n : dist.local_nnz()) live += n > 0 ? 1 : 0;
     ASSERT_LT(live, ranks);
-    const RunOut want = run_with(dist, *bound, "modeled", ranks, 3, false);
-    for (const std::string backend : {"modeled", "shmem"}) {
-      for (const bool concurrent : {false, true}) {
-        SCOPED_TRACE(backend + (concurrent ? "/concurrent" : "/sequential"));
-        const RunOut got =
-            run_with(dist, *bound, backend, ranks, 3, concurrent);
-        expect_bit_identical(want, got);
+    const RunOut want = run_with(dist, *bound, ranks, 3, false);
+    DenseTensor ref_dense = sparse_out ? DenseTensor() : make_output(*bound);
+    std::vector<double> ref_sparse(sparse_out ? 3 : 0);
+    reference_execute(bound->kernel, t, bound->dense,
+                      sparse_out ? nullptr : &ref_dense, ref_sparse);
+    if (sparse_out) {
+      for (std::size_t e = 0; e < ref_sparse.size(); ++e) {
+        EXPECT_NEAR(want.sparse[e], ref_sparse[e], 1e-12);
       }
+    } else {
+      EXPECT_LT(want.dense.max_abs_diff(ref_dense), 1e-12);
+    }
+    for (const bool concurrent : {false, true}) {
+      SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
+      expect_bit_identical(want, run_with(dist, *bound, ranks, 3, concurrent));
     }
   }
 }
 
-// The refactor is behavior-preserving: ModeledComm's comm charge must
-// equal the historical inline charging — one allgather per dense factor
-// plus one all-reduce of the dense output, priced by dist/comm_model.hpp —
-// exactly (same doubles, same sum).
-TEST(ModeledComm, ReproducesInlineAlphaBetaCharging) {
-  const CommParams params;
-  for (std::size_t i = 0; i < paper_kernels().size(); ++i) {
-    SCOPED_TRACE(paper_kernels()[i].name);
-    const auto inst =
-        testing::make_instance(paper_kernels()[i], 7300 + static_cast<int>(i));
-    const int ranks = 4;
-    DistSpttn dist(inst->bound, ranks);
-    const RunOut got = run_with(dist, inst->bound, "modeled", ranks,
-                                inst->sparse.nnz(), false);
-    double want_seconds = 0;
-    std::int64_t want_bytes = 0;
-    for (const DenseTensor* d : inst->bound.dense) {
-      if (d == nullptr) continue;
-      const std::int64_t bytes =
-          d->size() * static_cast<std::int64_t>(sizeof(double));
-      want_bytes += bytes;
-      want_seconds += allgather_seconds(bytes, ranks, params);
+// Every event's model_seconds is exactly the alpha-beta price of its
+// payload under the comm's CommParams: one allgather per dense factor, in
+// slot order, then one all-reduce of a dense output. The run's model sum is
+// the same doubles summed in the same order, and it repeats exactly across
+// runs and rank schedules (it depends on bytes and ranks only).
+TEST(ShmemComm, ModelSecondsMatchCommModelExactly) {
+  testing::ScopedLanes lanes(4);
+  CommParams fitted;
+  fitted.alpha_seconds = 3e-6;
+  fitted.beta_seconds_per_byte = 7e-10;
+  for (const CommParams& params : {CommParams{}, fitted}) {
+    for (std::size_t i = 0; i < paper_kernels().size(); ++i) {
+      SCOPED_TRACE(paper_kernels()[i].name);
+      const auto inst = testing::make_instance(paper_kernels()[i],
+                                               7300 + static_cast<int>(i));
+      const int ranks = 4;
+      DistSpttn dist(inst->bound, ranks);
+      ShmemComm comm(ranks, params);
+      const std::int64_t nnz = inst->sparse.nnz();
+      const RunOut got = run_with(dist, inst->bound, comm, nnz, false);
+
+      std::vector<CommEvent> want;
+      for (const DenseTensor* d : inst->bound.dense) {
+        if (d == nullptr) continue;
+        const std::int64_t bytes =
+            d->size() * static_cast<std::int64_t>(sizeof(double));
+        want.push_back({CollectiveKind::kAllgather, bytes, 0,
+                        allgather_seconds(bytes, ranks, params)});
+      }
+      if (!inst->bound.kernel.output_is_sparse()) {
+        const std::int64_t bytes =
+            make_output(inst->bound).size() *
+            static_cast<std::int64_t>(sizeof(double));
+        want.push_back({CollectiveKind::kAllreduce, bytes, 0,
+                        allreduce_seconds(bytes, ranks, params)});
+      }
+      ASSERT_EQ(got.res.events.size(), want.size());
+      double want_seconds = 0;
+      std::int64_t want_bytes = 0;
+      for (std::size_t e = 0; e < want.size(); ++e) {
+        const CommEvent& ev = got.res.events[e];
+        EXPECT_EQ(ev.kind, want[e].kind) << "event " << e;
+        EXPECT_EQ(ev.bytes, want[e].bytes) << "event " << e;
+        EXPECT_EQ(ev.model_seconds, want[e].model_seconds) << "event " << e;
+        EXPECT_GT(ev.model_seconds, 0.0) << "event " << e;
+        want_seconds += want[e].model_seconds;
+        want_bytes += want[e].bytes;
+      }
+      EXPECT_EQ(got.res.comm_model_seconds, want_seconds);
+      EXPECT_EQ(got.res.comm_bytes, want_bytes);
+      EXPECT_EQ(got.res.model_time(),
+                got.res.max_local_seconds + want_seconds);
+
+      const RunOut again = run_with(dist, inst->bound, comm, nnz, false);
+      const RunOut concurrent = run_with(dist, inst->bound, comm, nnz, true);
+      EXPECT_EQ(again.res.comm_model_seconds, got.res.comm_model_seconds);
+      EXPECT_EQ(concurrent.res.comm_model_seconds,
+                got.res.comm_model_seconds);
     }
-    if (!inst->bound.kernel.output_is_sparse()) {
-      const std::int64_t bytes =
-          make_output(inst->bound).size() *
-          static_cast<std::int64_t>(sizeof(double));
-      want_bytes += bytes;
-      want_seconds += allreduce_seconds(bytes, ranks, params);
-    }
-    EXPECT_EQ(got.res.comm_seconds, want_seconds);
-    EXPECT_EQ(got.res.comm_bytes, want_bytes);
-    EXPECT_EQ(got.res.time(), got.res.max_local_seconds + want_seconds);
   }
 }
 
 // The event log carries the per-collective breakdown: one allgather per
 // dense factor, one all-reduce for dense outputs (none for sparse), and
 // the kind-wise totals partition the summed fields exactly.
-TEST(CommBackendEvents, BreakdownPartitionsTotals) {
-  for (const std::string backend : {"modeled", "shmem"}) {
-    SCOPED_TRACE(backend);
-    for (int kernel_idx : {0, 4}) {  // dense out, sparse out
-      const auto inst = testing::make_instance(
-          paper_kernels()[static_cast<std::size_t>(kernel_idx)],
-          7400 + kernel_idx);
-      const int ranks = 4;
-      DistSpttn dist(inst->bound, ranks);
-      const RunOut got = run_with(dist, inst->bound, backend, ranks,
-                                  inst->sparse.nnz(), false);
-      int factors = 0;
-      for (const DenseTensor* d : inst->bound.dense) factors += d != nullptr;
-      const bool sparse_out = inst->bound.kernel.output_is_sparse();
-      const CommBreakdown ag =
-          got.res.breakdown(CollectiveKind::kAllgather);
-      const CommBreakdown ar =
-          got.res.breakdown(CollectiveKind::kAllreduce);
-      EXPECT_EQ(ag.count, factors);
-      EXPECT_EQ(ar.count, sparse_out ? 0 : 1);
-      EXPECT_EQ(static_cast<int>(got.res.events.size()),
-                ag.count + ar.count);
-      EXPECT_EQ(ag.bytes + ar.bytes, got.res.comm_bytes);
-      EXPECT_DOUBLE_EQ(ag.seconds + ar.seconds, got.res.comm_seconds);
-      EXPECT_GT(ag.bytes, 0);
-      for (const CommEvent& ev : got.res.events) {
-        EXPECT_EQ(ev.modeled, backend == "modeled");
-        EXPECT_GE(ev.seconds, 0.0);
-      }
+TEST(CommEvents, BreakdownPartitionsTotals) {
+  for (int kernel_idx : {0, 4}) {  // dense out, sparse out
+    const auto inst = testing::make_instance(
+        paper_kernels()[static_cast<std::size_t>(kernel_idx)],
+        7400 + kernel_idx);
+    const int ranks = 4;
+    DistSpttn dist(inst->bound, ranks);
+    const RunOut got =
+        run_with(dist, inst->bound, ranks, inst->sparse.nnz(), false);
+    int factors = 0;
+    for (const DenseTensor* d : inst->bound.dense) factors += d != nullptr;
+    const bool sparse_out = inst->bound.kernel.output_is_sparse();
+    const CommBreakdown ag = got.res.breakdown(CollectiveKind::kAllgather);
+    const CommBreakdown ar = got.res.breakdown(CollectiveKind::kAllreduce);
+    EXPECT_EQ(ag.count, factors);
+    EXPECT_EQ(ar.count, sparse_out ? 0 : 1);
+    EXPECT_EQ(static_cast<int>(got.res.events.size()), ag.count + ar.count);
+    EXPECT_EQ(ag.bytes + ar.bytes, got.res.comm_bytes);
+    EXPECT_DOUBLE_EQ(ag.seconds + ar.seconds, got.res.comm_seconds);
+    EXPECT_DOUBLE_EQ(ag.model_seconds + ar.model_seconds,
+                     got.res.comm_model_seconds);
+    EXPECT_GT(ag.bytes, 0);
+    EXPECT_GT(ag.model_seconds, 0.0);
+    for (const CommEvent& ev : got.res.events) {
+      EXPECT_GE(ev.seconds, 0.0);
+      EXPECT_GT(ev.model_seconds, 0.0);
     }
   }
 }
 
-TEST(CommBackendEvents, SingleRankIssuesNoCollectives) {
-  for (const std::string backend : {"modeled", "shmem"}) {
-    SCOPED_TRACE(backend);
-    const auto inst = testing::make_instance(paper_kernels()[0], 7500);
-    DistSpttn dist(inst->bound, 1);
-    const RunOut got =
-        run_with(dist, inst->bound, backend, 1, inst->sparse.nnz(), false);
-    EXPECT_TRUE(got.res.events.empty());
-    EXPECT_EQ(got.res.comm_seconds, 0.0);
-    EXPECT_EQ(got.res.comm_bytes, 0);
-  }
+TEST(CommEvents, SingleRankIssuesNoCollectives) {
+  const auto inst = testing::make_instance(paper_kernels()[0], 7500);
+  DistSpttn dist(inst->bound, 1);
+  const RunOut got =
+      run_with(dist, inst->bound, 1, inst->sparse.nnz(), false);
+  EXPECT_TRUE(got.res.events.empty());
+  EXPECT_EQ(got.res.comm_seconds, 0.0);
+  EXPECT_EQ(got.res.comm_model_seconds, 0.0);
+  EXPECT_EQ(got.res.comm_bytes, 0);
 }
 
-// Backend instances are reusable across runs: begin_run resets the event
-// log and gathered replicas, so a rank-count-matched backend can serve an
+// A comm instance is reusable across runs: begin_run resets the event log
+// and gathered replicas, so a rank-count-matched comm can serve an
 // iterative driver without accumulating stale events.
-TEST(CommBackendEvents, BackendReuseResetsEventLog) {
+TEST(CommEvents, CommReuseResetsEventLog) {
   const auto inst = testing::make_instance(paper_kernels()[0], 7600);
   const int ranks = 4;
   DistSpttn dist(inst->bound, ranks);
@@ -246,17 +267,18 @@ TEST(CommBackendEvents, BackendReuseResetsEventLog) {
   const DistResult r1 = dist.run(comm, {}, &out1, {});
   const DistResult r2 = dist.run(comm, {}, &out2, {});
   EXPECT_EQ(r1.events.size(), r2.events.size());
+  EXPECT_EQ(comm.events().size(), r2.events.size());
   EXPECT_EQ(out1.max_abs_diff(out2), 0.0);
 }
 
-TEST(CommBackend, RejectsRankMismatchAndUnknownNames) {
+TEST(DistSpttn, RejectsRankMismatchAndUnboundOutputs) {
   const auto inst = testing::make_instance(paper_kernels()[0], 7700);
   DistSpttn dist(inst->bound, 3);
-  ModeledComm comm(4);
+  ShmemComm comm(4);
   DenseTensor out = make_output(inst->bound);
   EXPECT_THROW(dist.run(comm, {}, &out, {}), Error);
   // An output the kernel does not produce would come back untouched.
-  ModeledComm comm3(3);
+  ShmemComm comm3(3);
   std::vector<double> stray(static_cast<std::size_t>(inst->sparse.nnz()));
   EXPECT_THROW(dist.run(comm3, {}, &out, stray), Error);
   const auto tttp = testing::make_instance(paper_kernels()[4], 7701);
@@ -264,13 +286,6 @@ TEST(CommBackend, RejectsRankMismatchAndUnknownNames) {
   const DistSpttn sparse_dist(tttp->bound, 3);
   DenseTensor dense_for_sparse({2, 2});
   EXPECT_THROW(sparse_dist.run(comm3, {}, &dense_for_sparse, {}), Error);
-  EXPECT_THROW(make_comm_backend("infiniband", 2), Error);
-  EXPECT_THROW(make_comm_backend("mpi", 2), Error);
-  const auto names = comm_backend_names();
-  ASSERT_GE(names.size(), 2u);
-  for (const std::string& n : names) {
-    EXPECT_EQ(make_comm_backend(n, 2)->name(), n);
-  }
 }
 
 TEST(CommParamsValidation, RejectsNegativeAndNaNConstants) {
@@ -280,25 +295,20 @@ TEST(CommParamsValidation, RejectsNegativeAndNaNConstants) {
     CommParams p;
     p.alpha_seconds = alpha;
     p.beta_seconds_per_byte = beta;
-    EXPECT_THROW(ModeledComm(2, p), Error);
+    EXPECT_THROW(ShmemComm(2, p), Error);
   };
   reject(-1e-6, 1e-10);
   reject(1e-6, -1e-10);
   reject(nan, 1e-10);
   reject(1e-6, nan);
   reject(inf, 1e-10);
-  // Every backend validates through the shared CommBackend constructor.
-  CommParams bad;
-  bad.alpha_seconds = nan;
-  EXPECT_THROW(ModeledComm(2, bad), Error);
-  bad = {};
-  bad.beta_seconds_per_byte = -1.0;
-  EXPECT_THROW(ShmemComm(2, bad), Error);
+  reject(1e-6, inf);
+  EXPECT_THROW(ShmemComm(0), Error);
   // Zero is a legitimate constant (pure-bandwidth or pure-latency models).
   CommParams zero;
   zero.alpha_seconds = 0.0;
   zero.beta_seconds_per_byte = 0.0;
-  EXPECT_NO_THROW(ModeledComm(2, zero));
+  EXPECT_NO_THROW(ShmemComm(2, zero));
 }
 
 // ShmemComm's clock is real: on payloads this size the measured seconds
@@ -317,8 +327,8 @@ TEST(ShmemComm, MeasuresRealMovement) {
   EXPECT_EQ(ev.kind, CollectiveKind::kAllgather);
   EXPECT_EQ(ev.bytes,
             factor.size() * static_cast<std::int64_t>(sizeof(double)));
-  EXPECT_FALSE(ev.modeled);
   EXPECT_GT(ev.seconds, 0.0);
+  EXPECT_EQ(ev.model_seconds, allgather_seconds(ev.bytes, ranks, {}));
   for (int r = 0; r < ranks; ++r) {
     const DenseTensor& rep = comm.gathered(r, slot);
     ASSERT_NE(&rep, &factor);  // a real replica, not the source

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "dist/comm_model.hpp"
 #include "dist/dist_spttn.hpp"
 #include "exec/reference.hpp"
 #include "test_helpers.hpp"
@@ -51,7 +50,7 @@ TEST(DistPartition, SkewedTensorKeepsEveryRankBusy) {
   const int ranks = 16;
   DistSpttn dist(bound, ranks);
   for (const std::int64_t n : dist.local_nnz()) EXPECT_GT(n, 0);
-  ModeledComm comm(ranks);
+  ShmemComm comm(ranks);
   DenseTensor out = make_output(bound);
   const DistResult r = dist.run(comm, {}, &out, {});
   const double mean = static_cast<double>(t.nnz()) / ranks;
@@ -108,7 +107,7 @@ TEST(DistPartition, EmptyTensorRuns) {
   const BoundKernel sparse_bound =
       bind("Y(i,j,k) = T(i,j,k)*U(i,r)*B(j,r)*C(k,r)", t, {&u, &b, &c});
   const int ranks = 4;
-  ModeledComm comm(ranks);
+  ShmemComm comm(ranks);
   const DistSpttn dense_dist(dense_bound, ranks);
   DenseTensor out = make_output(dense_bound);
   out.fill(1.0);
@@ -126,7 +125,7 @@ TEST(DistPartition, DiscardedSparseOutputRuns) {
   ASSERT_TRUE(inst->bound.kernel.output_is_sparse());
   const int ranks = 3;
   DistSpttn dist(inst->bound, ranks);
-  ModeledComm comm(ranks);
+  ShmemComm comm(ranks);
   const DistResult r = dist.run(comm, {}, nullptr, {});
   EXPECT_EQ(r.ranks, ranks);
   EXPECT_GT(r.max_local_seconds, 0.0);
@@ -157,7 +156,7 @@ TEST_P(DistEquivalence, MatchesSequentialResult) {
       2222 + kernel_idx);
   const Kernel& k = inst->bound.kernel;
   DistSpttn dist(inst->bound, ranks);
-  ModeledComm comm(ranks);
+  ShmemComm comm(ranks);
   const PlannerOptions opts;
   if (k.output_is_sparse()) {
     std::vector<double> got(static_cast<std::size_t>(inst->sparse.nnz()));
@@ -200,7 +199,7 @@ TEST(DistSpttn, HybridLocalThreadsMatchesSingleThreaded) {
         3333 + kernel_idx);
     const Kernel& k = inst->bound.kernel;
     DistSpttn dist(inst->bound, 3);
-    ModeledComm comm(3);
+    ShmemComm comm(3);
     const PlannerOptions opts;
     if (k.output_is_sparse()) {
       std::vector<double> got(static_cast<std::size_t>(inst->sparse.nnz()));
@@ -235,7 +234,7 @@ TEST(DistSpttn, ConcurrentRanksBitIdenticalToSequential) {
     for (int ranks : {2, 5}) {
       SCOPED_TRACE("ranks=" + std::to_string(ranks));
       DistSpttn dist(inst->bound, ranks);
-      ModeledComm comm(ranks);
+      ShmemComm comm(ranks);
       const PlannerOptions opts;
       if (k.output_is_sparse()) {
         std::vector<double> want(static_cast<std::size_t>(inst->sparse.nnz()));
@@ -267,7 +266,7 @@ TEST(DistSpttn, ConcurrentRanksWithLocalThreadsMatch) {
   testing::ScopedLanes lanes(4);
   const auto inst = testing::make_instance(paper_kernels()[0], 4545);
   DistSpttn dist(inst->bound, 3);
-  ModeledComm comm(3);
+  ShmemComm comm(3);
   const PlannerOptions opts;
   DenseTensor want = make_output(inst->bound);
   DenseTensor got = make_output(inst->bound);
@@ -289,10 +288,11 @@ TEST(DistSpttn, PartitionCoversAllNonzeros) {
 TEST(DistSpttn, CommChargedForFactorsAndOutput) {
   const auto inst = testing::make_instance(paper_kernels()[0], 910);
   DistSpttn dist(inst->bound, 4);
-  ModeledComm comm(4);
+  ShmemComm comm(4);
   DenseTensor out = make_output(inst->bound);
   const DistResult r = dist.run(comm, {}, &out, {});
   EXPECT_GT(r.comm_seconds, 0.0);
+  EXPECT_GT(r.comm_model_seconds, 0.0);
   EXPECT_GT(r.comm_bytes, 0);
   EXPECT_GE(r.imbalance, 1.0);
 }
@@ -300,7 +300,7 @@ TEST(DistSpttn, CommChargedForFactorsAndOutput) {
 TEST(DistSpttn, SparseOutputNeedsNoReduction) {
   const auto inst = testing::make_instance(paper_kernels()[4], 911);  // tttp
   DistSpttn dist4(inst->bound, 4);
-  ModeledComm comm(4);
+  ShmemComm comm(4);
   std::vector<double> out(static_cast<std::size_t>(inst->sparse.nnz()));
   const DistResult r = dist4.run(comm, {}, nullptr, out);
   // Factors still move, but no output all-reduce: comm volume is below an
@@ -317,10 +317,11 @@ TEST(DistSpttn, SparseOutputNeedsNoReduction) {
 TEST(DistSpttn, SingleRankHasNoComm) {
   const auto inst = testing::make_instance(paper_kernels()[0], 912);
   DistSpttn dist(inst->bound, 1);
-  ModeledComm comm(1);
+  ShmemComm comm(1);
   DenseTensor out = make_output(inst->bound);
   const DistResult r = dist.run(comm, {}, &out, {});
   EXPECT_DOUBLE_EQ(r.comm_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(r.comm_model_seconds, 0.0);
   EXPECT_DOUBLE_EQ(r.imbalance, 1.0);
 }
 

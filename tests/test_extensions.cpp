@@ -70,7 +70,7 @@ TEST(CsfSearch, PermutedProblemExecutesCorrectly) {
 }
 
 // The order search applies make_plan's rule across storage orders: only
-// orders whose nest is within flop_group_tolerance of the cheapest order's
+// orders whose nest is within kFlopGroupTolerance of the cheapest order's
 // flops compete on cost. On this skewed TTMc-3 the lowest-cost nest over
 // all orders is asymptotically worse than the cheapest order's.
 TEST(CsfSearch, ChoosesWithinTheFlopGroup) {
@@ -94,7 +94,7 @@ TEST(CsfSearch, ChoosesWithinTheFlopGroup) {
 
   const CsfSearchResult r = search_csf_orders(expr, t, {&u, &v}, options);
   EXPECT_LE(flops_of(r.mode_order),
-            options.flop_group_tolerance * min_flops);
+            kFlopGroupTolerance * min_flops);
 }
 
 TEST(Autotune, ReturnsRunnableFastPlan) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "exec/kernels.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace spttn {
@@ -135,6 +138,55 @@ TEST(Kernels, ZeroStridedAndUnit) {
   }
   xzero(12, v.data(), 1);
   for (double x : v) EXPECT_DOUBLE_EQ(x, 0.0);
+}
+
+/// Values spread over 60 binary orders of magnitude, so the order of a
+/// floating-point sum changes its bits.
+std::vector<double> wide_vec(std::size_t n, Rng& rng) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = std::ldexp(2 * rng.next_double() - 1,
+                   static_cast<int>(rng.next_in(-30, 30)));
+  }
+  return v;
+}
+
+// fold_partials with tile > 0 (the shared-memory all-reduce cuts 8192
+// element tiles, the executor's partial fold 4096) must reproduce the
+// untiled fold bit for bit: every element is still summed in part order,
+// whatever the tiling, the lane count or the schedule.
+TEST(Kernels, TiledFoldBitIdenticalToUntiled) {
+  Rng rng(5);
+  const std::int64_t n = 10007;  // prime: no tile below n divides it
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<std::vector<double>> storage;
+  for (int p = 0; p < 5; ++p) storage.push_back(wide_vec(un, rng));
+  // Null parts are idle ranks or tasks that wrote nothing.
+  const std::vector<const double*> parts = {
+      storage[0].data(), nullptr, storage[2].data(), nullptr,
+      storage[4].data()};
+  const std::vector<double> y0 = wide_vec(un, rng);
+  std::vector<double> want = y0;
+  fold_partials(parts, n, want.data(), /*tile=*/0);
+
+  // The data is order-sensitive: folding the parts in reverse moves bits.
+  const std::vector<const double*> reversed(parts.rbegin(), parts.rend());
+  std::vector<double> rev = y0;
+  fold_partials(reversed, n, rev.data(), /*tile=*/0);
+  ASSERT_NE(std::memcmp(rev.data(), want.data(), un * sizeof(double)), 0);
+
+  for (const int lanes : {1, 4}) {
+    testing::ScopedLanes scoped(lanes);
+    for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{7},
+                                    std::int64_t{4096}, std::int64_t{8192},
+                                    n, n + 1}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + " tile " +
+                   std::to_string(tile));
+      std::vector<double> got = y0;
+      fold_partials(parts, n, got.data(), tile);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), un * sizeof(double)), 0);
+    }
+  }
 }
 
 TEST(Kernels, EmptyLengthsAreNoops) {

@@ -20,6 +20,7 @@
 #include "serve/session.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace spttn {
 namespace {
@@ -566,6 +567,63 @@ TEST(KernelCachePersist, LoadRejectsTamperedArtifactsButAdmitsGoodOnes) {
   EXPECT_TRUE(saw_fingerprint);
   EXPECT_TRUE(saw_version);
   EXPECT_TRUE(saw_checksum);
+}
+
+// An artifact whose cost-model stamp is missing (written before the stamp
+// existed) or names another model is rejected with both values in the
+// error, and the kernel re-plans instead of serving the older nest.
+TEST(KernelCachePersist, LoadRejectsMissingOrOtherCostModelStamp) {
+  const std::string dir = fresh_dir("spttn_cache_model");
+  fs::create_directories(dir);
+  auto inst = make_instance(kernel_case("mttkrp3"), 99);
+  KernelCache warm;
+  const auto entry = warm.get_or_plan(inst->bound);
+  const auto hex = [](std::uint64_t v) {
+    return strfmt("%016llx", static_cast<unsigned long long>(v));
+  };
+  std::vector<std::pair<std::string, std::string>> meta = {
+      {"options_hash", hex(entry->signature.options_hash)},
+      {"sparsity_fingerprint", hex(entry->signature.sparsity_fingerprint)}};
+  const auto write = [&](const std::string& name) {
+    std::ofstream os(fs::path(dir) / name, std::ios::binary);
+    os << serialize_plan(inst->bound.kernel, entry->plan, meta);
+  };
+  write("unstamped.plan");
+  const std::string other = std::to_string(kCostModelVersion + 1);
+  meta.emplace_back("cost_model", other);
+  write("other.plan");
+
+  KernelCache cold;
+  const auto rep = cold.load_dir(dir);
+  EXPECT_EQ(rep.processed, 0);
+  EXPECT_EQ(rep.rejected, 2) << rep.to_string();
+  ASSERT_EQ(rep.errors.size(), 2u);
+  const std::string planner =
+      "planner is cost_model " + std::to_string(kCostModelVersion);
+  for (const std::string& e : rep.errors) {
+    EXPECT_NE(e.find("cost model mismatch"), std::string::npos) << e;
+    EXPECT_NE(e.find(planner), std::string::npos) << e;
+  }
+  // load_dir reads files in name order: other.plan, then unstamped.plan.
+  EXPECT_NE(rep.errors[0].find("stamped cost_model " + other),
+            std::string::npos)
+      << rep.errors[0];
+  EXPECT_NE(rep.errors[1].find("stamped cost_model (none)"),
+            std::string::npos)
+      << rep.errors[1];
+
+  bool was_cached = true;
+  (void)cold.get_or_plan(inst->bound, {}, &was_cached);
+  EXPECT_FALSE(was_cached);
+  EXPECT_EQ(cold.counters().planned, 1u);
+
+  // The stamp save_dir writes is the one load_dir admits.
+  const std::string good = fresh_dir("spttn_cache_model_good");
+  ASSERT_EQ(warm.save_dir(good).processed, 1);
+  KernelCache reloaded;
+  const auto ok = reloaded.load_dir(good);
+  EXPECT_EQ(ok.processed, 1);
+  EXPECT_EQ(ok.rejected, 0) << ok.to_string();
 }
 
 TEST(KernelCachePersist, LoadDirEdgeCases) {

@@ -21,11 +21,10 @@
 //    exceeds the baseline's. Both are deterministic (node budgets, fixed
 //    seeds), so the only slack is 1e-9 and --max-regress does not apply.
 //
-// Baselines may predate a schema change: rows missing the "backend" field
-// are treated as backend=modeled, and comparison runs over the identity
-// intersection (a smoke run with fewer ranks than the checked-in sweep
-// compares only the shared rows — the tool requires the intersection to be
-// non-empty so a renamed key cannot silently compare nothing).
+// Comparison runs over the identity intersection (a smoke run with fewer
+// ranks than the checked-in sweep compares only the shared rows — the tool
+// requires the intersection to be non-empty so a renamed key cannot
+// silently compare nothing).
 //
 //   tools/bench_diff --new smoke_fig8.json --baseline BENCH_fig8.json
 //       [--max-regress 2.0] [--min-delta 1e-4] [--schema-only]
@@ -244,9 +243,8 @@ Json parse_file(const std::string& path) {
 
 // ------------------------------------------------------------- flattening
 
-/// Fields that identify a row rather than measure it. "backend" defaults
-/// to "modeled" when absent so pre-backend baselines compare against the
-/// modeled rows of the extended schema.
+/// Fields that identify a row rather than measure it: every string field
+/// and the rank-like counts.
 bool is_identity_field(const std::string& key, const Json& v) {
   if (v.kind == Json::Kind::kString) return true;
   return key == "ranks" || key == "threads" || key == "clients" ||
@@ -282,21 +280,12 @@ void flatten(const Json& v, const std::string& identity, Metrics* out) {
   }
   if (v.kind != Json::Kind::kObject) return;
   std::string id = identity;
-  bool saw_backend = false;
-  bool saw_row_id = false;
   for (const auto& [key, member] : v.members) {
     if (!is_identity_field(key, member)) continue;
-    saw_row_id = true;
-    if (key == "backend") saw_backend = true;
     id += "/" + key + "=" +
           (member.kind == Json::Kind::kString
                ? member.str
                : strfmt("%lld", static_cast<long long>(member.num)));
-  }
-  // Pre-backend fig8 baselines: figure-level objects carried no backend
-  // field, so pin their rows to the modeled transport.
-  if (!saw_backend && saw_row_id && v.find("figure") != nullptr) {
-    id += "/backend=modeled";
   }
   for (const auto& [key, member] : v.members) {
     if (member.kind == Json::Kind::kNumber &&
