@@ -173,7 +173,9 @@ void scaling_table(const std::string& title, const Problem& p,
                           ag.count, ar.count});
   }
   table.add_note("comm[s]: measured around real buffer movement (per-rank "
-                 "factor replicas, tiled partial reduce); model-*: the same "
+                 "factor replicas; tiled fold of the rank partials, or of "
+                 "only the cut rows when ranks write their own rows in "
+                 "place, whose allgather moves nothing); model-*: the same "
                  "collectives priced by the alpha-beta model (simulated; "
                  "the paper's methodology)");
   table.add_note("paper Fig. 8: near-linear scaling for all three kernels");

@@ -90,6 +90,12 @@ const DenseTensor& ShmemComm::gathered(int rank, int slot) const {
                   [static_cast<std::size_t>(rank)];
 }
 
+void ShmemComm::allgather_in_place(std::int64_t bytes) {
+  if (ranks_ == 1) return;
+  events_.push_back({CollectiveKind::kAllgather, bytes, 0.0,
+                     allgather_seconds(bytes, ranks_, params_)});
+}
+
 void ShmemComm::allreduce(std::span<const DenseTensor* const> partials,
                           DenseTensor* out) {
   SPTTN_CHECK_MSG(static_cast<int>(partials.size()) == ranks_,

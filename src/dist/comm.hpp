@@ -3,9 +3,13 @@
 //
 // ShmemComm moves real bytes between simulated ranks in one process:
 // allgathers copy the payload into one replica per rank (ranks then read
-// their own replica during local execution), and the output all-reduce is
-// a tiled ascending-rank fold over the per-rank partials on the
-// process-wide pool. Every collective is recorded as a CommEvent carrying
+// their own replica during local execution), and an all-reduce is a tiled
+// ascending-rank fold over per-rank partials on the process-wide pool —
+// of the whole output, or, when ranks write the output rows of their own
+// roots in place, of just the rows of the roots the rank cuts split. Those
+// owned rows are then logged as an allgather of the output that moves
+// nothing in one address space (measured seconds 0) but keeps its model
+// price. Every collective is recorded as a CommEvent carrying
 // both its measured wall-clock `seconds` and its `model_seconds`, the
 // alpha-beta price of the same collective under the comm's CommParams —
 // how CoNST and SparseAuto validate distributed schedules without a live
@@ -51,9 +55,9 @@ enum class CollectiveKind { kAllgather, kAllreduce };
 /// One collective issued during a run.
 struct CommEvent {
   CollectiveKind kind = CollectiveKind::kAllgather;
-  /// Payload bytes of the collective (the gathered factor or the reduced
-  /// output). The transport moves more than this internally: an allgather
-  /// writes one replica per rank.
+  /// Payload bytes of the collective (the gathered factor or output, or
+  /// the reduced output or cut rows). The transport moves more than this
+  /// internally: an allgather writes one replica per rank.
   std::int64_t bytes = 0;
   /// Measured wall-clock around the buffer movement.
   double seconds = 0;
@@ -91,7 +95,13 @@ class ShmemComm {
   /// Rank `rank`'s replica of allgathered slot `slot`.
   const DenseTensor& gathered(int rank, int slot) const;
 
-  /// All-reduce the per-rank output partials into `out`: a tiled fold,
+  /// Log the allgather of an output whose ranks wrote their own rows in
+  /// place in the one address space: nothing moves, so the event's
+  /// measured seconds are 0, and the model prices the gathered `bytes`. On
+  /// a single rank nothing is logged.
+  void allgather_in_place(std::int64_t bytes);
+
+  /// All-reduce the per-rank partials into `out`: a tiled fold,
   /// element-wise in ascending rank order on the pool (null entries are
   /// idle ranks and are skipped), so the bits do not depend on the tiling
   /// or the schedule. `out` must be zero-initialized. The reduced output

@@ -327,6 +327,14 @@ void walk_statements(const LoweredProgram& p, const LOp& op,
 
 }  // namespace
 
+std::int64_t prefix_cut(std::span<const std::int64_t> prefix, std::int64_t c,
+                        std::int64_t parts) {
+  const std::int64_t goal =
+      prefix.front() + (prefix.back() - prefix.front()) * c / parts;
+  return std::lower_bound(prefix.begin(), prefix.end(), goal) -
+         prefix.begin();
+}
+
 struct FusedExecutor::Impl {
   Kernel kernel;  // copy: plans outlive callers' kernels
   ContractionPath path;
@@ -431,11 +439,27 @@ struct FusedExecutor::Impl {
     return ctx;
   }
 
+  /// Run top-level action `t`; a sparse root loop runs only its level-0
+  /// positions [root_begin, root_end).
+  void run_action(lowered::ExecCtx& ctx, std::size_t t,
+                  std::int64_t root_begin, std::int64_t root_end) const {
+    const LOp& a = low.top[t];
+    if (a.kind == LOp::Kind::kLoop) {
+      const LLoop& l = low.loops[static_cast<std::size_t>(a.id)];
+      if (l.sparse && l.csf_level == 0) {
+        lowered::run_loop(low, ctx, a.id, root_begin, root_end);
+        return;
+      }
+    }
+    lowered::run_top(low, ctx, t);
+  }
+
   void compile();
   void analyze_parallel();
 
   void execute_parallel(lowered::ExecCtx& ctx, const Binding& bind,
                         const ExecArgs& args, int want_threads,
+                        std::int64_t root_begin, std::int64_t root_end,
                         std::vector<std::vector<double>>& shared_bufs,
                         ExecStats* stats) const;
 };
@@ -680,6 +704,13 @@ void FusedExecutor::execute(const ExecArgs& args) {
                   "executed (stale cached plan?)");
   SPTTN_CHECK_MSG(static_cast<int>(args.dense.size()) == k.num_inputs(),
                   "expected one dense slot per kernel input");
+  const std::int64_t roots = csf.num_nodes(0);
+  const std::int64_t root_end = args.root_end < 0 ? roots : args.root_end;
+  SPTTN_CHECK_MSG(args.root_begin >= 0 && args.root_begin <= root_end &&
+                      root_end <= roots,
+                  "root range [" << args.root_begin << ", " << root_end
+                                 << ") outside the CSF's " << roots
+                                 << " roots");
   const int want_threads = std::max(1, args.num_threads);
   // Shared storage for buffers carrying values across top-level actions;
   // workers alias it (their writes are disjoint by the safety analysis).
@@ -737,12 +768,12 @@ void FusedExecutor::execute(const ExecArgs& args) {
   lowered::ExecCtx ctx =
       im.make_ctx(bind, want_threads > 1 ? &shared_bufs : nullptr);
   if (want_threads > 1) {
-    im.execute_parallel(ctx, bind, args, want_threads, shared_bufs,
-                        args.stats);
+    im.execute_parallel(ctx, bind, args, want_threads, args.root_begin,
+                        root_end, shared_bufs, args.stats);
     return;
   }
   for (std::size_t t = 0; t < im.low.top.size(); ++t) {
-    lowered::run_top(im.low, ctx, t);
+    im.run_action(ctx, t, args.root_begin, root_end);
   }
   if (args.stats != nullptr) {
     // Report the sequential execution faithfully instead of clobbering the
@@ -784,14 +815,15 @@ struct ParTask {
 /// weight prefixes c*W/B into at most B chunks. A chunk heavier than 1.25x
 /// the per-task target T = ceil(W/B) is re-walked when the region admits a
 /// nested split: positions heavier than T break into sub-ranges of the
-/// second loop level, lighter ones coalesce into runs of about T. Outputs
+/// second loop level, lighter ones coalesce into runs of about T. Sparse
+/// roots then keep only the tasks inside [root_begin, root_end). Outputs
 /// write directly when the final tasks are disjoint in the partitioned
 /// indices, otherwise into per-task partials folded by a tiled
 /// deterministic reduction.
 void FusedExecutor::Impl::execute_parallel(
     lowered::ExecCtx& ctx, const Binding& bind, const ExecArgs& args,
-    int want_threads, std::vector<std::vector<double>>& shared_bufs,
-    ExecStats* stats) const {
+    int want_threads, std::int64_t root_begin, std::int64_t root_end,
+    std::vector<std::vector<double>>& shared_bufs, ExecStats* stats) const {
   ThreadPool& pool = ThreadPool::global();
   ExecStats st;
   st.populated = true;
@@ -817,7 +849,7 @@ void FusedExecutor::Impl::execute_parallel(
     const LLoop& root = low.loops[static_cast<std::size_t>(a.id)];
     if (!meta.par_safe) {
       ++st.fallback_regions;
-      lowered::run_top(low, ctx, t);
+      run_action(ctx, t, root_begin, root_end);
       continue;
     }
     const LLoop* inner =
@@ -849,9 +881,12 @@ void FusedExecutor::Impl::execute_parallel(
     };
     const std::int64_t total_w = prefix(extent);
     if (extent == 0 || total_w == 0) {
-      lowered::run_top(low, ctx, t);
+      run_action(ctx, t, root_begin, root_end);
       continue;
     }
+    // The root positions this execution runs.
+    const std::int64_t lo = root.sparse ? root_begin : 0;
+    const std::int64_t hi = root.sparse ? root_end : extent;
 
     // Task budget B. Every task pays a worker state (private-buffer
     // allocation), and tasks beyond the pool's lanes only help by
@@ -897,14 +932,10 @@ void FusedExecutor::Impl::execute_parallel(
       for (std::int64_t c = 1; c <= pieces && prev < ie; ++c) {
         std::int64_t end = ie;
         if (c < pieces && inner->sparse) {
-          const std::int64_t goal =
-              inner_leaf[static_cast<std::size_t>(ib)] +
-              (inner_leaf[static_cast<std::size_t>(ie)] -
-               inner_leaf[static_cast<std::size_t>(ib)]) *
-                  c / pieces;
-          end = std::lower_bound(inner_leaf.begin() + ib,
-                                 inner_leaf.begin() + ie, goal) -
-                inner_leaf.begin();
+          const auto fibers = std::span<const std::int64_t>(inner_leaf).subspan(
+              static_cast<std::size_t>(ib),
+              static_cast<std::size_t>(ie - ib + 1));
+          end = ib + prefix_cut(fibers, c, pieces);
         } else if (c < pieces) {
           end = ib + cap * c / pieces;
         }
@@ -952,12 +983,9 @@ void FusedExecutor::Impl::execute_parallel(
     for (std::int64_t c = 1; c <= budget && begin < extent; ++c) {
       std::int64_t end = extent;
       if (c < budget) {
-        const std::int64_t goal = total_w * c / budget;
-        end = root.sparse
-                  ? std::lower_bound(leaf_begin.begin(), leaf_begin.end(),
-                                     goal) -
-                        leaf_begin.begin()
-                  : (goal + dense_w_each - 1) / dense_w_each;
+        end = root.sparse ? prefix_cut(leaf_begin, c, budget)
+                          : (total_w * c / budget + dense_w_each - 1) /
+                                dense_w_each;
         end = std::clamp(end, begin, extent);
       }
       if (end == begin) continue;
@@ -971,6 +999,21 @@ void FusedExecutor::Impl::execute_parallel(
       }
       begin = end;
     }
+    // A root range keeps the whole-CSF tasks that overlap it, clipped: each
+    // root it runs is split exactly as in a whole-CSF execution.
+    if (lo > 0 || hi < extent) {
+      std::vector<ParTask> kept;
+      for (ParTask task : tasks) {
+        const std::int64_t b = std::max(task.root_begin, lo);
+        const std::int64_t e = std::min(task.root_end, hi);
+        if (b >= e) continue;
+        if (task.inner_begin < 0) task.weight = prefix(e) - prefix(b);
+        task.root_begin = b;
+        task.root_end = e;
+        kept.push_back(task);
+      }
+      tasks = std::move(kept);
+    }
 
     const auto n_tasks = static_cast<std::int64_t>(tasks.size());
     if (n_tasks < 2) {
@@ -979,7 +1022,7 @@ void FusedExecutor::Impl::execute_parallel(
       // serialization is observable, then run in place.
       st.partition_imbalance =
           std::max(st.partition_imbalance, static_cast<double>(budget));
-      lowered::run_top(low, ctx, t);
+      run_action(ctx, t, root_begin, root_end);
       continue;
     }
     const bool has_nested =
@@ -1045,14 +1088,32 @@ void FusedExecutor::Impl::execute_parallel(
     // on the pool: each lane's working set stays O(tile), memory is swept
     // once, and the bits depend only on the partition shape.
     const auto fold = [](const std::vector<std::vector<double>>& partial,
-                         std::int64_t len, double* dst) {
+                         std::int64_t begin, std::int64_t end, double* dst) {
       std::vector<const double*> parts;
       parts.reserve(partial.size());
-      for (const auto& p : partial) parts.push_back(p.data());
-      fold_partials(parts, len, dst, /*tile=*/4096);
+      for (const auto& p : partial) parts.push_back(p.data() + begin);
+      fold_partials(parts, end - begin, dst + begin, /*tile=*/4096);
     };
-    if (!dense_direct) fold(dense_partial, dense_out_len, bind.out_dense);
-    if (!sparse_direct) fold(sparse_partial, sparse_out_len, bind.out_sparse);
+    if (!dense_direct) {
+      // A root-strided output led by the root index is written only on the
+      // rows of the roots that ran, so only those rows are folded: rows
+      // outside keep their bits, and executions over disjoint roots may
+      // share one output (DistSpttn's ranks).
+      std::int64_t rows_begin = 0;
+      std::int64_t rows_end = dense_out_len;
+      if (root.sparse && meta.out_dense_rooted &&
+          kernel.output().idx.front() == root.index) {
+        const std::int64_t row_len =
+            dense_out_len / kernel.index_dim(root.index);
+        const auto coord = csf.level_idx(0);
+        rows_begin = coord[static_cast<std::size_t>(lo)] * row_len;
+        rows_end = (coord[static_cast<std::size_t>(hi - 1)] + 1) * row_len;
+      }
+      fold(dense_partial, rows_begin, rows_end, bind.out_dense);
+    }
+    if (!sparse_direct) {
+      fold(sparse_partial, 0, sparse_out_len, bind.out_sparse);
+    }
 
     ++st.parallel_regions;
     if (has_nested) ++st.nested_regions;
@@ -1069,7 +1130,7 @@ void FusedExecutor::Impl::execute_parallel(
     }
     const double imbalance = static_cast<double>(max_task_w) *
                              static_cast<double>(n_tasks) /
-                             static_cast<double>(total_w);
+                             static_cast<double>(prefix(hi) - prefix(lo));
     st.partition_imbalance = std::max(st.partition_imbalance, imbalance);
   }
   if (stats != nullptr) *stats = st;

@@ -83,6 +83,13 @@ struct ExecArgs {
   std::span<double> out_sparse;
   /// Accumulate into the output instead of zeroing it first.
   bool accumulate = false;
+  /// Level-0 positions [root_begin, root_end) of `sparse` that top-level
+  /// sparse root loops run (root_end < 0: every root); other top-level
+  /// actions run in full. The lanes cut the whole CSF as usual and drop the
+  /// tasks outside the range, so every root's output bits are those of a
+  /// whole-CSF execution. DistSpttn runs a rank's slice in such ranges.
+  std::int64_t root_begin = 0;
+  std::int64_t root_end = -1;
   /// Lanes of parallelism for the root loop(s), served by the process-wide
   /// work-stealing ThreadPool; 1 = sequential. One deterministic splitter
   /// partitions every safe root loop, and multi-root forests parallelize
@@ -101,6 +108,8 @@ struct ExecArgs {
   /// with disjoint writes; outputs either write disjoint slices directly or
   /// go through per-task partials folded by a tiled deterministic
   /// reduction (same partition shape => bit-identical results run to run).
+  /// A dense output led by the sparse root index folds only the rows of
+  /// the roots that ran, so executions over disjoint roots may share it.
   /// A second-level split can turn a direct-write region into a partials
   /// region; it keeps the direct-write budget, so it may allocate up to
   /// B <= 4x lanes output partials.
@@ -108,6 +117,14 @@ struct ExecArgs {
   /// Optional out-param receiving per-execution diagnostics.
   ExecStats* stats = nullptr;
 };
+
+/// The prefix-cut rule of both partitioners, the executor's lanes and
+/// DistSpttn's ranks. `prefix` is a non-decreasing weight prefix over
+/// positions (prefix[p] = weight before position p); cut c of `parts` lands
+/// on the first position whose prefix is at or past c*W/parts of the total
+/// weight W = prefix.back() - prefix.front(). Returns that position.
+std::int64_t prefix_cut(std::span<const std::int64_t> prefix, std::int64_t c,
+                        std::int64_t parts);
 
 /// Executes one fully-fused loop nest for an SpTTN kernel.
 class FusedExecutor {

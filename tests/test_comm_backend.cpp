@@ -6,6 +6,7 @@
 // transport moves real bytes on the process-wide pool).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -47,6 +48,50 @@ RunOut run_with(const DistSpttn& dist, const BoundKernel& bound, int ranks,
                 std::int64_t nnz, bool concurrent, int local_threads = 1) {
   ShmemComm comm(ranks);
   return run_with(dist, bound, comm, nnz, concurrent, local_threads);
+}
+
+/// The collectives a run over `ranks` issues, in order, each priced by
+/// dist/comm.hpp: an allgather per dense factor not indexed by the sparse
+/// root index, in slot order; then, for a dense output led by the root
+/// index, an all-reduce of the rows of the roots the cuts split (when a cut
+/// splits one) and an allgather of the whole output, and for any other
+/// dense output one all-reduce of the whole output.
+std::vector<CommEvent> expected_events(const BoundKernel& bound,
+                                       const DistSpttn& dist, int ranks,
+                                       const CommParams& params) {
+  const Kernel& k = bound.kernel;
+  const int root = k.sparse_ref().idx.front();
+  const auto bytes_of = [](std::int64_t elems) {
+    return elems * static_cast<std::int64_t>(sizeof(double));
+  };
+  std::vector<CommEvent> want;
+  for (std::size_t i = 0; i < bound.dense.size(); ++i) {
+    const DenseTensor* d = bound.dense[i];
+    if (d == nullptr) continue;
+    const std::vector<int>& idx = k.input(static_cast<int>(i)).idx;
+    if (std::find(idx.begin(), idx.end(), root) != idx.end()) continue;
+    const std::int64_t bytes = bytes_of(d->size());
+    want.push_back({CollectiveKind::kAllgather, bytes, 0,
+                    allgather_seconds(bytes, ranks, params)});
+  }
+  if (k.output_is_sparse()) return want;
+  const DenseTensor out = make_output(bound);
+  const std::int64_t out_bytes = bytes_of(out.size());
+  if (k.output().idx.front() != root) {
+    want.push_back({CollectiveKind::kAllreduce, out_bytes, 0,
+                    allreduce_seconds(out_bytes, ranks, params)});
+    return want;
+  }
+  const std::int64_t cut =
+      testing::cut_root_count(dist.leaf_cuts(), bound.csf);
+  if (cut > 0) {
+    const std::int64_t bytes = cut * bytes_of(out.size() / out.dim(0));
+    want.push_back({CollectiveKind::kAllreduce, bytes, 0,
+                    allreduce_seconds(bytes, ranks, params)});
+  }
+  want.push_back({CollectiveKind::kAllgather, out_bytes, 0,
+                  allgather_seconds(out_bytes, ranks, params)});
+  return want;
 }
 
 void expect_bit_identical(const RunOut& want, const RunOut& got) {
@@ -149,10 +194,10 @@ TEST(RankScheduling, RanksGreaterThanNnzEdgeCase) {
 }
 
 // Every event's model_seconds is exactly the alpha-beta price of its
-// payload under the comm's CommParams: one allgather per dense factor, in
-// slot order, then one all-reduce of a dense output. The run's model sum is
-// the same doubles summed in the same order, and it repeats exactly across
-// runs and rank schedules (it depends on bytes and ranks only).
+// payload under the comm's CommParams, and the events are expected_events'
+// list. The run's model sum is the same doubles summed in the same order,
+// and it repeats exactly across runs and rank schedules (it depends on
+// bytes and ranks only).
 TEST(ShmemComm, ModelSecondsMatchCommModelExactly) {
   testing::ScopedLanes lanes(4);
   CommParams fitted;
@@ -169,21 +214,8 @@ TEST(ShmemComm, ModelSecondsMatchCommModelExactly) {
       const std::int64_t nnz = inst->sparse.nnz();
       const RunOut got = run_with(dist, inst->bound, comm, nnz, false);
 
-      std::vector<CommEvent> want;
-      for (const DenseTensor* d : inst->bound.dense) {
-        if (d == nullptr) continue;
-        const std::int64_t bytes =
-            d->size() * static_cast<std::int64_t>(sizeof(double));
-        want.push_back({CollectiveKind::kAllgather, bytes, 0,
-                        allgather_seconds(bytes, ranks, params)});
-      }
-      if (!inst->bound.kernel.output_is_sparse()) {
-        const std::int64_t bytes =
-            make_output(inst->bound).size() *
-            static_cast<std::int64_t>(sizeof(double));
-        want.push_back({CollectiveKind::kAllreduce, bytes, 0,
-                        allreduce_seconds(bytes, ranks, params)});
-      }
+      const std::vector<CommEvent> want =
+          expected_events(inst->bound, dist, ranks, params);
       ASSERT_EQ(got.res.events.size(), want.size());
       double want_seconds = 0;
       std::int64_t want_bytes = 0;
@@ -210,9 +242,11 @@ TEST(ShmemComm, ModelSecondsMatchCommModelExactly) {
   }
 }
 
-// The event log carries the per-collective breakdown: one allgather per
-// dense factor, one all-reduce for dense outputs (none for sparse), and
-// the kind-wise totals partition the summed fields exactly.
+// The event log carries the per-collective breakdown (expected_events: the
+// gathered factors, and for mttkrp3's root-strided output the cut-row
+// all-reduce and the owned-row allgather; TTTP gathers V and W only and
+// reduces nothing), and the kind-wise totals partition the summed fields
+// exactly.
 TEST(CommEvents, BreakdownPartitionsTotals) {
   for (int kernel_idx : {0, 4}) {  // dense out, sparse out
     const auto inst = testing::make_instance(
@@ -222,13 +256,16 @@ TEST(CommEvents, BreakdownPartitionsTotals) {
     DistSpttn dist(inst->bound, ranks);
     const RunOut got =
         run_with(dist, inst->bound, ranks, inst->sparse.nnz(), false);
-    int factors = 0;
-    for (const DenseTensor* d : inst->bound.dense) factors += d != nullptr;
-    const bool sparse_out = inst->bound.kernel.output_is_sparse();
+    int want_ag = 0;
+    int want_ar = 0;
+    for (const CommEvent& ev : expected_events(inst->bound, dist, ranks, {})) {
+      (ev.kind == CollectiveKind::kAllgather ? want_ag : want_ar) += 1;
+    }
     const CommBreakdown ag = got.res.breakdown(CollectiveKind::kAllgather);
     const CommBreakdown ar = got.res.breakdown(CollectiveKind::kAllreduce);
-    EXPECT_EQ(ag.count, factors);
-    EXPECT_EQ(ar.count, sparse_out ? 0 : 1);
+    EXPECT_EQ(ag.count, want_ag);
+    EXPECT_EQ(ar.count, want_ar);
+    EXPECT_EQ(ag.count, kernel_idx == 0 ? 3 : 2);
     EXPECT_EQ(static_cast<int>(got.res.events.size()), ag.count + ar.count);
     EXPECT_EQ(ag.bytes + ar.bytes, got.res.comm_bytes);
     EXPECT_DOUBLE_EQ(ag.seconds + ar.seconds, got.res.comm_seconds);

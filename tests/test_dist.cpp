@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "dist/dist_spttn.hpp"
+#include "exec/executor.hpp"
+#include "exec/kernels.hpp"
 #include "exec/reference.hpp"
+#include "serve/kernel_cache.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,6 +31,63 @@ CooTensor skewed_root_tensor(Rng& rng) {
   }
   for (std::int64_t i = 1; i < 64; ++i) {
     t.push_back({i, i % heavy_j, i % heavy_k}, 1.0);
+  }
+  t.sort_dedup();
+  return t;
+}
+
+std::int64_t bytes_of(const DenseTensor& t) {
+  return t.size() * static_cast<std::int64_t>(sizeof(double));
+}
+
+/// A random factor with every fifth entry set to -0.0.
+DenseTensor factor_with_negative_zeros(std::int64_t rows, std::int64_t cols,
+                                       Rng& rng) {
+  DenseTensor f = random_dense({rows, cols}, rng);
+  for (std::int64_t e = 0; e < f.size(); e += 5) f.data()[e] = -0.0;
+  return f;
+}
+
+/// The distributed output as full per-rank partials give it: each rank's
+/// entry range executed into its own zeroed output, folded in ascending
+/// rank order.
+DenseTensor rank_partial_fold(const BoundKernel& bound, const DistSpttn& dist,
+                              int local_threads) {
+  const Plan plan = plan_kernel(bound, {}, KernelCache::global());
+  FusedExecutor exec(bound.kernel, plan.path, plan.order);
+  const std::vector<std::int64_t>& cuts = dist.leaf_cuts();
+  std::vector<DenseTensor> partials;
+  for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+    if (cuts[r] == cuts[r + 1]) continue;
+    const CsfTensor slice = CsfTensor::slice(*bound.coo, cuts[r], cuts[r + 1]);
+    DenseTensor& p = partials.emplace_back(make_output(bound));
+    ExecArgs args;
+    args.sparse = &slice;
+    args.dense = bound.dense;
+    args.out_dense = &p;
+    args.num_threads = local_threads;
+    exec.execute(args);
+  }
+  std::vector<const double*> parts;
+  for (const DenseTensor& p : partials) parts.push_back(p.data());
+  DenseTensor out = make_output(bound);
+  fold_partials(parts, out.size(), out.data(), 0);
+  return out;
+}
+
+/// Eight equally heavy roots of 8192 nonzeros each: at 5 ranks most
+/// ranks own one whole root, heavy enough that four local lanes split it
+/// into per-task partials while the other ranks write the shared output.
+CooTensor heavy_roots_tensor(Rng& rng) {
+  CooTensor t({8, 512, 64});
+  for (std::int64_t i = 0; i < 8; ++i) {
+    for (std::int64_t j = 0; j < 512; ++j) {
+      for (std::int64_t k = 0; k < 64; ++k) {
+        if ((j * 7 + k * 3 + i) % 4 == 0) {
+          t.push_back({i, j, k}, rng.next_double() - 0.5);
+        }
+      }
+    }
   }
   t.sort_dedup();
   return t;
@@ -220,9 +281,12 @@ TEST(DistSpttn, HybridLocalThreadsMatchesSingleThreaded) {
 }
 
 // Concurrent simulated ranks must be bit-identical to the sequential rank
-// loop for the Figure 8 kernel families: every rank computes into a
-// private partial either way and the closing reduction folds partials in
-// ascending rank order, so scheduling cannot change a single bit.
+// loop for the Figure 8 kernel families. Ranks write disjoint memory
+// either way: their own rows of a root-strided output (TTMc, MTTKRP mode
+// 0), a private partial of any other dense output, or their own entry
+// range of a sparse one. The shares of cut roots run after the barrier,
+// and every all-reduce folds in ascending rank order, so scheduling cannot
+// change a single bit.
 TEST(DistSpttn, ConcurrentRanksBitIdenticalToSequential) {
   testing::ScopedLanes lanes(4);  // real lanes even on 1-core CI boxes
   for (int kernel_idx : {0, 2, 4}) {  // mttkrp3, ttmc3, tttp3 (Fig. 8)
@@ -277,6 +341,72 @@ TEST(DistSpttn, ConcurrentRanksWithLocalThreadsMatch) {
   EXPECT_EQ(want.max_abs_diff(got), 0.0);
 }
 
+// Root-strided outputs (MTTKRP mode 0, TTMc) are accumulated in place and
+// their cut roots all-reduced; MTTKRP mode 2 keeps the full-output
+// all-reduce. Either way the output must equal, bit for bit, the ascending
+// fold of full per-rank partials, on a tensor whose heavy root spans many
+// ranks, on one with several heavy roots and on a suite instance, with
+// -0.0 factor entries, for sequential and concurrent ranks with one and
+// four local lanes. Under TSan the concurrent four-lane runs check that a
+// rank's lane partials fold only into its own rows of the shared output.
+TEST(DistSpttn, OutputBitIdenticalToRankPartialFold) {
+  testing::ScopedLanes lanes(4);
+  Rng rng(53);
+  const CooTensor skewed = skewed_root_tensor(rng);
+  const CooTensor heavy = heavy_roots_tensor(rng);
+  const auto suite = testing::make_instance(paper_kernels()[0], 5353);
+  // Each kernel's two factors: the sparse mode they share and their width.
+  const struct {
+    const char* expr;
+    int mode[2];
+    std::int64_t cols[2];
+    bool full_allreduce;
+  } kernels[] = {
+      {"A(i,r) = T(i,j,k)*B(j,r)*C(k,r)", {1, 2}, {4, 4}, false},
+      {"S(i,r,s) = T(i,j,k)*U(j,r)*V(k,s)", {1, 2}, {4, 3}, false},
+      {"A(k,r) = T(i,j,k)*B(i,r)*C(j,r)", {0, 1}, {4, 4}, true}};
+  const CooTensor* tensors[] = {&skewed, &heavy, &suite->sparse};
+  for (const CooTensor* t : tensors) {
+    SCOPED_TRACE("nnz " + std::to_string(t->nnz()));
+    for (const auto& kc : kernels) {
+      SCOPED_TRACE(kc.expr);
+      const DenseTensor f1 =
+          factor_with_negative_zeros(t->dim(kc.mode[0]), kc.cols[0], rng);
+      const DenseTensor f2 =
+          factor_with_negative_zeros(t->dim(kc.mode[1]), kc.cols[1], rng);
+      const BoundKernel bound = bind(kc.expr, *t, {&f1, &f2});
+      for (const int ranks : {2, 5, 16}) {
+        SCOPED_TRACE("ranks " + std::to_string(ranks));
+        const DistSpttn dist(bound, ranks);
+        ShmemComm comm(ranks);
+        for (const int local_threads : {1, 4}) {
+          SCOPED_TRACE("local_threads " + std::to_string(local_threads));
+          const DenseTensor want =
+              rank_partial_fold(bound, dist, local_threads);
+          for (const bool concurrent : {false, true}) {
+            SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
+            // run() reshapes a bound output of other dims (here none).
+            DenseTensor got = concurrent ? DenseTensor() : make_output(bound);
+            const DistResult r = dist.run(comm, {}, &got, {}, local_threads,
+                                          concurrent);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  static_cast<std::size_t>(bytes_of(got))),
+                      0);
+            // The closing collective: an all-reduce of the whole output, or
+            // the allgather of the rows the ranks wrote in place.
+            ASSERT_FALSE(r.events.empty());
+            EXPECT_EQ(r.events.back().kind, kc.full_allreduce
+                                                ? CollectiveKind::kAllreduce
+                                                : CollectiveKind::kAllgather);
+            EXPECT_EQ(r.events.back().bytes, bytes_of(got));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DistSpttn, PartitionCoversAllNonzeros) {
   const auto inst = testing::make_instance(paper_kernels()[0], 909);
   DistSpttn dist(inst->bound, 5);
@@ -285,33 +415,86 @@ TEST(DistSpttn, PartitionCoversAllNonzeros) {
   EXPECT_EQ(total, inst->sparse.nnz());
 }
 
+// Exact accounting. MTTKRP mode 0 gathers both factors, all-reduces only
+// the rows of the roots its cuts split and logs the rows each rank owns as
+// an allgather of the output; it issues no full-output all-reduce. MTTKRP
+// mode 2 reads B(i,r) only at its own roots, so it gathers C alone, and
+// all-reduces the whole output once. Every event is priced exactly by
+// comm.hpp's formulas.
 TEST(DistSpttn, CommChargedForFactorsAndOutput) {
   const auto inst = testing::make_instance(paper_kernels()[0], 910);
-  DistSpttn dist(inst->bound, 4);
-  ShmemComm comm(4);
-  DenseTensor out = make_output(inst->bound);
-  const DistResult r = dist.run(comm, {}, &out, {});
-  EXPECT_GT(r.comm_seconds, 0.0);
-  EXPECT_GT(r.comm_model_seconds, 0.0);
-  EXPECT_GT(r.comm_bytes, 0);
-  EXPECT_GE(r.imbalance, 1.0);
+  const int ranks = 4;
+  const CommParams params;
+  const auto expect_priced = [&](const CommEvent& ev, CollectiveKind kind,
+                                 std::int64_t bytes) {
+    EXPECT_EQ(ev.kind, kind);
+    EXPECT_EQ(ev.bytes, bytes);
+    EXPECT_EQ(ev.model_seconds,
+              kind == CollectiveKind::kAllgather
+                  ? allgather_seconds(bytes, ranks, params)
+                  : allreduce_seconds(bytes, ranks, params));
+  };
+  {
+    SCOPED_TRACE("mode 0");
+    const DistSpttn dist(inst->bound, ranks);
+    ShmemComm comm(ranks, params);
+    DenseTensor out = make_output(inst->bound);
+    const DistResult r = dist.run(comm, {}, &out, {});
+    const std::int64_t cut =
+        testing::cut_root_count(dist.leaf_cuts(), inst->bound.csf);
+    ASSERT_GT(cut, 0) << "the instance must exercise the cut-row all-reduce";
+    const std::int64_t row_bytes = bytes_of(out) / out.dim(0);
+    ASSERT_EQ(r.events.size(), 4u);
+    expect_priced(r.events[0], CollectiveKind::kAllgather,
+                  bytes_of(inst->factors[0]));
+    expect_priced(r.events[1], CollectiveKind::kAllgather,
+                  bytes_of(inst->factors[1]));
+    expect_priced(r.events[2], CollectiveKind::kAllreduce, cut * row_bytes);
+    expect_priced(r.events[3], CollectiveKind::kAllgather, bytes_of(out));
+    EXPECT_EQ(r.events[3].seconds, 0.0);  // nothing moves in shared memory
+    EXPECT_EQ(r.breakdown(CollectiveKind::kAllreduce).bytes, cut * row_bytes);
+    EXPECT_GE(r.imbalance, 1.0);
+  }
+  {
+    SCOPED_TRACE("mode 2");
+    Rng rng(912);
+    const DenseTensor b = random_dense({inst->sparse.dim(0), 5}, rng);
+    const DenseTensor c = random_dense({inst->sparse.dim(1), 5}, rng);
+    const BoundKernel bound =
+        bind("A(k,r) = T(i,j,k)*B(i,r)*C(j,r)", inst->sparse, {&b, &c});
+    const DistSpttn dist(bound, ranks);
+    ShmemComm comm(ranks, params);
+    DenseTensor out = make_output(bound);
+    const DistResult r = dist.run(comm, {}, &out, {});
+    ASSERT_EQ(r.events.size(), 2u);
+    expect_priced(r.events[0], CollectiveKind::kAllgather, bytes_of(c));
+    expect_priced(r.events[1], CollectiveKind::kAllreduce, bytes_of(out));
+    EXPECT_EQ(r.breakdown(CollectiveKind::kAllreduce).count, 1);
+  }
 }
 
+// TTTP's output stays with its owners, and U(i,r) is read by each rank
+// only at its own roots: only V and W are gathered, and nothing is
+// reduced.
 TEST(DistSpttn, SparseOutputNeedsNoReduction) {
   const auto inst = testing::make_instance(paper_kernels()[4], 911);  // tttp
-  DistSpttn dist4(inst->bound, 4);
-  ShmemComm comm(4);
+  const int ranks = 4;
+  DistSpttn dist4(inst->bound, ranks);
+  ShmemComm comm(ranks);
   std::vector<double> out(static_cast<std::size_t>(inst->sparse.nnz()));
   const DistResult r = dist4.run(comm, {}, nullptr, out);
-  // Factors still move, but no output all-reduce: comm volume is below an
-  // equivalent dense-output kernel's.
-  const auto inst2 = testing::make_instance(paper_kernels()[0], 911);
-  DistSpttn distm(inst2->bound, 4);
-  DenseTensor dense_out = make_output(inst2->bound);
-  const DistResult rm = distm.run(comm, {}, &dense_out, {});
-  EXPECT_GT(rm.comm_bytes, 0);
-  EXPECT_GE(rm.comm_seconds, 0.0);
-  EXPECT_GT(r.comm_bytes, 0);
+  const CommBreakdown ag = r.breakdown(CollectiveKind::kAllgather);
+  EXPECT_EQ(ag.count, 2);
+  EXPECT_EQ(ag.bytes,
+            bytes_of(inst->factors[1]) + bytes_of(inst->factors[2]));
+  ASSERT_EQ(r.events.size(), 2u);
+  for (std::size_t e = 0; e < r.events.size(); ++e) {
+    EXPECT_EQ(r.events[e].bytes, bytes_of(inst->factors[e + 1]));
+    EXPECT_EQ(r.events[e].model_seconds,
+              allgather_seconds(r.events[e].bytes, ranks, {}));
+  }
+  EXPECT_EQ(r.breakdown(CollectiveKind::kAllreduce).count, 0);
+  EXPECT_EQ(r.comm_bytes, ag.bytes);
 }
 
 TEST(DistSpttn, SingleRankHasNoComm) {

@@ -2,7 +2,10 @@
 // plus randomized instantiation helpers.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,6 +44,20 @@ inline std::vector<KernelCase> paper_kernels() { return paper_kernel_suite(); }
 inline std::unique_ptr<Instance> make_instance(const KernelCase& kc,
                                                std::uint64_t seed) {
   return make_suite_instance(kc, seed);
+}
+
+/// Distinct roots of `csf` that the interior rank cuts `cuts` (entry
+/// offsets, as DistSpttn::leaf_cuts) fall strictly inside.
+inline std::int64_t cut_root_count(const std::vector<std::int64_t>& cuts,
+                                   const CsfTensor& csf) {
+  const std::vector<std::int64_t> roots = csf.leaf_offsets(0);
+  std::set<std::int64_t> split;
+  for (std::size_t c = 1; c + 1 < cuts.size(); ++c) {
+    const auto q = std::upper_bound(roots.begin(), roots.end(), cuts[c]) -
+                   roots.begin();
+    if (roots[static_cast<std::size_t>(q - 1)] != cuts[c]) split.insert(q - 1);
+  }
+  return static_cast<std::int64_t>(split.size());
 }
 
 }  // namespace spttn::testing
