@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   int total = 0;
   const auto paths = executable_paths(bk.kernel, bk.stats, &total);
-  std::cout << total << " contraction paths enumerated, " << paths.size()
+  std::cout << total << " ordered contraction paths, " << paths.size()
             << " single-CSF executable:\n\n";
 
   const BoundedBufferBlasCost cost(static_cast<int>(*bound), 1, &bk.stats,

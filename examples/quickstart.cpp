@@ -27,12 +27,12 @@ int main() {
   const BoundKernel bound =
       bind("A(i,r) = T(i,j,k) * B(j,r) * C(k,r)", t, {&b, &c});
 
-  // 2) Plan: enumerate contraction paths, run Algorithm 1, pick the
+  // 2) Plan: search contraction paths, run Algorithm 1, pick the
   //    minimum-cost fully-fused loop nest.
   const Plan plan = plan_kernel(bound);
   std::cout << "\n--- chosen plan ---\n" << plan.describe(bound.kernel);
-  std::cout << "paths: " << plan.paths_executable << " executable of "
-            << plan.paths_total << " enumerated; DP solved "
+  std::cout << "paths: " << plan.paths_executable << " executable reached of "
+            << plan.paths_total << " ordered; DP solved "
             << plan.dp_subproblems << " subproblems\n";
 
   // 3) Execute.

@@ -112,20 +112,12 @@ const std::vector<LintOptionSet>& lint_option_sets() {
       s.push_back({"max-buffer-dim", o});
     }
     {
-      // Uncapped anytime search: deterministic, and its chosen cost matches
-      // the exact strategy's on every suite kernel.
+      // A node budget that stops the search on the 4-input kernels, so
+      // the budget-exhausted path (the lower bound, the gap, the verifier
+      // gate) is pinned by goldens.
       PlannerOptions o;
-      o.strategy = StrategyKind::kAnytime;
-      s.push_back({"anytime", o});
-    }
-    {
-      // Node-budgeted anytime search: exercises the budget-exhausted path
-      // (beam truncation, incumbent pruning, gap reporting) while staying
-      // deterministic — a wall-clock budget would not be.
-      PlannerOptions o;
-      o.strategy = StrategyKind::kAnytime;
-      o.budget.max_nodes = 64;
-      s.push_back({"anytime-budget", o});
+      o.budget.max_nodes = 8;
+      s.push_back({"budget", o});
     }
     return s;
   }();
@@ -151,9 +143,8 @@ const std::vector<SuiteKernel>& golden_networks() {
 const LintOptionSet& golden_network_options() {
   static const LintOptionSet set = [] {
     PlannerOptions o;
-    o.strategy = StrategyKind::kAnytime;
-    o.budget.max_nodes = 4096;
-    return LintOptionSet{"anytime-4096", o};
+    o.budget.max_nodes = 128;
+    return LintOptionSet{"budget-128", o};
   }();
   return set;
 }

@@ -57,11 +57,10 @@ struct LintOptionSet {
   PlannerOptions options;
 };
 
-/// The planner option sets spttn_lint sweeps (default, bound1 forcing the
-/// relaxation loop, one per alternative cost model, and the anytime
-/// strategy uncapped and node-budgeted). Shared with the golden output
-/// rows so "every paper kernel under every lint option set" means the same
-/// sweep everywhere.
+/// The planner option sets spttn_lint sweeps (default, bound1, one per
+/// alternative cost model, and a node budget that stops the search).
+/// Shared with the golden output rows so "every paper kernel under every
+/// lint option set" means the same sweep everywhere.
 const std::vector<LintOptionSet>& lint_option_sets();
 
 /// Generated networks beyond the paper suite that the golden output rows
@@ -69,8 +68,8 @@ const std::vector<LintOptionSet>& lint_option_sets();
 /// random_network(8, 3, 3, Rng(1082)) and tensor_train_network(8, 3, 2) —
 /// deep operands, long collapsed chains and top-level scalar terms.
 const std::vector<SuiteKernel>& golden_networks();
-/// The option set the golden networks are planned under: the anytime
-/// strategy with a 4096-node budget (deterministic, no wall clock).
+/// The option set the golden networks are planned under: a 128-node
+/// search budget.
 const LintOptionSet& golden_network_options();
 
 /// One row of the golden output table (tests/golden/outputs.txt):

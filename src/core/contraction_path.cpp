@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -307,9 +308,13 @@ std::vector<ContractionPath> enumerate_paths(const Kernel& kernel) {
 std::uint64_t count_paths(int n) {
   SPTTN_CHECK(n >= 2);
   // T(n) = C(n,2) * T(n-1), T(2) = 1.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::int64_t>::max();
   std::uint64_t t = 1;
   for (int i = 3; i <= n; ++i) {
-    t *= static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(i - 1) / 2;
+    const std::uint64_t pairs =
+        static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(i - 1) / 2;
+    if (t > kMax / pairs) return kMax;
+    t *= pairs;
   }
   return t;
 }

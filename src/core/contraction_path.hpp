@@ -3,6 +3,12 @@
 // A contraction path orders the N pairwise contractions that combine the
 // N+1 input tensors. Each term L_i records its two operands, the union of
 // referenced indices, and its output index set (indices alive afterwards).
+//
+// contract_pair is the one rule that builds a term. The planner's path
+// search (core/planner.hpp) walks pair sequences with it, dropping prefixes
+// by term_csf_prefix_executable and by partial term_flops sums;
+// enumerate_paths walks every sequence in the same order, unpruned, for the
+// pairwise baseline and as the tests' exhaustive reference.
 #pragma once
 
 #include <cstdint>
@@ -164,7 +170,7 @@ double path_flops(const Kernel& kernel, const ContractionPath& path,
 std::vector<ContractionPath> enumerate_paths(const Kernel& kernel);
 
 /// Closed-form count of ordered contraction paths for n input tensors:
-/// n! (n-1)! / 2^(n-1).
+/// n! (n-1)! / 2^(n-1), saturating at INT64_MAX (from n = 16).
 std::uint64_t count_paths(int n);
 
 /// Build the left-to-right chain path contracting the sparse input with the

@@ -210,16 +210,10 @@ std::string serialize_plan(
   os << "fingerprint " << hex64(plan.sparsity_fingerprint) << '\n';
   os << "search " << plan.paths_total << ' ' << plan.paths_executable << ' '
      << plan.paths_searched << ' ' << plan.paths_feasible << ' '
-     << plan.dp_subproblems << ' ' << plan.dp_evaluations << '\n';
-  // Anytime diagnostics ride in an optional record so exact plans remain
-  // byte-identical to the pre-strategy format (tests/golden/ pins those
-  // bytes, and persisted exact artifacts must stay loadable unchanged).
-  if (plan.strategy != StrategyKind::kExact) {
-    os << "anytime " << plan.nodes_expanded << ' ' << plan.restarts << ' '
-       << hex_double(plan.flops_lower_bound) << ' '
-       << hex_double(plan.optimality_gap) << ' '
-       << (plan.budget_exhausted ? 1 : 0) << '\n';
-  }
+     << plan.dp_subproblems << ' ' << plan.dp_evaluations << ' '
+     << plan.nodes_expanded << ' ' << hex_double(plan.flops_lower_bound)
+     << ' ' << hex_double(plan.optimality_gap) << ' '
+     << (plan.budget_exhausted ? 1 : 0) << '\n';
   for (const auto& [k, v] : meta) {
     SPTTN_CHECK_MSG(!k.empty() && k.find_first_of(" \t\n") == std::string::npos &&
                         v.find_first_of(" \t\n") == std::string::npos,
@@ -379,33 +373,24 @@ LoadedPlan deserialize_plan(const std::string& text) {
   r.expect_line("fingerprint");
   plan.sparsity_fingerprint = r.read_hex();
   r.expect_line("search");
-  plan.paths_total = static_cast<int>(r.read_int(0, kMaxCount));
-  plan.paths_executable = static_cast<int>(r.read_int(0, kMaxCount));
+  constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+  plan.paths_total = r.read_int(0, kMaxInt64);
+  plan.paths_executable = r.read_int(0, kMaxInt64);
   plan.paths_searched = static_cast<int>(r.read_int(0, kMaxCount));
   plan.paths_feasible = static_cast<int>(r.read_int(0, kMaxCount));
-  plan.dp_subproblems =
-      r.read_int(0, std::numeric_limits<std::int64_t>::max());
-  plan.dp_evaluations =
-      r.read_int(0, std::numeric_limits<std::int64_t>::max());
+  plan.dp_subproblems = r.read_int(0, kMaxInt64);
+  plan.dp_evaluations = r.read_int(0, kMaxInt64);
+  plan.nodes_expanded = r.read_int(0, kMaxInt64);
+  plan.flops_lower_bound = r.read_double_bits();
+  plan.optimality_gap = r.read_double_bits();
+  plan.budget_exhausted = r.read_int(0, 1) == 1;
 
-  // Optional anytime record, then meta entries until the end marker.
+  // Meta entries until the end marker.
   while (true) {
     if (!r.next_line()) r.fail("unexpected end of input, expected 'end'");
     if (r.current_line() == "end") break;
-    const std::string& key = r.token();
-    if (key == "anytime") {
-      plan.strategy = StrategyKind::kAnytime;
-      plan.nodes_expanded =
-          r.read_int(0, std::numeric_limits<std::int64_t>::max());
-      plan.restarts = static_cast<int>(r.read_int(0, kMaxCount));
-      plan.flops_lower_bound = r.read_double_bits();
-      plan.optimality_gap = r.read_double_bits();
-      plan.budget_exhausted = r.read_int(0, 1) == 1;
-      continue;
-    }
-    if (key != "meta") {
-      r.fail("expected 'anytime', 'meta' or 'end', got '" + r.current_line() +
-             "'");
+    if (r.token() != "meta") {
+      r.fail("expected 'meta' or 'end', got '" + r.current_line() + "'");
     }
     if (static_cast<std::int64_t>(out.meta.size()) >= kMaxCount) {
       r.fail("too many meta entries");

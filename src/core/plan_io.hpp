@@ -1,10 +1,10 @@
 // Plan persistence — serialize a planned kernel to a versioned, checksummed
 // text artifact and reconstruct it in another process.
 //
-// A Plan is the expensive half of serving: the exhaustive path enumeration
-// plus order DP that produced it is NP-hard in general (contraction
-// ordering), so a restarted process that can reload winning plans skips the
-// search entirely — the CoNST direction of caching generated kernels per
+// A Plan is the expensive half of serving: the path search plus order DP
+// that produced it is NP-hard in general (contraction ordering), so a
+// restarted process that can reload winning plans skips the search
+// entirely — the CoNST direction of caching generated kernels per
 // (expression, format) signature, applied to our plan artifacts.
 //
 // The format is deliberately hostile to silent corruption:

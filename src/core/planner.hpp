@@ -1,9 +1,17 @@
-// The SpTTN planner (paper Section 5): enumerate contraction paths, keep
+// The SpTTN planner (paper Section 5): search the contraction paths, keep
 // the asymptotically cheapest executable ones, and pick the loop nest that
 // minimizes the configured tree-separable cost via Algorithm 1, falling back
-// to costlier paths (and looser buffer bounds) when constrained. The exact
-// and anytime strategies differ only in how they propose paths; one
-// selector picks the nest (core/planner_strategy.hpp).
+// to costlier paths (and looser buffer bounds) when constrained.
+//
+// One path source feeds the nest selector: a depth-first branch-and-bound
+// over ordered pair sequences (contract_pair). It drops a prefix whose new
+// term breaks the single-CSF rule, or whose partial FLOP estimate already
+// exceeds kFlopGroupTolerance times the cheapest complete path so far; no
+// completion of such a prefix can join the cheapest flop group. When that
+// group has no feasible nest at the initial buffer bound, the search reruns
+// without the FLOP bound and the selector scans every group, then relaxes
+// the bound. So without a node budget the plan is exactly the one the
+// exhaustive enumeration would give.
 #pragma once
 
 #include <memory>
@@ -24,34 +32,13 @@ enum class CostKind {
   kBoundedBufferBlas,  ///< the paper's experiment metric (default)
 };
 
-/// Which source proposes the contraction paths the nest is chosen from.
-enum class StrategyKind {
-  /// Every executable path of the exhaustive enumeration — optimal, but the
-  /// path count is n!(n-1)!/2^(n-1) in the input count, so order-8
-  /// networks are out of reach.
-  kExact,
-  /// Paths found by cost-model-seeded randomized restarts and a pruned
-  /// breadth-first search over contraction sequences, under a
-  /// PlanningBudget, with a reported optimality gap (in the style of
-  /// Pfeifer et al.).
-  kAnytime,
-};
-
-/// Resource limits for the anytime search. Zero means unlimited; with both
-/// limits zero the anytime search runs to completion (every distinct
-/// contraction tree) and its best cost matches the exact strategy's.
+/// Resource limit for the path search (make_plan). Zero means unlimited,
+/// and an unlimited search is exact.
 struct PlanningBudget {
-  /// Wall-clock deadline for the search in milliseconds. The final
-  /// order-DP pass always runs far enough to return at least one feasible
-  /// plan, so a slight overrun is possible — the guarantee is "a verified
-  /// feasible plan, promptly", never "an exception at the deadline".
-  /// Makes the search timing-dependent, hence nondeterministic.
-  std::int64_t max_millis = 0;
-  /// Deterministic alternative: cap on BFS node expansions. With a fixed
-  /// seed the resulting plan is bit-identical across runs.
+  /// Cap on partial paths expanded. It is checked only once the search has
+  /// found a complete executable path, so a budgeted search always returns
+  /// a plan; it is deterministic (the same plan and diagnostics every run).
   std::int64_t max_nodes = 0;
-
-  bool unlimited() const { return max_millis <= 0 && max_nodes <= 0; }
 };
 
 /// Paths whose FLOP estimate is within this factor of the best are
@@ -63,14 +50,15 @@ struct PlanningBudget {
 inline constexpr double kFlopGroupTolerance = 3.0;
 /// Cache-model subtensor order D (Definition 4.6).
 inline constexpr int kCacheD = 1;
-/// Safety cap on DP invocations across path groups.
+/// The search holds at most this many complete paths, the cheapest by
+/// (FLOPs, enumeration order); the selector runs the DP on no others.
 inline constexpr int kMaxPathsSearched = 256;
 /// Identity of the planner's cost model. KernelCache::save_dir stamps it
 /// into every plan artifact (`meta cost_model <N>`) and load_dir rejects an
 /// artifact whose stamp is missing or different, so the kernel re-plans
 /// instead of serving a nest an older model chose. Bump it whenever a
 /// change re-records golden plans (spttn_golden --out tests/golden).
-inline constexpr int kCostModelVersion = 1;
+inline constexpr int kCostModelVersion = 2;
 
 struct PlannerOptions {
   CostKind cost = CostKind::kBoundedBufferBlas;
@@ -90,24 +78,8 @@ struct PlannerOptions {
   /// Excluded from planner_options_hash: verification never changes the
   /// plan, so it must not fragment the kernel cache.
   bool verify = false;
-  /// Search strategy. The anytime fields below only take effect (and only
-  /// enter planner_options_hash) when this is kAnytime: under kExact they
-  /// are inert, so toggling them must not fragment the kernel cache, while
-  /// under kAnytime they change the chosen plan and must key it.
-  StrategyKind strategy = StrategyKind::kExact;
-  /// Anytime search budget (ignored by kExact).
+  /// Path-search budget; the default is unlimited (exact).
   PlanningBudget budget;
-  /// Seed for the anytime strategy's randomized restarts. With
-  /// budget.max_millis == 0 the whole anytime search is deterministic in
-  /// this seed (bit-identical plans and stats across runs).
-  std::uint64_t anytime_seed = 42;
-  /// Greedy restart count for the anytime strategy (restart 0 is pure
-  /// cost-model descent; later restarts jitter the pair scores).
-  int anytime_restarts = 4;
-  /// Frontier cap per BFS level when a budget is set (0 = uncapped).
-  /// Truncation keeps the cheapest states and folds the dropped ones into
-  /// the reported lower bound, so the gap stays admissible.
-  int anytime_beam = 4096;
 };
 
 /// A fully planned SpTTN execution.
@@ -128,32 +100,27 @@ struct Plan {
   /// a structurally different tensor.
   std::uint64_t sparsity_fingerprint = 0;
 
-  // Search counts. paths_total and paths_executable count what the path
-  // source proposed (the anytime source counts distinct trees found); the
-  // rest accumulate over every group and buffer bound the selector tried.
-  int paths_total = 0;          ///< enumerated contraction paths
-  int paths_executable = 0;     ///< single-CSF executable paths
+  // Search counts. paths_executable and the diagnostics below describe the
+  // path search whose paths the selector chose from; the DP counts
+  // accumulate over every group and buffer bound the selector tried.
+  std::int64_t paths_total = 0;  ///< ordered contraction paths (count_paths)
+  /// Complete single-CSF executable paths the search reached.
+  std::int64_t paths_executable = 0;
   int paths_searched = 0;       ///< paths run through the DP
   int paths_feasible = 0;       ///< searched paths with a feasible nest
   std::int64_t dp_subproblems = 0;   ///< distinct memoized DP subproblems
   std::int64_t dp_evaluations = 0;   ///< DP (root, split) candidates examined
 
-  /// Strategy that produced the plan. plan_io serializes the anytime
-  /// diagnostics below in an optional trailing record only when strategy
-  /// != kExact, so exact plan artifacts are byte-identical to the
-  /// pre-strategy format.
-  StrategyKind strategy = StrategyKind::kExact;
-  // Anytime diagnostics; all zero under kExact.
-  std::int64_t nodes_expanded = 0;  ///< BFS states expanded
-  int restarts = 0;                 ///< greedy restarts attempted
-  /// Admissible lower bound on any executable path's FLOP estimate: partial
-  /// path flops are monotone additive, so the cheapest pruned/unexpanded
-  /// prefix bounds everything the search did not look at.
+  std::int64_t nodes_expanded = 0;  ///< partial paths the search expanded
+  /// Lower bound on every executable path's FLOP estimate. Partial path
+  /// flops only grow as terms are added, so the cheapest prefix a budget
+  /// left unexpanded bounds every path the search did not reach; without
+  /// that, the bound is the cheapest path found.
   double flops_lower_bound = 0;
-  /// best_flops / flops_lower_bound - 1. Zero means the search completed
-  /// without dropping states — the flop estimate is proven optimal.
+  /// Cheapest found path's flops / flops_lower_bound - 1. Zero unless the
+  /// budget stopped the search short of proving the cheapest path.
   double optimality_gap = 0;
-  bool budget_exhausted = false;    ///< a PlanningBudget limit stopped the BFS
+  bool budget_exhausted = false;  ///< the node budget stopped the search
 
   /// Render the chosen loop nest with costs, in the style of the listings.
   std::string describe(const Kernel& kernel) const;
@@ -164,23 +131,24 @@ struct Plan {
 std::unique_ptr<TreeCost> make_cost_model(const PlannerOptions& options,
                                           const SparsityStats* stats);
 
-/// Plan a kernel: `options.strategy` picks the path source, and one
-/// selector chooses the nest (core/planner_strategy.hpp). `stats` supplies
-/// the sparsity statistics of the sparse operand (exact or modeled).
-/// Throws spttn::Error when the kernel admits no executable loop nest. The
-/// chosen plan is verified by the static plan verifier in Debug builds,
-/// when `options.verify` is set, and always for anytime plans — a
-/// non-exhaustive search is only safe to serve behind the full static gate.
+/// Plan a kernel: the path search described at the top of this header
+/// proposes paths and the selector chooses the nest. `stats` supplies the
+/// sparsity statistics of the sparse operand (exact or modeled). Throws
+/// spttn::Error when the kernel admits no executable loop nest. The chosen
+/// plan is verified by the static plan verifier in Debug builds, when
+/// `options.verify` is set, and always under a node budget — a search cut
+/// short is only served behind the full static gate.
 Plan make_plan(const Kernel& kernel, const SparsityStats& stats,
                const PlannerOptions& options = {});
 
 /// All single-CSF-executable contraction paths sorted by estimated FLOPs
-/// (cheapest first, enumeration order on ties): the exact strategy's path
-/// source, also used by benches and the autotuner. The per-path filter and
-/// FLOP estimates fan out over the process pool; the returned list is the
-/// same on any lane count. `flops_out`, when non-null, receives each
-/// returned path's FLOP estimate (same order), saving callers that group by
-/// cost a second estimation sweep.
+/// (cheapest first, enumeration order on ties): make_plan's search with no
+/// FLOP bound, no cap and no budget, for benches, tools and the autotuner.
+/// `total_paths`, when non-null, receives count_paths of the input count
+/// (0 below two inputs, capped at INT_MAX).
+/// `flops_out`, when non-null, receives each returned path's FLOP estimate
+/// (same order), saving callers that group by cost a second estimation
+/// sweep.
 std::vector<ContractionPath> executable_paths(
     const Kernel& kernel, const SparsityStats& stats,
     int* total_paths = nullptr, std::vector<double>* flops_out = nullptr);

@@ -39,23 +39,10 @@ std::uint64_t planner_options_hash(const PlannerOptions& options) {
   h = hash_mix(h ^ (options.restrict_csf_order ? 2u : 0u));
   h = hash_mix(h ^ (options.sparse_aware_cache ? 4u : 0u));
   // verify deliberately excluded: verification never changes the plan, so
-  // it may not fragment the cache.
-  //
-  // The anytime fields follow the same rule from the other side: under the
-  // exact strategy they are inert (the plan cannot depend on them), so they
-  // are excluded and toggling them cannot fragment the exact cache. Under
-  // the anytime strategy the budget, seed, and search knobs select the
-  // plan, so they are mixed in: two sessions planning the same kernel under
-  // different budgets must not serve each other's plans.
-  if (options.strategy != StrategyKind::kExact) {
-    h = hash_mix(h ^ 0xa17e11117e5eedULL);
-    h = hash_mix(h ^ static_cast<std::uint64_t>(options.strategy));
-    h = hash_mix(h ^ static_cast<std::uint64_t>(options.budget.max_millis));
-    h = hash_mix(h ^ static_cast<std::uint64_t>(options.budget.max_nodes));
-    h = hash_mix(h ^ options.anytime_seed);
-    h = hash_mix(h ^ static_cast<std::uint64_t>(options.anytime_restarts));
-    h = hash_mix(h ^ static_cast<std::uint64_t>(options.anytime_beam));
-  }
+  // it may not fragment the cache. The node budget can change the plan, so
+  // two sessions planning one kernel under different budgets must not
+  // serve each other's plans.
+  h = hash_mix(h ^ static_cast<std::uint64_t>(options.budget.max_nodes));
   return h;
 }
 

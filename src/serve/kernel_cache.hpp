@@ -9,7 +9,7 @@
 // structure, which input is sparse, index extents, planner options, and an
 // exact sparsity fingerprint — so any consumer (sessions, the
 // decomposition drivers, the simulated distributed runtime, the autotuner)
-// that binds a structurally identical problem skips the path enumeration
+// that binds a structurally identical problem skips the path search
 // and order DP entirely.
 //
 // Admission policy: an entry-count bound with LRU eviction (capacity 0 is

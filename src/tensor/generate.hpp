@@ -66,7 +66,8 @@ DenseTensor random_dense(std::vector<std::int64_t> dims, Rng& rng);
 
 /// A generated contraction of one sparse tensor with a network of dense
 /// factors — kernels beyond the paper suite (order-6/8 networks,
-/// tensor-train chains) for the anytime planner and its differential tests.
+/// tensor-train chains) for the budgeted path search and its differential
+/// tests.
 struct GeneratedNetwork {
   std::string name;
   std::string expr;

@@ -170,7 +170,7 @@ TEST(LoweredDifferential, GoldenTableHasOneRowPerCase) {
   std::set<std::string> keys;
   for (const auto& [key, line] : read_golden_outputs()) keys.insert(key);
   EXPECT_EQ(keys, expected);
-  EXPECT_EQ(expected.size(), 146u);
+  EXPECT_EQ(expected.size(), 126u);
 }
 
 }  // namespace

@@ -60,6 +60,27 @@ TEST(PlanIo, MetaEntriesRoundTrip) {
   EXPECT_EQ(loaded.meta_value("absent"), "");
 }
 
+// A plan the node budget stopped carries its search diagnostics (nodes
+// expanded, lower bound, gap, the exhausted flag) through the artifact
+// bit for bit.
+TEST(PlanIo, RoundTripsBudgetDiagnostics) {
+  auto inst = make_instance(paper_kernels()[1], 42);  // mttkrp4
+  PlannerOptions options;
+  options.budget.max_nodes = 8;
+  const Plan plan = make_plan(inst->bound.kernel, inst->bound.stats, options);
+  ASSERT_TRUE(plan.budget_exhausted);
+  ASSERT_GT(plan.optimality_gap, 0.0);
+  const std::string text = serialize_plan(inst->bound.kernel, plan);
+  const LoadedPlan loaded = deserialize_plan(text);
+  EXPECT_EQ(loaded.plan.nodes_expanded, plan.nodes_expanded);
+  EXPECT_EQ(loaded.plan.flops_lower_bound, plan.flops_lower_bound);
+  EXPECT_EQ(loaded.plan.optimality_gap, plan.optimality_gap);
+  EXPECT_TRUE(loaded.plan.budget_exhausted);
+  EXPECT_EQ(loaded.plan.paths_total, plan.paths_total);
+  EXPECT_EQ(loaded.plan.paths_executable, plan.paths_executable);
+  EXPECT_EQ(serialize_plan(loaded.kernel, loaded.plan), text);
+}
+
 TEST(PlanIo, RejectsWhitespaceInMeta) {
   auto inst = make_instance(paper_kernels().front(), 73);
   const Plan plan = make_plan(inst->bound.kernel, inst->bound.stats);

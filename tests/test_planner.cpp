@@ -194,11 +194,10 @@ INSTANTIATE_TEST_SUITE_P(
       return paper_kernels()[static_cast<std::size_t>(info.param)].name;
     });
 
-// The parallel executable-path filter (and its precomputed FLOP sort keys)
-// must reproduce the one-lane enumeration order exactly, on a fresh
-// SparsityStats as well. path_flops reads only the precomputed prefix
-// counts, so this no longer touches the lazy projection cache;
-// ConcurrentProjectionCountsMatchCoo below races that cache instead.
+// executable_paths (and its FLOP estimates) must not depend on the pool's
+// lane count, on a fresh SparsityStats as well. path_flops reads only the
+// precomputed prefix counts, so this does not touch the lazy projection
+// cache; ConcurrentProjectionCountsMatchCoo below races that cache instead.
 TEST(Planner, ParallelExecutablePathsMatchSequential) {
   for (int kernel_idx : {0, 2, 4, 6}) {
     const auto inst = testing::make_instance(

@@ -5,8 +5,8 @@
 //  - schema: the fresh file must parse, carry the same "bench" id, and
 //    keep its bench-specific legacy fields: bench_fig8_scaling rows
 //    (ranks/max_local_s/comm_s/total_s/speedup/imbalance),
-//    bench_search rows (search-space columns plus the exact-vs-anytime
-//    comparison rows with cost_ratio/gap/plan seconds), bench_serve rows
+//    bench_search rows (search-space columns plus the unbudgeted-vs-
+//    budgeted rows with cost_ratio/gap/plan seconds), bench_serve rows
 //    (per-kernel request counts and latency percentiles), and
 //    bench_kernels rows (kernel/nnz identity plus lowered_s and
 //    specialized_s). Schema extensions stay backward-compatible and silent
@@ -17,9 +17,10 @@
 //    regressions. Only seconds-like fields ("*_s", "*seconds*", p50/p99/
 //    max latencies) are thresholded; counts/bytes/speedups are identity
 //    and informational.
-//  - plan quality: bench_search's anytime rows fail when cost_ratio or gap
-//    exceeds the baseline's. Both are deterministic (node budgets, fixed
-//    seeds), so the only slack is 1e-9 and --max-regress does not apply.
+//  - plan quality: bench_search's budgeted rows fail when cost_ratio or
+//    gap exceeds the baseline's. Both are deterministic (node budgets,
+//    fixed seeds), so the only slack is 1e-9 and --max-regress does not
+//    apply.
 //
 // Comparison runs over the identity intersection (a smoke run with fewer
 // ranks than the checked-in sweep compares only the shared rows — the tool
@@ -262,7 +263,7 @@ bool is_seconds_metric(const std::string& key) {
          key == "p99" || key == "max" || key == "secs";
 }
 
-/// bench_search's anytime plan-quality metrics: lower is better, and any
+/// bench_search's budgeted plan-quality metrics: lower is better, and any
 /// increase past float noise is a regression.
 bool is_quality_metric(const std::string& bench, const std::string& key) {
   return bench == "bench_search" && (key == "cost_ratio" || key == "gap");
@@ -354,23 +355,23 @@ void check_search_schema(const Json& doc, const std::string& path) {
       }
     }
   }
-  // Strategy-comparison rows: every row must carry the full exact-vs-
-  // anytime column set so the quality signal (cost_ratio, gap) cannot be
+  // Budget-comparison rows: every row must carry the full unbudgeted-vs-
+  // budgeted column set so the quality signal (cost_ratio, gap) cannot be
   // silently dropped while the timing columns keep the diff green.
-  const Json* anytime = doc.find("anytime");
-  if (anytime == nullptr || anytime->kind != Json::Kind::kArray ||
-      anytime->items.empty()) {
-    throw Error(path + ": bench_search document has no anytime rows");
+  const Json* budgeted = doc.find("budgeted");
+  if (budgeted == nullptr || budgeted->kind != Json::Kind::kArray ||
+      budgeted->items.empty()) {
+    throw Error(path + ": bench_search document has no budgeted rows");
   }
-  const char* strategy_fields[] = {"cost_ratio", "nodes_expanded", "gap",
-                                   "exact_plan_s", "anytime_plan_s"};
-  for (const Json& row : anytime->items) {
+  const char* budget_fields[] = {"cost_ratio", "nodes_expanded", "gap",
+                                 "unbudgeted_plan_s", "budgeted_plan_s"};
+  for (const Json& row : budgeted->items) {
     if (row.find("kernel") == nullptr || row.find("budget") == nullptr) {
-      throw Error(path + ": anytime row missing kernel/budget identity");
+      throw Error(path + ": budgeted row missing kernel/budget identity");
     }
-    for (const char* field : strategy_fields) {
+    for (const char* field : budget_fields) {
       if (row.find(field) == nullptr) {
-        throw Error(path + ": anytime row dropped field '" +
+        throw Error(path + ": budgeted row dropped field '" +
                     std::string(field) + "'");
       }
     }
