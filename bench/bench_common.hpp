@@ -112,16 +112,18 @@ struct Output {
 };
 
 /// SpTTN-Cyclops: plan (excluded from timing, reported separately) + fused
-/// execution.
+/// execution. When `out` is set, the last execution's output is left there.
 inline RunResult run_spttn(const Problem& p, int reps,
                            const PlannerOptions& options = {},
-                           Plan* plan_out = nullptr) {
+                           Plan* plan_out = nullptr, Output* out = nullptr) {
   RunResult r;
   try {
     const Plan plan = plan_kernel(p.bound, options);
     if (plan_out != nullptr) *plan_out = plan;
     FusedExecutor exec(p.kernel(), plan);
-    Output o = Output::make(p);
+    Output local;
+    Output& o = out != nullptr ? *out : local;
+    o = Output::make(p);
     ExecArgs args;
     args.sparse = &p.bound.csf;
     args.dense = p.bound.dense;

@@ -2,14 +2,21 @@
 // TTTP-3) timed on one planned FusedExecutor (its lowered program, the one
 // driver every execution runs) against the hand-specialized kernels of
 // specialized.cpp as the tight-loop ceiling; the specialized column bounds
-// how much headroom remains.
+// how much headroom remains. Each row is also checked once, outside the
+// timing: the lowered output must match the specialized kernel's to a
+// relative max diff of 1e-12, and TTTP's values must be equal. A kernel
+// that fails to plan or run, or that mismatches, is named on stderr and
+// the program exits 1 (without writing --json).
 //
 //   bench_kernels                     # table on stdout
 //   bench_kernels --json=out.json     # also emit the machine-readable run
 //                                     # (schema shared with bench_serve;
 //                                     # BENCH_kernels.json is a checked-in
 //                                     # Release run)
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <span>
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
@@ -25,6 +32,22 @@ struct KernelRow {
   double lowered_s = 0;
   double spec_s = 0;  // 0 when no specialized implementation applies
 };
+
+/// max |a - b| / max |b| (0 when b is all zero and a equals it).
+double rel_max_diff(std::span<const double> a, std::span<const double> b) {
+  double diff = 0;
+  double scale = 0;
+  for (std::size_t e = 0; e < b.size(); ++e) {
+    diff = std::max(diff, std::fabs(a[e] - b[e]));
+    scale = std::max(scale, std::fabs(b[e]));
+  }
+  return scale > 0 ? diff / scale : diff;
+}
+
+std::span<const double> values(const Output& o) {
+  if (!o.sparse_vals.empty()) return o.sparse_vals;
+  return {o.dense.data(), static_cast<std::size_t>(o.dense.size())};
+}
 
 }  // namespace
 
@@ -58,10 +81,11 @@ int main(int argc, char** argv) {
   };
 
   std::vector<KernelRow> rows;
+  std::vector<std::string> failures;
   Table table(strfmt("Fused execution vs hand-specialized kernels, R=%lld",
                      static_cast<long long>(*rank)));
   table.set_header({"kernel", "nnz", "lowered[s]", "spec[s]",
-                    "spec vs lowered"});
+                    "spec vs lowered", "max rel diff"});
   for (const Spec& s : specs) {
     Rng rng(static_cast<std::uint64_t>(*seed) ^
             hash_mix(s.name.size() * 31));
@@ -74,7 +98,15 @@ int main(int argc, char** argv) {
     KernelRow row;
     row.kernel = s.name;
     row.nnz = p->sparse.nnz();
-    row.lowered_s = run_spttn(*p, r).seconds;
+    Output lowered;
+    const RunResult run = run_spttn(*p, r, {}, nullptr, &lowered);
+    if (!run.ok) {
+      failures.push_back(s.name + ": planning or execution failed");
+      table.add_row({row.kernel, human_count(static_cast<double>(row.nnz)),
+                     run.cell(), "-", "-", "-"});
+      continue;
+    }
+    row.lowered_s = run.seconds;
 
     // The hand-specialized ceilings (specialized.cpp).
     if (s.name == "mttkrp3") {
@@ -107,6 +139,21 @@ int main(int argc, char** argv) {
           r);
     }
 
+    // The check, once, on the outputs the last timed runs left behind.
+    const std::span<const double> got = values(lowered);
+    const std::span<const double> want = values(o);
+    const double diff = rel_max_diff(got, want);
+    if (diff > 1e-12) {
+      failures.push_back(
+          strfmt("%s: relative max diff %.3e > 1e-12 against the "
+                 "specialized kernel",
+                 s.name.c_str(), diff));
+    } else if (!lowered.sparse_vals.empty() &&
+               !std::equal(got.begin(), got.end(), want.begin())) {
+      failures.push_back(s.name +
+                         ": TTTP values differ from the specialized kernel's");
+    }
+
     const auto ratio = [](double base, double ours) -> std::string {
       if (base <= 0 || ours <= 0) return "-";
       return strfmt("%.2fx", base / ours);
@@ -115,11 +162,19 @@ int main(int argc, char** argv) {
                    human_count(static_cast<double>(row.nnz)),
                    strfmt("%.4f", row.lowered_s),
                    row.spec_s > 0 ? strfmt("%.4f", row.spec_s) : "-",
-                   ratio(row.lowered_s, row.spec_s)});
+                   ratio(row.lowered_s, row.spec_s), strfmt("%.1e", diff)});
     rows.push_back(row);
   }
   table.add_note("one default plan per kernel, planned outside the timing");
+  table.add_note("each row's lowered output checked once against the "
+                 "specialized kernel's, outside the timing");
   table.print(std::cout);
+  if (!failures.empty()) {
+    for (const std::string& f : failures) {
+      std::cerr << "bench_kernels: FAILED " << f << "\n";
+    }
+    return 1;
+  }
 
   if (!json->empty()) {
     std::ofstream os(*json);

@@ -56,8 +56,9 @@ Layout make_layout(Base base, int id, const std::vector<int>& idx,
 /// The one compile pass: walks the LoopTree once and emits the lowered
 /// program. Trailing dense loops exclusive to one term collapse into its
 /// strided inner kernel (the runtime analogue of the paper's
-/// metaprogramming + BLAS hooks), and single-term sparse loops fuse into
-/// chains.
+/// metaprogramming + BLAS hooks), and sparse loops whose body is one term,
+/// or one scalar term fed through a one-element buffer by one producer,
+/// fuse into chains.
 struct Compiler {
   const Kernel& kernel;
   const ContractionPath& path;
@@ -67,6 +68,7 @@ struct Compiler {
   LoweredProgram out;
   int offloaded_terms = 0;
   int collapsed_loops = 0;
+  int producer_chains = 0;
 
   Layout tensor_layout(Base base, int id, const TensorRef& ref) const {
     std::vector<std::int64_t> dims(ref.idx.size());
@@ -240,8 +242,16 @@ struct Compiler {
     return {LOp::Kind::kLoop, emit_loop(a.id)};
   }
 
-  /// Emit the loop of tree node `node_id` and return its id. A body that
-  /// compiles to one term fuses with a chainable sparse loop into a chain.
+  /// The chain multipliers of operand layout `a` under chain loop `n`.
+  static lowered::ChainMult chain_mult(const LoopTree::Node& n,
+                                       const Layout& a) {
+    return {a.stride_along(n.index), a.leaf() ? 1 : 0};
+  }
+
+  /// Emit the loop of tree node `node_id` and return its id. A chainable
+  /// sparse loop fuses into a chain when its body compiles to one term, or
+  /// to a reset of a one-element buffer, one term writing it and one scalar
+  /// term reading it (the producer chain; see producer_chain).
   std::int32_t emit_loop(int node_id) {
     const LoopTree::Node& n = tree.nodes()[static_cast<std::size_t>(node_id)];
     const auto id = static_cast<std::size_t>(out.loops.size());
@@ -254,6 +264,9 @@ struct Compiler {
     const int term_id =
         n.body.size() == 1 ? term_of(n.body.front(), false, &inner) : -1;
     if (term_id < 0) {
+      if (n.sparse && producer_chain(n, out.loops[id])) {
+        return static_cast<std::int32_t>(id);
+      }
       // Children append to out.loops (invalidating `l`), so the body is
       // built aside.
       std::vector<LOp> body;
@@ -270,14 +283,54 @@ struct Compiler {
       return static_cast<std::int32_t>(id);
     }
     l.is_chain = true;
-    l.chain.l_idx = lay[0].stride_along(n.index);
-    l.chain.r_idx = lay[1].stride_along(n.index);
-    l.chain.o_idx = lay[2].stride_along(n.index);
-    l.chain.l_leaf = lay[0].leaf() ? 1 : 0;
-    l.chain.r_leaf = lay[1].leaf() ? 1 : 0;
-    l.chain.o_leaf = lay[2].leaf() ? 1 : 0;
+    l.chain.l = chain_mult(n, lay[0]);
+    l.chain.r = chain_mult(n, lay[1]);
+    l.chain.o = chain_mult(n, lay[2]);
     l.chain.term = emit_term(lay, inner, n.index);
     return static_cast<std::int32_t>(id);
+  }
+
+  /// Fuse sparse loop `n` into chain `l` when its body is exactly: the reset
+  /// of a one-element buffer b, one term writing b (its dense loops
+  /// collapsed, so this needs collapse_dense unless the producer is a bare
+  /// term), and one scalar term reading b, with both terms chainable. Every
+  /// offset into a one-element buffer is 0, so the chain may keep b in a
+  /// local. Returns false, emitting nothing, for any other body.
+  bool producer_chain(const LoopTree::Node& n, LLoop& l) {
+    if (n.body.size() != 3 ||
+        n.body[0].kind != LoopTree::Action::Kind::kReset) {
+      return false;
+    }
+    const int buf = n.body[0].id;
+    if (buffer_len[static_cast<std::size_t>(buf)] != 1) return false;
+    std::vector<int> p_inner;
+    std::vector<int> c_inner;
+    const int producer = term_of(n.body[1], false, &p_inner);
+    const int consumer = term_of(n.body[2], false, &c_inner);
+    if (producer != buf || consumer < 0 || !c_inner.empty()) return false;
+    const PathTerm& ct = path.term(consumer);
+    const auto is_buf = [&](const PathOperand& op) {
+      return op.kind == PathOperand::Kind::kIntermediate && op.id == buf;
+    };
+    if (is_buf(ct.lhs) == is_buf(ct.rhs)) return false;
+    const std::array<Layout, 3> p_lay = layouts(producer);
+    const std::array<Layout, 3> c_lay = layouts(consumer);
+    if (!chainable(n, p_lay) || !chainable(n, c_lay)) return false;
+    lowered::LProducer pr;
+    pr.reset = emit_action(n.body[0], false).id;
+    pr.l = chain_mult(n, p_lay[0]);
+    pr.r = chain_mult(n, p_lay[1]);
+    pr.term = emit_term(p_lay, p_inner, n.index);
+    pr.buffer_lhs = is_buf(ct.lhs);
+    out.producers.push_back(pr);
+    l.is_chain = true;
+    l.chain.producer = static_cast<std::int32_t>(out.producers.size()) - 1;
+    l.chain.l = chain_mult(n, c_lay[0]);
+    l.chain.r = chain_mult(n, c_lay[1]);
+    l.chain.o = chain_mult(n, c_lay[2]);
+    l.chain.term = emit_term(c_lay, c_inner, n.index);
+    ++producer_chains;
+    return true;
   }
 };
 
@@ -296,10 +349,12 @@ bool depends_on(const LoweredProgram& p, const Operand& o, int index) {
 }
 
 /// Call on_term(term, chain_out) for every term and on_reset(reset) for
-/// every reset under statement `op`. A chain keeps its loop index's stride
-/// in LChain::{l,r,o}_idx, not in the operand deps, so chain_out is the
-/// chain loop's index when the chain strides the output (o_idx != 0) and
-/// -1 otherwise.
+/// every reset under statement `op`, a chain's producer and its buffer's
+/// reset included. A chain keeps its loop index's stride in LChain's
+/// multipliers, not in the operand deps, so chain_out is the chain loop's
+/// index when the chain strides the term's output (o.idx != 0) and -1
+/// otherwise (always -1 for a producer, whose output is the one-element
+/// buffer).
 template <class OnTerm, class OnReset>
 void walk_statements(const LoweredProgram& p, const LOp& op,
                      OnTerm&& on_term, OnReset&& on_reset) {
@@ -313,8 +368,14 @@ void walk_statements(const LoweredProgram& p, const LOp& op,
     case LOp::Kind::kLoop: {
       const LLoop& l = p.loops[static_cast<std::size_t>(op.id)];
       if (l.is_chain) {
+        if (l.chain.producer >= 0) {
+          const lowered::LProducer& pr =
+              p.producers[static_cast<std::size_t>(l.chain.producer)];
+          on_reset(p.resets[static_cast<std::size_t>(pr.reset)]);
+          on_term(p.terms[static_cast<std::size_t>(pr.term)], -1);
+        }
         on_term(p.terms[static_cast<std::size_t>(l.chain.term)],
-                l.chain.o_idx != 0 ? l.index : -1);
+                l.chain.o.idx != 0 ? l.index : -1);
         break;
       }
       for (const LOp& child : l.body) {
@@ -343,6 +404,7 @@ struct FusedExecutor::Impl {
   std::vector<std::int64_t> buffer_len;  // element counts per producing term
   int offloaded_terms = 0;
   int collapsed_loops = 0;
+  int producer_chains = 0;
 
   /// The one program form: compiled from the tree at construction, read by
   /// the parallel-safety analysis and the splitter, run by every execution.
@@ -488,6 +550,7 @@ FusedExecutor& FusedExecutor::operator=(FusedExecutor&&) noexcept = default;
 const LoopTree& FusedExecutor::tree() const { return impl_->tree; }
 int FusedExecutor::offloaded_terms() const { return impl_->offloaded_terms; }
 int FusedExecutor::collapsed_loops() const { return impl_->collapsed_loops; }
+int FusedExecutor::producer_chains() const { return impl_->producer_chains; }
 bool FusedExecutor::collapse_dense() const { return impl_->collapse_dense; }
 
 std::vector<FusedExecutor::ParallelRegionInfo>
@@ -538,6 +601,7 @@ void FusedExecutor::Impl::compile() {
   low = std::move(c.out);
   offloaded_terms = c.offloaded_terms;
   collapsed_loops = c.collapsed_loops;
+  producer_chains = c.producer_chains;
 }
 
 void FusedExecutor::Impl::analyze_parallel() {

@@ -6,8 +6,9 @@
 // tagged as CSF traversals or dense ranges, buffers are sized, reset
 // actions are placed, trailing dense loops exclusive to one term are
 // collapsed into strided inner kernels selected up front (the runtime
-// analogue of the paper's metaprogramming + BLAS hooks), and single-term
-// sparse loops fuse into chains. The parallel-safety analysis reads that
+// analogue of the paper's metaprogramming + BLAS hooks), and sparse loops
+// whose body is one term, or one scalar term fed by one producer through a
+// one-element buffer, fuse into chains. The parallel-safety analysis reads that
 // same program, and execute() runs it against bound tensors, sequentially
 // or split across the thread pool by one partitioner.
 #pragma once
@@ -158,6 +159,9 @@ class FusedExecutor {
   /// and the total count of collapsed loops (diagnostics).
   int offloaded_terms() const;
   int collapsed_loops() const;
+  /// Number of sparse loops compiled to a chain that carries a producer
+  /// term (the fused TTTP/SDDMM epilogue; diagnostics).
+  int producer_chains() const;
 
   /// Compile-time locality facts of one top-level root-loop region, as
   /// decided by analyze_parallel from the operand and chain strides of the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "tensor/csf_tensor.hpp"
 
@@ -120,6 +121,10 @@ void run_term(const LoweredProgram& p, const ExecCtx& ctx, const LTerm& t) {
   }
 }
 
+inline std::int64_t at(const ChainMult& m, std::int64_t iv, std::int64_t p) {
+  return iv * m.idx + p * m.leaf;
+}
+
 /// The fused sparse-loop body: branchless operand addressing per nonzero,
 /// kernel switch hoisted out of the loop by the template instantiation.
 template <InnerKind K>
@@ -129,18 +134,96 @@ void chain_loop(const LTerm& t, const Level* lv, const LChain& c,
   if (t.outer_depth == 0) {
     for (std::int64_t p = begin; p < end; ++p) {
       const std::int64_t iv = idx[p];
-      apply_inner<K>(t, lb + iv * c.l_idx + p * c.l_leaf,
-                     rb + iv * c.r_idx + p * c.r_leaf,
-                     ob + iv * c.o_idx + p * c.o_leaf);
+      apply_inner<K>(t, lb + at(c.l, iv, p), rb + at(c.r, iv, p),
+                     ob + at(c.o, iv, p));
     }
     return;
   }
   for (std::int64_t p = begin; p < end; ++p) {
     const std::int64_t iv = idx[p];
-    run_levels<K>(t, lv, t.outer_depth, lb + iv * c.l_idx + p * c.l_leaf,
-                  rb + iv * c.r_idx + p * c.r_leaf,
-                  ob + iv * c.o_idx + p * c.o_leaf);
+    run_levels<K>(t, lv, t.outer_depth, lb + at(c.l, iv, p),
+                  rb + at(c.r, iv, p), ob + at(c.o, iv, p));
   }
+}
+
+/// Call f(std::integral_constant<InnerKind, K>{}) for `k`, so the caller
+/// instantiates its loop once per InnerKind and the kernel switch runs once
+/// per call, not once per element.
+template <class F>
+void with_kind(InnerKind k, F&& f) {
+  using IK = InnerKind;
+  switch (k) {
+    case IK::kScalar: f(std::integral_constant<IK, IK::kScalar>{}); break;
+    case IK::kDotU: f(std::integral_constant<IK, IK::kDotU>{}); break;
+    case IK::kDotG: f(std::integral_constant<IK, IK::kDotG>{}); break;
+    case IK::kAxpyLU: f(std::integral_constant<IK, IK::kAxpyLU>{}); break;
+    case IK::kAxpyLG: f(std::integral_constant<IK, IK::kAxpyLG>{}); break;
+    case IK::kAxpyRU: f(std::integral_constant<IK, IK::kAxpyRU>{}); break;
+    case IK::kAxpyRG: f(std::integral_constant<IK, IK::kAxpyRG>{}); break;
+    case IK::kHadU: f(std::integral_constant<IK, IK::kHadU>{}); break;
+    case IK::kHadG: f(std::integral_constant<IK, IK::kHadG>{}); break;
+  }
+}
+
+/// A chain with a producer: per nonzero, the buffer reset (b = +0), the
+/// producer accumulating into b, then the scalar term with b on its
+/// `kBufLhs` side. These are the generic body's three statements, in order,
+/// with b in a local instead of the one-element buffer. `xb` and `xm` are
+/// the term's other input and its multiplier, `om` its output's.
+template <InnerKind KP, bool kBufLhs>
+void producer_chain_loop(const LoweredProgram& prog, const LTerm& pt,
+                         const LProducer& pr, const ChainMult& xm,
+                         const ChainMult& om, const std::int64_t* idx,
+                         const double* plb, const double* prb,
+                         const double* xb, double* ob, std::int64_t begin,
+                         std::int64_t end) {
+  const auto consume = [&](std::int64_t iv, std::int64_t p, double b) {
+    const double x = xb[at(xm, iv, p)];
+    ob[at(om, iv, p)] += kBufLhs ? b * x : x * b;
+  };
+  if (pt.outer_depth == 0) {
+    for (std::int64_t p = begin; p < end; ++p) {
+      const std::int64_t iv = idx[p];
+      double b = 0.0;
+      apply_inner<KP>(pt, plb + at(pr.l, iv, p), prb + at(pr.r, iv, p), &b);
+      consume(iv, p, b);
+    }
+    return;
+  }
+  const Level* lv = prog.levels.data() + pt.level_begin;
+  for (std::int64_t p = begin; p < end; ++p) {
+    const std::int64_t iv = idx[p];
+    double b = 0.0;
+    run_levels<KP>(pt, lv, pt.outer_depth, plb + at(pr.l, iv, p),
+                   prb + at(pr.r, iv, p), &b);
+    consume(iv, p, b);
+  }
+}
+
+/// A chain with a producer, all operand parts resolved once as in
+/// run_chain: the producer's inputs, the term's other input and its output.
+void run_producer_chain(const LoweredProgram& p, ExecCtx& ctx,
+                        const LLoop& loop, std::int64_t begin,
+                        std::int64_t end) {
+  const LChain& c = loop.chain;
+  const LTerm& t = p.terms[static_cast<std::size_t>(c.term)];
+  const LProducer& pr = p.producers[static_cast<std::size_t>(c.producer)];
+  const LTerm& pt = p.terms[static_cast<std::size_t>(pr.term)];
+  const double* plb = opd_addr(p, pt.lhs, ctx);
+  const double* prb = opd_addr(p, pt.rhs, ctx);
+  const double* xb = opd_addr(p, pr.buffer_lhs ? t.rhs : t.lhs, ctx);
+  const ChainMult& xm = pr.buffer_lhs ? c.r : c.l;
+  double* ob = opd_addr(p, t.out, ctx);
+  const std::int64_t* idx = ctx.csf->level_idx(loop.csf_level).data();
+  with_kind(pt.inner, [&](auto k) {
+    if (pr.buffer_lhs) {
+      producer_chain_loop<decltype(k)::value, true>(
+          p, pt, pr, xm, c.o, idx, plb, prb, xb, ob, begin, end);
+    } else {
+      producer_chain_loop<decltype(k)::value, false>(
+          p, pt, pr, xm, c.o, idx, plb, prb, xb, ob, begin, end);
+    }
+  });
 }
 
 void run_chain(const LoweredProgram& p, ExecCtx& ctx, const LLoop& loop,
@@ -156,7 +239,15 @@ void run_chain(const LoweredProgram& p, ExecCtx& ctx, const LLoop& loop,
   const std::int64_t* idx = ctx.csf->level_idx(loop.csf_level).data();
   switch (t.inner) {
     case InnerKind::kScalar:
-      chain_loop<InnerKind::kScalar>(t, lv, c, idx, lb, rb, ob, begin, end);
+      // Only a scalar term carries a producer. The check lives in this
+      // case alone: ahead of the switch it moved the other kinds' inlined
+      // loops and slowed MTTKRP (EXPERIMENTS.md, "TTTP leaf body as one
+      // chain").
+      if (c.producer >= 0) {
+        run_producer_chain(p, ctx, loop, begin, end);
+      } else {
+        chain_loop<InnerKind::kScalar>(t, lv, c, idx, lb, rb, ob, begin, end);
+      }
       break;
     case InnerKind::kDotU:
       chain_loop<InnerKind::kDotU>(t, lv, c, idx, lb, rb, ob, begin, end);

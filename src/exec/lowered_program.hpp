@@ -18,7 +18,13 @@
 //    addressing `invariant_base + idx[p]*idx_mult + p*leaf_mult`, dispatched
 //    through a template instantiation per InnerKind so the kernel switch is
 //    hoisted out of the nonzero loop entirely. The chain loop's own index
-//    lives in those multipliers, not in the operands' dependencies.
+//    lives in those multipliers, not in the operands' dependencies;
+//  - a chain may also carry one scalar producer: a sparse loop whose body is
+//    exactly "reset a one-element buffer b; one term writes b; one scalar
+//    term reads b" (the TTTP/SDDMM epilogue `b = 0; b += dot; out += T*b`)
+//    runs, per nonzero, the producer into a local that starts at +0 and
+//    then the reading term, the same operations in the same order as the
+//    three statements, so the output bits are those of the generic body.
 //
 // The executor's parallel-safety analysis reads this same program, and its
 // splitter hands root chunks and nested second-level ranges to run_loop by
@@ -106,15 +112,32 @@ struct LTerm {
   std::int32_t outer_depth = 0;
 };
 
-/// Fused sparse loop + single term: per operand, the loop-varying part of
-/// the address is idx[p] * idx_mult + p * leaf_mult (leaf_mult is 1 for
-/// leaf-addressed operands, which a chain only admits at the CSF leaf
-/// level); the loop-invariant part is resolved once before the nonzero loop.
+/// The loop-varying part of a chain operand's address at nonzero p:
+/// idx[p] * idx + p * leaf (leaf is 1 for leaf-addressed operands, which a
+/// chain only admits at the CSF leaf level).
+struct ChainMult {
+  std::int64_t idx = 0, leaf = 0;
+};
+
+/// Fused sparse loop + single term, optionally fed by one producer; the
+/// loop-invariant part of every operand address is resolved once before
+/// the nonzero loop.
 struct LChain {
-  std::int64_t l_idx = 0, l_leaf = 0;
-  std::int64_t r_idx = 0, r_leaf = 0;
-  std::int64_t o_idx = 0, o_leaf = 0;
+  ChainMult l, r, o;
   std::int32_t term = 0;  ///< LTerm holding the invariant operand parts
+  /// -1, or the LProducer feeding `term` (which is then kScalar with no
+  /// collapsed levels).
+  std::int32_t producer = -1;
+};
+
+/// A chain's producer: the LTerm writing the one-element buffer that the
+/// chain's term reads. Per nonzero it runs into a local starting at +0
+/// (the buffer reset), which then stands in for that operand of the term.
+struct LProducer {
+  ChainMult l, r;           ///< the producer's input multipliers
+  std::int32_t term = 0;    ///< LTerm of the producer
+  std::int32_t reset = 0;   ///< the buffer's reset, kept for analysis walks
+  bool buffer_lhs = false;  ///< the buffer is the chain term's lhs, else rhs
 };
 
 /// One statement of a loop body or of the top-level sequence. kLoop, kTerm
@@ -154,6 +177,7 @@ struct LoweredProgram {
   std::vector<Dep> deps;
   std::vector<Level> levels;
   std::vector<SlotSource> slots;
+  std::vector<LProducer> producers;
 };
 
 /// One worker's execution state: the current value of every kernel index,

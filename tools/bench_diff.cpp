@@ -20,7 +20,8 @@
 //  - plan quality: bench_search's budgeted rows fail when cost_ratio or
 //    gap exceeds the baseline's. Both are deterministic (node budgets,
 //    fixed seeds), so the only slack is 1e-9 and --max-regress does not
-//    apply.
+//    apply. They are deterministic for one tensor only, so two bench_search
+//    files whose top-level n, rank or seed differ are refused outright.
 //
 // Comparison runs over the identity intersection (a smoke run with fewer
 // ranks than the checked-in sweep compares only the shared rows — the tool
@@ -418,6 +419,25 @@ void check_kernels_schema(const Json& doc, const std::string& path) {
   }
 }
 
+/// bench_search's plan-quality gate has no slack, so it may only compare
+/// searches over one generated tensor: the top-level n, rank and seed must
+/// equal the baseline's (a field missing from both is equal).
+void check_search_tensor(const Json& fresh, const Json& base) {
+  for (const char* key : {"n", "rank", "seed"}) {
+    const auto text = [&](const Json& doc) {
+      const Json* v = doc.find(key);
+      if (v == nullptr) return std::string("missing");
+      return v->kind == Json::Kind::kNumber ? strfmt("%.17g", v->num)
+                                            : std::string("not a number");
+    };
+    if (text(fresh) != text(base)) {
+      throw Error(strfmt("bench_search '%s' differs: new %s, baseline %s; "
+                         "cost_ratio and gap compare only runs on one tensor",
+                         key, text(fresh).c_str(), text(base).c_str()));
+    }
+  }
+}
+
 std::string bench_id(const Json& doc, const std::string& path) {
   const Json* bench = doc.find("bench");
   if (bench == nullptr || bench->kind != Json::Kind::kString) {
@@ -464,6 +484,7 @@ int main(int argc, char** argv) {
     } else if (id == "bench_search") {
       check_search_schema(fresh, *fresh_path);
       check_search_schema(base, *base_path);
+      check_search_tensor(fresh, base);
     } else if (id == "bench_serve") {
       check_serve_schema(fresh, *fresh_path);
       check_serve_schema(base, *base_path);
