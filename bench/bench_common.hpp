@@ -7,10 +7,13 @@
 // paper-vs-measured outcomes.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,7 +112,25 @@ struct Output {
     }
     return o;
   }
+
+  /// The output's values, dense or sparse.
+  std::span<const double> values() const {
+    if (!sparse_vals.empty()) return sparse_vals;
+    return {dense.data(), static_cast<std::size_t>(dense.size())};
+  }
 };
+
+/// max |a - b| / max |b| (0 when b is all zero and a equals it).
+inline double rel_max_diff(std::span<const double> a,
+                           std::span<const double> b) {
+  double diff = 0;
+  double scale = 0;
+  for (std::size_t e = 0; e < b.size(); ++e) {
+    diff = std::max(diff, std::fabs(a[e] - b[e]));
+    scale = std::max(scale, std::fabs(b[e]));
+  }
+  return scale > 0 ? diff / scale : diff;
+}
 
 /// SpTTN-Cyclops: plan (excluded from timing, reported separately) + fused
 /// execution. When `out` is set, the last execution's output is left there.
@@ -183,8 +204,7 @@ inline RunResult run_ctf_pairwise(const Problem& p, int reps,
                                   std::int64_t max_entries = 1ll << 26) {
   RunResult r;
   try {
-    const ContractionPath path =
-        pairwise_best_path(p.kernel(), p.bound.stats);
+    const ContractionPath path = pairwise_best_path(p.kernel(), p.sparse);
     Output o = Output::make(p);
     r.seconds = time_median(
         [&] {

@@ -1,7 +1,12 @@
 // Figure 10: runtime distribution over randomly sampled loop orders of the
 // all-mode order-3 TTMc kernel (paper: N=1024, R=32, 0.1% sparsity, 25% of
 // the CSF-consistent loop orders; red cut-off line; green line = runtime of
-// the order picked by SpTTN-Cyclops).
+// the order picked by SpTTN-Cyclops). Each sampled order's output is
+// checked once, outside the timing, against the planner nest's: a relative
+// max diff above 1e-9, or an order that fails to run, is named on stderr
+// and the program exits 1.
+//
+//   bench_fig10_loop_orders --n 64 --rank 8 --fraction 0.05   # CI smoke
 #include <algorithm>
 
 #include "bench_common.hpp"
@@ -31,9 +36,15 @@ int main(int argc, char** argv) {
   auto p = make_problem(allmode_ttmc3_expr(), std::move(t),
                         {{"r", *rank}, {"s", *rank}, {"u", *rank}}, rng);
 
-  // The contraction path SpTTN-Cyclops picks, and its chosen loop order.
+  // The contraction path SpTTN-Cyclops picks, its chosen loop order, and
+  // the output every sampled order must reproduce.
   Plan plan;
-  const RunResult chosen = run_spttn(*p, 3, {}, &plan);
+  Output want;
+  const RunResult chosen = run_spttn(*p, 3, {}, &plan, &want);
+  if (!chosen.ok) {
+    std::cerr << "bench_fig10_loop_orders: FAILED the planner's nest\n";
+    return 1;
+  }
 
   // Sample loop orders of that path (CSF-consistent, like the paper).
   const double total_orders =
@@ -45,14 +56,34 @@ int main(int argc, char** argv) {
 
   std::vector<double> times;
   times.reserve(orders.size());
+  std::vector<std::string> failures;
   for (const auto& order : orders) {
-    FusedExecutor exec(p->kernel(), plan.path, order);
+    const std::string name = order_to_string(p->kernel(), order);
     Output o = Output::make(*p);
-    ExecArgs args;
-    args.sparse = &p->bound.csf;
-    args.dense = p->bound.dense;
-    args.out_dense = &o.dense;
-    times.push_back(time_median([&] { exec.execute(args); }, 1));
+    try {
+      FusedExecutor exec(p->kernel(), plan.path, order);
+      ExecArgs args;
+      args.sparse = &p->bound.csf;
+      args.dense = p->bound.dense;
+      args.out_dense = &o.dense;
+      times.push_back(time_median([&] { exec.execute(args); }, 1));
+    } catch (const Error& e) {
+      failures.push_back(name + ": " + e.what());
+      continue;
+    }
+    // The check, once, on the output the last timed run left behind.
+    const double diff = rel_max_diff(o.values(), want.values());
+    if (!(diff <= 1e-9)) {
+      failures.push_back(strfmt("%s: relative max diff %.3e > 1e-9 against "
+                                "the planner's nest",
+                                name.c_str(), diff));
+    }
+  }
+  if (!failures.empty()) {
+    for (const std::string& f : failures) {
+      std::cerr << "bench_fig10_loop_orders: FAILED " << f << "\n";
+    }
+    return 1;
   }
   std::sort(times.begin(), times.end());
   const Summary s = summarize(times);
@@ -77,6 +108,9 @@ int main(int argc, char** argv) {
                  strfmt("%zu / %zu", rank_pos, times.size())});
   table.add_note("paper: the picked order sits below the cut-off, near the "
                  "best of the sampled distribution");
+  table.add_note("each sampled order's output checked once against the "
+                 "planner nest's (relative max diff <= 1e-9), outside the "
+                 "timing");
 
   // ASCII histogram of the sampled distribution (the figure's scatter).
   table.print(std::cout);

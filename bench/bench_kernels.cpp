@@ -14,7 +14,6 @@
 //                                     # BENCH_kernels.json is a checked-in
 //                                     # Release run)
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <span>
 
@@ -32,22 +31,6 @@ struct KernelRow {
   double lowered_s = 0;
   double spec_s = 0;  // 0 when no specialized implementation applies
 };
-
-/// max |a - b| / max |b| (0 when b is all zero and a equals it).
-double rel_max_diff(std::span<const double> a, std::span<const double> b) {
-  double diff = 0;
-  double scale = 0;
-  for (std::size_t e = 0; e < b.size(); ++e) {
-    diff = std::max(diff, std::fabs(a[e] - b[e]));
-    scale = std::max(scale, std::fabs(b[e]));
-  }
-  return scale > 0 ? diff / scale : diff;
-}
-
-std::span<const double> values(const Output& o) {
-  if (!o.sparse_vals.empty()) return o.sparse_vals;
-  return {o.dense.data(), static_cast<std::size_t>(o.dense.size())};
-}
 
 }  // namespace
 
@@ -140,8 +123,8 @@ int main(int argc, char** argv) {
     }
 
     // The check, once, on the outputs the last timed runs left behind.
-    const std::span<const double> got = values(lowered);
-    const std::span<const double> want = values(o);
+    const std::span<const double> got = lowered.values();
+    const std::span<const double> want = o.values();
     const double diff = rel_max_diff(got, want);
     if (diff > 1e-12) {
       failures.push_back(

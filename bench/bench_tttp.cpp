@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
     RunResult ctf;
     PairwiseStats st;
     try {
-      const ContractionPath path =
-          pairwise_best_path(p->kernel(), p->bound.stats);
+      const ContractionPath path = pairwise_best_path(p->kernel(), p->sparse);
       Output o = Output::make(*p);
       Timer timer;
       st = pairwise_execute(p->kernel(), path, p->sparse, p->bound.dense,

@@ -131,10 +131,9 @@ void verify_plan_or_throw(const Kernel& kernel, const Plan& plan,
                           const PlannerOptions& planner_options = {},
                           const SparsityStats* stats = nullptr);
 
-/// Admission check for externally produced plans — autotuned winners
-/// published through KernelCache::put and artifacts deserialized by
-/// KernelCache::load_dir. Runs the option-independent structural rules
-/// only: the planner options and stats behind a signature hash are not
+/// Admission check for plans made outside this process: the artifacts
+/// KernelCache::load_dir deserializes. Runs the option-independent
+/// structural rules only: the planner options and stats behind a signature hash are not
 /// recoverable, so cost/FLOP consistency and the CSF-order restriction
 /// stay planning-time checks. When `exec` is non-null it must be compiled
 /// from `plan`; the executor locality cross-check then runs as well.

@@ -74,10 +74,7 @@ std::string ContractionPath::to_string(const Kernel& kernel) const {
 SparsityStats SparsityStats::from_coo(const CooTensor& coo) {
   SPTTN_CHECK_MSG(coo.is_sorted(), "SparsityStats needs sort_dedup()ed COO");
   SparsityStats s;
-  s.coo_ = &coo;
-  s.nnz_ = coo.nnz();
   s.fingerprint_ = coo.structure_hash();
-  s.dims_ = coo.dims();
   s.prefix_.resize(static_cast<std::size_t>(coo.order()) + 1);
   for (int k = 0; k <= coo.order(); ++k) {
     s.prefix_[static_cast<std::size_t>(k)] = coo.nnz_prefix(k);
@@ -88,8 +85,6 @@ SparsityStats SparsityStats::from_coo(const CooTensor& coo) {
 SparsityStats SparsityStats::uniform(const std::vector<std::int64_t>& dims,
                                      std::int64_t nnz) {
   SparsityStats s;
-  s.nnz_ = nnz;
-  s.dims_ = dims;
   s.prefix_.resize(dims.size() + 1);
   s.prefix_[0] = nnz > 0 ? 1 : 0;
   double space = 1;
@@ -106,89 +101,6 @@ SparsityStats SparsityStats::uniform(const std::vector<std::int64_t>& dims,
   }
   s.prefix_[dims.size()] = nnz;
   return s;
-}
-
-SparsityStats::SparsityStats(const SparsityStats& o)
-    : prefix_(o.prefix_),
-      dims_(o.dims_),
-      nnz_(o.nnz_),
-      fingerprint_(o.fingerprint_),
-      coo_(o.coo_) {
-  std::lock_guard<std::mutex> lk(o.proj_m_);
-  proj_cache_ = o.proj_cache_;
-}
-
-SparsityStats& SparsityStats::operator=(const SparsityStats& o) {
-  if (this == &o) return *this;
-  prefix_ = o.prefix_;
-  dims_ = o.dims_;
-  nnz_ = o.nnz_;
-  fingerprint_ = o.fingerprint_;
-  coo_ = o.coo_;
-  std::scoped_lock lk(proj_m_, o.proj_m_);
-  proj_cache_ = o.proj_cache_;
-  return *this;
-}
-
-SparsityStats::SparsityStats(SparsityStats&& o) noexcept
-    : prefix_(std::move(o.prefix_)),
-      dims_(std::move(o.dims_)),
-      nnz_(o.nnz_),
-      fingerprint_(o.fingerprint_),
-      coo_(o.coo_),
-      proj_cache_(std::move(o.proj_cache_)) {}
-
-SparsityStats& SparsityStats::operator=(SparsityStats&& o) noexcept {
-  if (this == &o) return *this;
-  prefix_ = std::move(o.prefix_);
-  dims_ = std::move(o.dims_);
-  nnz_ = o.nnz_;
-  fingerprint_ = o.fingerprint_;
-  coo_ = o.coo_;
-  proj_cache_ = std::move(o.proj_cache_);
-  return *this;
-}
-
-std::int64_t SparsityStats::projection_nnz(std::uint64_t level_mask) const {
-  const int d = order();
-  // Prefix masks resolve from the precomputed table.
-  int prefix_len = 0;
-  while (prefix_len < d && (level_mask >> prefix_len) & 1) ++prefix_len;
-  if (level_mask == (std::uint64_t{1} << prefix_len) - 1) {
-    return prefix_nnz(prefix_len);
-  }
-  {
-    std::lock_guard<std::mutex> lk(proj_m_);
-    for (const auto& [mask, count] : proj_cache_) {
-      if (mask == level_mask) return count;
-    }
-  }
-  // Compute outside the lock: the COO projection scan is the expensive
-  // part, and two threads racing to compute the same mask produce the
-  // same value (the second insert below is dropped).
-  std::int64_t count = 0;
-  if (coo_ != nullptr) {
-    std::vector<int> modes;
-    for (int l = 0; l < d; ++l) {
-      if ((level_mask >> l) & 1) modes.push_back(l);
-    }
-    count = coo_->nnz_projection(modes);
-  } else {
-    double space = 1;
-    for (int l = 0; l < d; ++l) {
-      if ((level_mask >> l) & 1) {
-        space *= static_cast<double>(dims_[static_cast<std::size_t>(l)]);
-      }
-    }
-    count = std::min<std::int64_t>(
-        nnz_, std::max<std::int64_t>(1, static_cast<std::int64_t>(space)));
-  }
-  std::lock_guard<std::mutex> lk(proj_m_);
-  for (const auto& [mask, cached] : proj_cache_) {
-    if (mask == level_mask) return cached;  // another caller beat us
-  }
-  proj_cache_.emplace_back(level_mask, count);
-  return count;
 }
 
 double term_flops(const Kernel& kernel, const PathTerm& term,

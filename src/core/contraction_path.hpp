@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -98,18 +97,13 @@ PathTerm contract_pair(const Kernel& kernel, const std::vector<PathItem>& items,
                        std::vector<PathItem>* rest = nullptr);
 
 /// Sparsity statistics driving path cost estimates: distinct-prefix counts
-/// along the CSF order (paper Section 2.2) plus cached projections onto
-/// arbitrary sparse-mode subsets.
+/// along the CSF order (paper Section 2.2) and the structure fingerprint of
+/// the tensor they were taken from. A plain value: it holds no reference to
+/// the tensor. The pairwise baseline, which also needs projections onto
+/// non-prefix mode subsets, counts them on the tensor itself
+/// (exec/pairwise.hpp).
 class SparsityStats {
  public:
-  SparsityStats() = default;
-  // The lazy projection cache carries a mutex, so the special members are
-  // spelled out (copies share the cached values but get a fresh lock).
-  SparsityStats(const SparsityStats& o);
-  SparsityStats& operator=(const SparsityStats& o);
-  SparsityStats(SparsityStats&& o) noexcept;
-  SparsityStats& operator=(SparsityStats&& o) noexcept;
-
   /// Exact statistics from a tensor (must be sort_dedup()ed).
   static SparsityStats from_coo(const CooTensor& coo);
 
@@ -122,15 +116,6 @@ class SparsityStats {
     return prefix_[static_cast<std::size_t>(k)];
   }
 
-  /// Distinct-projection count for an arbitrary mode subset (bitmask over
-  /// CSF levels). Exact when built from a tensor, modeled otherwise. Prefix
-  /// masks resolve from the prefix table; a non-prefix mask scans the COO
-  /// once. The planner never asks for one — only pairwise_path_flops
-  /// (exec/pairwise.hpp) does, since a materialized intermediate really
-  /// holds the projection. Thread-safe: concurrent callers share one
-  /// mutex-guarded lazy cache.
-  std::int64_t projection_nnz(std::uint64_t level_mask) const;
-
   int order() const { return static_cast<int>(prefix_.size()) - 1; }
 
   /// Structure fingerprint of the tensor these stats were taken from
@@ -141,12 +126,7 @@ class SparsityStats {
 
  private:
   std::vector<std::int64_t> prefix_;  ///< prefix_[k] = nnz(I1..Ik)
-  std::vector<std::int64_t> dims_;
-  std::int64_t nnz_ = 0;
   std::uint64_t fingerprint_ = 0;
-  const CooTensor* coo_ = nullptr;  ///< non-owning; null for modeled stats
-  mutable std::mutex proj_m_;  ///< guards proj_cache_
-  mutable std::vector<std::pair<std::uint64_t, std::int64_t>> proj_cache_;
 };
 
 /// Leading-order scalar-operation estimate of one term of a fused nest

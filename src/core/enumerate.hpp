@@ -1,9 +1,9 @@
 // Exhaustive and sampled enumeration of loop orders for a contraction path
 // (paper Section 4.1.2/4.1.3).
 //
-// Enumeration is the autotuning fallback for cost functions that are not
-// tree-separable, and the ground-truth oracle against which Algorithm 1 is
-// property-tested.
+// Enumeration is what makes autotuning possible for cost functions that are
+// not tree-separable (bench_fig10_loop_orders times sampled orders), and
+// the ground-truth oracle against which Algorithm 1 is property-tested.
 #pragma once
 
 #include <cstdint>

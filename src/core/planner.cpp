@@ -345,7 +345,11 @@ Plan make_plan(const Kernel& kernel, const SparsityStats& stats,
   plan->nodes_expanded = found.nodes;
   plan->budget_exhausted = found.exhausted;
   plan->flops_lower_bound = found.lower_bound;
-  plan->optimality_gap = found.flops.front() / found.lower_bound - 1.0;
+  // A path that meets the bound has no gap, also when both are 0 flops (a
+  // tensor with no nonzeros), where the ratio would be NaN.
+  plan->optimality_gap = found.flops.front() == found.lower_bound
+                             ? 0.0
+                             : found.flops.front() / found.lower_bound - 1.0;
   // Always in Debug, opt-in via options.verify in Release, and always
   // under a node budget: a search cut short is only served behind the
   // static verifier.

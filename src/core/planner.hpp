@@ -143,7 +143,7 @@ Plan make_plan(const Kernel& kernel, const SparsityStats& stats,
 
 /// All single-CSF-executable contraction paths sorted by estimated FLOPs
 /// (cheapest first, enumeration order on ties): make_plan's search with no
-/// FLOP bound, no cap and no budget, for benches, tools and the autotuner.
+/// FLOP bound, no cap and no budget, for benches, tools and tests.
 /// `total_paths`, when non-null, receives count_paths of the input count
 /// (0 below two inputs, capped at INT_MAX).
 /// `flops_out`, when non-null, receives each returned path's FLOP estimate

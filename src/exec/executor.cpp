@@ -812,7 +812,9 @@ void FusedExecutor::execute(const ExecArgs& args) {
                         csf.nnz(),
                     "sparse output must have one value per nonzero");
     bind.out_sparse = args.out_sparse.data();
-    if (!args.accumulate) {
+    // An empty span's data() may be null, which memset must not get even
+    // for zero bytes.
+    if (!args.accumulate && csf.nnz() > 0) {
       xzero(csf.nnz(), bind.out_sparse, 1);
     }
   } else {

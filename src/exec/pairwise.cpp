@@ -314,13 +314,43 @@ PairwiseStats pairwise_execute(const Kernel& kernel,
 
 namespace {
 
+/// Distinct projections of the sparse tensor onto subsets of its CSF levels
+/// (bitmask over levels), counted on the tensor once per mask: a
+/// materialized sparse-derived intermediate holds exactly that projection.
+class ProjectionCounts {
+ public:
+  ProjectionCounts(const Kernel& kernel, const CooTensor& sparse)
+      : sparse_(sparse) {
+    SPTTN_CHECK_MSG(sparse.is_sorted(),
+                    "pairwise estimate needs a sort_dedup()ed tensor");
+    SPTTN_CHECK(sparse.order() == kernel.sparse_ref().order());
+  }
+
+  std::int64_t nnz() const { return sparse_.nnz(); }
+
+  std::int64_t operator()(std::uint64_t level_mask) {
+    const auto [it, fresh] = counts_.try_emplace(level_mask, 0);
+    if (fresh) {
+      std::vector<int> modes;
+      for (int l = 0; l < sparse_.order(); ++l) {
+        if ((level_mask >> l) & 1) modes.push_back(l);
+      }
+      it->second = sparse_.nnz_projection(modes);
+    }
+    return it->second;
+  }
+
+ private:
+  const CooTensor& sparse_;
+  std::unordered_map<std::uint64_t, std::int64_t> counts_;
+};
+
 /// Materialized entry count of a path operand under pairwise execution.
-double operand_entries(const Kernel& kernel, const ContractionPath& path,
-                       const PathOperand& op, bool carries_sparse,
-                       const SparsityStats& stats) {
+double operand_entries(const Kernel& kernel, const PathOperand& op,
+                       bool carries_sparse, ProjectionCounts& projections) {
   if (op.kind == PathOperand::Kind::kInput &&
       op.id == kernel.sparse_input()) {
-    return static_cast<double>(stats.prefix_nnz(stats.order()));
+    return static_cast<double>(projections.nnz());
   }
   // Dense inputs and dense-derived intermediates span their full space;
   // sparse-derived intermediates keep the pattern projection on their
@@ -332,7 +362,7 @@ double operand_entries(const Kernel& kernel, const ContractionPath& path,
     for (int id : sparse_part.elements()) {
       mask |= (std::uint64_t{1} << kernel.csf_level(id));
     }
-    entries *= static_cast<double>(stats.projection_nnz(mask));
+    entries *= static_cast<double>(projections(mask));
     for (int id : (op.iset - sparse_part).elements()) {
       entries *= static_cast<double>(kernel.index_dim(id));
     }
@@ -341,14 +371,11 @@ double operand_entries(const Kernel& kernel, const ContractionPath& path,
   for (int id : op.iset.elements()) {
     entries *= static_cast<double>(kernel.index_dim(id));
   }
-  (void)path;
   return entries;
 }
 
-}  // namespace
-
-double pairwise_path_flops(const Kernel& kernel, const ContractionPath& path,
-                           const SparsityStats& stats) {
+double path_flops(const Kernel& kernel, const ContractionPath& path,
+                  ProjectionCounts& projections) {
   // Track which operands carry sparse structure through the path.
   std::vector<bool> term_carries(static_cast<std::size_t>(path.num_terms()));
   const auto carries = [&](const PathOperand& op) {
@@ -364,9 +391,9 @@ double pairwise_path_flops(const Kernel& kernel, const ContractionPath& path,
     const bool rhs_sparse = carries(term.rhs);
     term_carries[static_cast<std::size_t>(t)] = lhs_sparse || rhs_sparse;
     const double le =
-        operand_entries(kernel, path, term.lhs, lhs_sparse, stats);
+        operand_entries(kernel, term.lhs, lhs_sparse, projections);
     const double re =
-        operand_entries(kernel, path, term.rhs, rhs_sparse, stats);
+        operand_entries(kernel, term.rhs, rhs_sparse, projections);
     // The smaller side drives iteration; the other side contributes its
     // free-index extents per driving entry (sparse-sparse joins multiply
     // matching entries, approximated by the shared-space ratio).
@@ -391,14 +418,23 @@ double pairwise_path_flops(const Kernel& kernel, const ContractionPath& path,
   return total;
 }
 
+}  // namespace
+
+double pairwise_path_flops(const Kernel& kernel, const ContractionPath& path,
+                           const CooTensor& sparse) {
+  ProjectionCounts projections(kernel, sparse);
+  return path_flops(kernel, path, projections);
+}
+
 ContractionPath pairwise_best_path(const Kernel& kernel,
-                                   const SparsityStats& stats) {
+                                   const CooTensor& sparse) {
   std::vector<ContractionPath> all = enumerate_paths(kernel);
   SPTTN_CHECK(!all.empty());
+  ProjectionCounts projections(kernel, sparse);
   std::size_t best = 0;
-  double best_flops = pairwise_path_flops(kernel, all[0], stats);
+  double best_flops = path_flops(kernel, all[0], projections);
   for (std::size_t i = 1; i < all.size(); ++i) {
-    const double f = pairwise_path_flops(kernel, all[i], stats);
+    const double f = path_flops(kernel, all[i], projections);
     if (f < best_flops) {
       best_flops = f;
       best = i;

@@ -37,15 +37,17 @@ PairwiseStats pairwise_execute(const Kernel& kernel,
 /// Estimated scalar operations of executing `path` pairwise with
 /// materialized intermediates: unlike the fused estimate (path_flops),
 /// intermediates not derived from the sparse tensor are dense over their
-/// full index space, and each term iterates the driving operand's entries
-/// times the other side's free extents.
+/// full index space, a sparse-derived one holds the exact projection of
+/// `sparse` (sort_dedup()ed) onto its sparse modes, and each term iterates
+/// the driving operand's entries times the other side's free extents.
 double pairwise_path_flops(const Kernel& kernel, const ContractionPath& path,
-                           const SparsityStats& stats);
+                           const CooTensor& sparse);
 
 /// The contraction path a pairwise framework would choose: minimum
 /// pairwise_path_flops over all paths (no executability filter — pairwise
-/// execution does not need one).
+/// execution does not need one). Each projection count is taken once per
+/// call and shared by every path's estimate.
 ContractionPath pairwise_best_path(const Kernel& kernel,
-                                   const SparsityStats& stats);
+                                   const CooTensor& sparse);
 
 }  // namespace spttn

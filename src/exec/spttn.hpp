@@ -61,55 +61,4 @@ void run_plan(const BoundKernel& bound, const Plan& plan,
 /// Allocate a correctly shaped dense output for the bound kernel.
 DenseTensor make_output(const BoundKernel& bound);
 
-// --- Extensions beyond the paper's evaluated system ---
-
-/// Result of searching over CSF storage permutations (the paper fixes the
-/// CSF order to the expression order; its conclusion lists richer search
-/// spaces as future work).
-struct CsfSearchResult {
-  std::vector<int> mode_order;  ///< chosen permutation of sparse modes
-  Cost cost;                    ///< planner cost under that order
-  std::string expr;             ///< rewritten kernel expression
-};
-
-/// Try every permutation of the sparse tensor's modes, re-plan, and return
-/// the permutation whose optimal loop nest has the lowest model cost among
-/// the orders within kFlopGroupTolerance of the cheapest order's flops
-/// (make_plan's rule; the first permutation wins ties). The caller can then
-/// rebuild the problem with permute_sparse_modes().
-CsfSearchResult search_csf_orders(const std::string& expr,
-                                  const CooTensor& sparse,
-                                  std::vector<const DenseTensor*> dense,
-                                  const PlannerOptions& options = {},
-                                  const std::string& sparse_name = "");
-
-/// Physically permute a COO tensor's modes (helper for applying a
-/// CsfSearchResult).
-CooTensor permute_sparse_modes(const CooTensor& coo,
-                               const std::vector<int>& mode_order);
-
-/// Rewrite a kernel expression with the sparse operand's indices permuted.
-std::string rewrite_expr_with_csf_order(const std::string& expr,
-                                        const std::vector<int>& mode_order,
-                                        const std::string& sparse_name = "");
-
-/// Measurement-based autotuning (paper Section 4: "Enumeration enables
-/// autotuning"): time the DP-optimal and second-best loop nests of the
-/// cheapest executable paths plus `sampled` random orders, return the
-/// fastest. When `cache` is non-null the winner is recorded under the
-/// kernel's signature (replacing any model-chosen plan), so subsequent
-/// cache-aware planning and sessions over the same problem serve the
-/// measured-fastest nest.
-class KernelCache;
-struct AutotuneResult {
-  Plan best;
-  double best_seconds = 0;
-  int candidates = 0;
-};
-AutotuneResult autotune_kernel(const BoundKernel& bound,
-                               const PlannerOptions& options = {},
-                               int max_paths = 3, int sampled = 4,
-                               int reps = 2, std::uint64_t seed = 1,
-                               KernelCache* cache = nullptr);
-
 }  // namespace spttn

@@ -138,17 +138,13 @@ struct KernelCache::Impl {
   /// loser's work is dropped rather than invalidating handed-out
   /// pointers). On a pass-through cache the entry is returned
   /// unpublished: plan, verify, serve — never insert.
-  std::shared_ptr<const Entry> publish(std::shared_ptr<Entry> entry,
-                                       bool replace) {
+  std::shared_ptr<const Entry> publish(std::shared_ptr<Entry> entry) {
     std::lock_guard<std::mutex> lk(m);
     if (capacity == 0) return entry;
     const auto it = by_sig.find(entry->signature);
     if (it != by_sig.end()) {
-      if (!replace) {
-        lru.splice(lru.begin(), lru, it->second);  // refresh recency
-        return *it->second;
-      }
-      erase_resident(it->second);
+      lru.splice(lru.begin(), lru, it->second);  // refresh recency
+      return *it->second;
     }
     counters.inserts += 1;
     lru.push_front(std::move(entry));
@@ -224,7 +220,7 @@ std::shared_ptr<const KernelCache::Entry> KernelCache::get_or_plan(
                     "kernel cache rejects unverifiable plan for "
                         << kernel.to_string() << ":\n"
                         << report.to_string());
-    published = impl_->publish(std::move(entry), /*replace=*/false);
+    published = impl_->publish(std::move(entry));
   } catch (...) {
     {
       std::lock_guard<std::mutex> lk(impl_->m);
@@ -255,24 +251,6 @@ std::shared_ptr<const KernelCache::Entry> KernelCache::get_or_plan(
     const BoundKernel& bound, const PlannerOptions& options,
     bool* was_cached) {
   return get_or_plan(bound.kernel, bound.stats, options, was_cached);
-}
-
-std::shared_ptr<const KernelCache::Entry> KernelCache::put(
-    KernelSignature sig, const Kernel& kernel, Plan plan) {
-  // Admission gate: put() accepts externally produced plans (autotuners,
-  // deserialized artifacts), so the structural rules must pass before the
-  // plan is published; see verify_external_plan for why the cost rules
-  // stay planning-time checks.
-  const VerifyReport report = verify_external_plan(kernel, plan);
-  SPTTN_CHECK_MSG(report.ok(), "kernel cache rejects unverifiable plan for "
-                                   << kernel.to_string() << ":\n"
-                                   << report.to_string());
-  auto entry = std::make_shared<Entry>();
-  entry->signature = std::move(sig);
-  entry->kernel = kernel;
-  entry->plan = std::move(plan);
-  entry->exec = std::make_shared<FusedExecutor>(kernel, entry->plan);
-  return impl_->publish(std::move(entry), /*replace=*/true);
 }
 
 std::string KernelCache::DirReport::to_string() const {
@@ -398,7 +376,7 @@ KernelCache::DirReport KernelCache::load_dir(const std::string& dir) {
 
       entry->signature =
           signature_of(entry->kernel, sig_fingerprint, options_hash);
-      impl_->publish(std::move(entry), /*replace=*/false);
+      impl_->publish(std::move(entry));
       report.processed += 1;
     } catch (const std::exception& ex) {
       report.rejected += 1;

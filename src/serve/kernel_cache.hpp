@@ -7,19 +7,21 @@
 // memoizes the planner's result (Plan) together with the compiled loop
 // nest (FusedExecutor) under a canonical kernel signature — expression
 // structure, which input is sparse, index extents, planner options, and an
-// exact sparsity fingerprint — so any consumer (sessions, the
-// decomposition drivers, the simulated distributed runtime, the autotuner)
-// that binds a structurally identical problem skips the path search
-// and order DP entirely.
+// exact sparsity fingerprint — so any consumer (sessions, the CP/Tucker
+// decompositions in apps/, the simulated distributed runtime) that binds a
+// structurally identical problem skips the path search and order DP
+// entirely.
 //
 // Admission policy: an entry-count bound with LRU eviction (capacity 0 is
 // a pass-through) and single-flight planning, so concurrent misses on one
-// signature cost one search. Plans persist: save_dir writes every resident
-// plan as a versioned, checksummed artifact (core/plan_io) stamped with the
-// planner's cost-model identity, and load_dir re-admits them through the
-// static plan verifier plus the sparsity-fingerprint and cost-model
-// checks, so a restarted process serves every warmed kernel with zero
-// planner searches — and a stale or corrupted artifact can never reach an
+// signature cost one search. Every entry comes from the planner: either
+// get_or_plan plans it here, or load_dir re-admits one this process or
+// another saved. save_dir writes every resident plan as a versioned,
+// checksummed artifact (core/plan_io) stamped with the planner's
+// cost-model identity, and load_dir re-admits them through the static plan
+// verifier plus the sparsity-fingerprint and cost-model checks, so a
+// restarted process serves every warmed kernel with zero planner searches
+// — and a stale, corrupted or hand-edited artifact can never reach an
 // executor.
 #pragma once
 
@@ -137,16 +139,6 @@ class KernelCache {
   std::shared_ptr<const Entry> get_or_plan(const BoundKernel& bound,
                                            const PlannerOptions& options = {},
                                            bool* was_cached = nullptr);
-
-  /// Publish an externally produced plan (e.g. an autotuned winner) under
-  /// `sig`, compiling its executor; replaces any resident entry with the
-  /// same signature and returns the published entry. The structural rules
-  /// of the static plan verifier gate admission (the planner options and
-  /// stats behind `sig` are not recoverable from the hash, so cost
-  /// consistency stays a planning-time check); throws spttn::Error on a
-  /// plan that fails them.
-  std::shared_ptr<const Entry> put(KernelSignature sig, const Kernel& kernel,
-                                   Plan plan);
 
   /// Outcome of one save_dir/load_dir sweep. `errors` carries one
   /// structured message per artifact that failed (I/O, deserialization,

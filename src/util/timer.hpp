@@ -1,4 +1,5 @@
-// Wall-clock timing for benchmarks and the autotuner.
+// Wall-clock timing for benchmarks, the CP/Tucker decompositions in apps/
+// and the measured seconds of the distributed runtime's collectives.
 #pragma once
 
 #include <chrono>

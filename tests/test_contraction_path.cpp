@@ -211,17 +211,6 @@ TEST(SparsityStats, UniformModelIsMonotone) {
   EXPECT_LE(s.prefix_nnz(1), 100);
 }
 
-TEST(SparsityStats, ProjectionUsesExactCountsFromCoo) {
-  Rng rng(12);
-  const CooTensor t = random_coo({9, 8, 7}, 60, rng);
-  const SparsityStats s = SparsityStats::from_coo(t);
-  const std::vector<int> modes{0, 2};
-  EXPECT_EQ(s.projection_nnz(0b101), t.nnz_projection(modes));
-  EXPECT_EQ(s.projection_nnz(0b011), t.nnz_prefix(2));  // prefix fast path
-  // Cached second query returns the same value.
-  EXPECT_EQ(s.projection_nnz(0b101), t.nnz_projection(modes));
-}
-
 TEST(ChainPath, ExpressionOrderChain) {
   const Kernel k = ttmc3();
   const ContractionPath p = chain_path(k);

@@ -130,7 +130,7 @@ TEST_P(BaselinesVsReference, PairwiseMatchesOnBestAndWorstPaths) {
   // Check the framework-chosen path plus a couple of arbitrary ones
   // (pairwise must be correct on any path, executable or not).
   std::vector<ContractionPath> to_test{
-      pairwise_best_path(kernel, inst->bound.stats)};
+      pairwise_best_path(kernel, inst->sparse)};
   to_test.push_back(all.front());
   to_test.push_back(all.back());
   for (const auto& path : to_test) {

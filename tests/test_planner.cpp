@@ -195,9 +195,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // executable_paths (and its FLOP estimates) must not depend on the pool's
-// lane count, on a fresh SparsityStats as well. path_flops reads only the
-// precomputed prefix counts, so this does not touch the lazy projection
-// cache; ConcurrentProjectionCountsMatchCoo below races that cache instead.
+// lane count, on a fresh SparsityStats as well.
 TEST(Planner, ParallelExecutablePathsMatchSequential) {
   for (int kernel_idx : {0, 2, 4, 6}) {
     const auto inst = testing::make_instance(
@@ -224,43 +222,6 @@ TEST(Planner, ParallelExecutablePathsMatchSequential) {
         EXPECT_EQ(seq[i].to_string(k), par[i].to_string(k)) << "path " << i;
       }
     }
-  }
-}
-
-// SparsityStats' lazy projection cache (now read only by the pairwise
-// baseline's estimate) is shared by concurrent callers. Four lanes query
-// every non-prefix mask of a cold cache several times over, so the misses
-// race to compute and insert; under TSan this is the regression test for
-// the cache's lock. Every answer must be the exact COO count.
-TEST(Planner, ConcurrentProjectionCountsMatchCoo) {
-  testing::ScopedLanes lanes(4);  // real lanes even on 1-core CI boxes
-  Rng rng(11);
-  const CooTensor t = hierarchical_coo({12, 10, 9, 8}, 6, {4, 3, 3}, rng);
-  const int d = t.order();
-  std::vector<std::uint64_t> masks;
-  std::vector<std::int64_t> want;
-  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << d); ++mask) {
-    if ((mask & (mask + 1)) == 0) continue;  // prefix masks skip the cache
-    std::vector<int> modes;
-    for (int l = 0; l < d; ++l) {
-      if ((mask >> l) & 1) modes.push_back(l);
-    }
-    masks.push_back(mask);
-    want.push_back(t.nnz_projection(modes));
-  }
-  ASSERT_EQ(masks.size(), 11u);
-  const SparsityStats cold = SparsityStats::from_coo(t);
-  constexpr std::int64_t kRounds = 8;
-  const auto n = static_cast<std::int64_t>(masks.size());
-  std::vector<std::int64_t> got(static_cast<std::size_t>(n * kRounds), -1);
-  ThreadPool::global().parallel_apply(n * kRounds, [&](std::int64_t i) {
-    got[static_cast<std::size_t>(i)] =
-        cold.projection_nnz(masks[static_cast<std::size_t>(i % n)]);
-  });
-  for (std::int64_t i = 0; i < n * kRounds; ++i) {
-    const auto m = static_cast<std::size_t>(i % n);
-    EXPECT_EQ(got[static_cast<std::size_t>(i)], want[m])
-        << "mask " << masks[m];
   }
 }
 

@@ -316,6 +316,41 @@ TEST(PlannerStrategy, BudgetDiagnosticsBoundTheCheapestPath) {
   }
 }
 
+// With no nonzeros every path costs 0 flops, so the cheapest path found
+// meets the lower bound: the gap is exactly 0 (not 0/0 - 1), with and
+// without a budget, and it survives a plan artifact round trip. The plan
+// still runs and leaves a zero output.
+TEST(PlannerStrategy, EmptyTensorHasZeroGap) {
+  for (const SuiteKernel& sk : paper_kernels()) {
+    const auto inst = make_suite_instance(sk, 42);
+    CooTensor empty(inst->sparse.dims());
+    empty.sort_dedup();
+    std::vector<const DenseTensor*> dense;
+    for (const DenseTensor& f : inst->factors) dense.push_back(&f);
+    const BoundKernel bound = spttn::bind(sk.expr, empty, dense);
+    for (const std::int64_t nodes : {0, 8}) {
+      SCOPED_TRACE(sk.name + " / max_nodes " + std::to_string(nodes));
+      PlannerOptions options;
+      options.budget.max_nodes = nodes;
+      const Plan plan = make_plan(bound.kernel, bound.stats, options);
+      EXPECT_EQ(plan.flops, 0.0);
+      EXPECT_EQ(plan.flops_lower_bound, 0.0);
+      EXPECT_EQ(plan.optimality_gap, 0.0);
+      const LoadedPlan loaded =
+          deserialize_plan(serialize_plan(bound.kernel, plan));
+      EXPECT_EQ(loaded.plan.optimality_gap, 0.0);
+      if (bound.kernel.output_is_sparse()) {
+        EXPECT_NO_THROW(run_plan(bound, plan, nullptr, {}));
+      } else {
+        DenseTensor out = make_output(bound);
+        out.fill(7.0);
+        run_plan(bound, plan, &out, {});
+        EXPECT_EQ(out.norm(), 0.0);
+      }
+    }
+  }
+}
+
 // An order-8 random network plans under a node budget, and the budget
 // stops the search before it proves the cheapest path. The budget is
 // checked only once a complete path is held, which on this network takes

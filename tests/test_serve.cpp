@@ -226,20 +226,6 @@ TEST(KernelCache, LruEvictionAtCapacity) {
   EXPECT_FALSE(was_cached);  // b was evicted and re-plans
 }
 
-TEST(KernelCache, AutotuneRecordsWinner) {
-  auto inst = make_instance(kernel_case("mttkrp3"), 19);
-  KernelCache cache;
-  const AutotuneResult tuned = autotune_kernel(
-      inst->bound, {}, /*max_paths=*/2, /*sampled=*/2, /*reps=*/1,
-      /*seed=*/5, &cache);
-  // The tuned winner is resident: cache-aware planning serves it verbatim.
-  bool was_cached = false;
-  const auto entry = cache.get_or_plan(inst->bound, {}, &was_cached);
-  EXPECT_TRUE(was_cached);
-  EXPECT_EQ(entry->plan.path, tuned.best.path);
-  EXPECT_EQ(entry->plan.order, tuned.best.order);
-}
-
 TEST(FusedExecutor, FingerprintGuardRejectsForeignStructure) {
   const KernelCase& kc = kernel_case("mttkrp3");
   auto inst = make_instance(kc, 20);

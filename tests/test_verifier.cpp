@@ -1,20 +1,24 @@
 // PlanVerifier: every paper-kernel plan verifies clean, and each injected
 // defect class trips exactly the diagnostic rule built for it. Mutations go
-// through LoopTree::assemble — the same raw-parts path a future plan
-// deserializer would use — so these tests double as the admission-gate spec
-// for externally produced plans.
+// through LoopTree::assemble — the raw-parts path plan_io's deserializer
+// uses — so these tests double as the admission-gate spec for the saved
+// plans KernelCache::load_dir admits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/plan_verifier.hpp"
+#include "core/plan_io.hpp"
 #include "exec/executor.hpp"
 #include "serve/kernel_cache.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace spttn {
 namespace {
@@ -389,14 +393,31 @@ TEST(PlanVerifier, TruncatedOrderTripsOrderInvalid) {
 
 // --- admission gates -----------------------------------------------------
 
+// load_dir is the one way a plan made elsewhere enters the cache. An
+// artifact with a valid checksum and the meta save_dir writes, but a tree
+// whose first term is hoisted out of its loops, passes every check before
+// the verifier's; the verifier must refuse it by rule name.
 TEST(KernelCacheVerify, RefusesHandCorruptedPlan) {
+  namespace fs = std::filesystem;
   Planned p = plan_case("mttkrp3");
   const KernelSignature sig =
       make_signature(p.kernel(), p.stats(), p.options);
-  KernelCache cache(4);
-  // The pristine plan is accepted...
-  EXPECT_NO_THROW(cache.put(sig, p.kernel(), p.plan));
-  // ...the same plan with a hoisted term is refused.
+  const fs::path dir = fs::path(::testing::TempDir()) / "spttn_verify_hoist";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto hex = [](std::uint64_t v) {
+    return strfmt("%016llx", static_cast<unsigned long long>(v));
+  };
+  const auto write = [&](const std::string& name) {
+    std::ofstream os(dir / name, std::ios::binary);
+    os << serialize_plan(
+        p.kernel(), p.plan,
+        {{"options_hash", hex(sig.options_hash)},
+         {"sparsity_fingerprint", hex(sig.sparsity_fingerprint)},
+         {"cost_model", std::to_string(kCostModelVersion)}});
+  };
+  const std::string pristine = serialize_plan(p.kernel(), p.plan);
+  write("a_pristine.plan");
   mutate_tree(&p.plan, [](std::vector<Node>& nodes, std::vector<Action>& top,
                           std::vector<BufferSpec>&) {
     const int n = node_holding_term(nodes, 0);
@@ -407,7 +428,25 @@ TEST(KernelCacheVerify, RefusesHandCorruptedPlan) {
     }));
     top.push_back({Action::Kind::kTerm, 0});
   });
-  EXPECT_THROW(cache.put(sig, p.kernel(), p.plan), Error);
+  write("b_hoisted.plan");
+
+  KernelCache cache(4);
+  const KernelCache::DirReport report = cache.load_dir(dir.string());
+  EXPECT_EQ(report.processed, 1) << report.to_string();
+  EXPECT_EQ(report.rejected, 1) << report.to_string();
+  ASSERT_EQ(report.errors.size(), 1u);
+  const std::string& error = report.errors[0];
+  EXPECT_NE(error.find("b_hoisted.plan"), std::string::npos) << error;
+  EXPECT_NE(error.find("plan verification failed"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("index-unbound"), std::string::npos) << error;
+  EXPECT_EQ(cache.counters().entries, 1u);
+  // The resident entry is the pristine plan.
+  bool was_cached = false;
+  const auto entry = cache.get_or_plan(p.kernel(), p.stats(), p.options,
+                                       &was_cached);
+  EXPECT_TRUE(was_cached);
+  EXPECT_EQ(serialize_plan(p.kernel(), entry->plan), pristine);
 }
 
 TEST(KernelCacheVerify, GetOrPlanPublishesVerifiedEntries) {
