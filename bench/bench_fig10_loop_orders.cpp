@@ -1,10 +1,11 @@
 // Figure 10: runtime distribution over randomly sampled loop orders of the
 // all-mode order-3 TTMc kernel (paper: N=1024, R=32, 0.1% sparsity, 25% of
 // the CSF-consistent loop orders; red cut-off line; green line = runtime of
-// the order picked by SpTTN-Cyclops). Each sampled order's output is
-// checked once, outside the timing, against the planner nest's: a relative
-// max diff above 1e-9, or an order that fails to run, is named on stderr
-// and the program exits 1.
+// the order picked by SpTTN-Cyclops). Every order, the pick included, is
+// timed as the median of kReps runs after one warm-up, and times print in
+// milliseconds. Each sampled order's output is checked once, outside the
+// timing, against the planner nest's: a relative max diff above 1e-9, or
+// an order that fails to run, is named on stderr and the program exits 1.
 //
 //   bench_fig10_loop_orders --n 64 --rank 8 --fraction 0.05   # CI smoke
 #include <algorithm>
@@ -15,6 +16,11 @@
 
 using namespace spttn;
 using namespace spttn::bench;
+
+namespace {
+/// Timed runs per loop order, the planner's pick included.
+constexpr int kReps = 3;
+}  // namespace
 
 int main(int argc, char** argv) {
   Cli cli("bench_fig10_loop_orders");
@@ -40,7 +46,7 @@ int main(int argc, char** argv) {
   // the output every sampled order must reproduce.
   Plan plan;
   Output want;
-  const RunResult chosen = run_spttn(*p, 3, {}, &plan, &want);
+  const RunResult chosen = run_spttn(*p, kReps, {}, &plan, &want);
   if (!chosen.ok) {
     std::cerr << "bench_fig10_loop_orders: FAILED the planner's nest\n";
     return 1;
@@ -66,7 +72,7 @@ int main(int argc, char** argv) {
       args.sparse = &p->bound.csf;
       args.dense = p->bound.dense;
       args.out_dense = &o.dense;
-      times.push_back(time_median([&] { exec.execute(args); }, 1));
+      times.push_back(time_median([&] { exec.execute(args); }, kReps));
     } catch (const Error& e) {
       failures.push_back(name + ": " + e.what());
       continue;
@@ -93,14 +99,16 @@ int main(int argc, char** argv) {
       "N=%lld R=%lld",
       orders.size(), total_orders, static_cast<long long>(*n),
       static_cast<long long>(*rank)));
-  table.set_header({"statistic", "seconds"});
-  table.add_row({"best sampled order", strfmt("%.4f", s.min)});
-  table.add_row({"25th percentile", strfmt("%.4f", times[times.size() / 4])});
-  table.add_row({"median sampled order", strfmt("%.4f", s.median)});
-  table.add_row({"75th percentile",
-                 strfmt("%.4f", times[3 * times.size() / 4])});
-  table.add_row({"worst sampled order", strfmt("%.4f", s.max)});
-  table.add_row({"SpTTN-Cyclops pick (green line)", chosen.cell()});
+  const auto ms = [](double seconds) {
+    return strfmt("%.3f", seconds * 1e3);
+  };
+  table.set_header({"statistic", "milliseconds"});
+  table.add_row({"best sampled order", ms(s.min)});
+  table.add_row({"25th percentile", ms(times[times.size() / 4])});
+  table.add_row({"median sampled order", ms(s.median)});
+  table.add_row({"75th percentile", ms(times[3 * times.size() / 4])});
+  table.add_row({"worst sampled order", ms(s.max)});
+  table.add_row({"SpTTN-Cyclops pick (green line)", ms(chosen.seconds)});
   const std::size_t rank_pos = static_cast<std::size_t>(
       std::lower_bound(times.begin(), times.end(), chosen.seconds) -
       times.begin());
@@ -115,7 +123,8 @@ int main(int argc, char** argv) {
   // ASCII histogram of the sampled distribution (the figure's scatter).
   table.print(std::cout);
   const int bins = 12;
-  std::cout << "runtime histogram (each * ~ one sampled order):\n";
+  std::cout << "runtime histogram, milliseconds (each * ~ one sampled "
+               "order):\n";
   for (int b = 0; b < bins; ++b) {
     const double lo = s.min + (s.max - s.min) * b / bins;
     const double hi = s.min + (s.max - s.min) * (b + 1) / bins;
@@ -123,7 +132,7 @@ int main(int argc, char** argv) {
     for (double v : times) {
       if (v >= lo && (v < hi || b == bins - 1)) ++count;
     }
-    std::cout << strfmt("  [%.4f, %.4f) ", lo, hi);
+    std::cout << "  [" << ms(lo) << ", " << ms(hi) << ") ";
     for (int i = 0; i < count; ++i) std::cout << '*';
     if (chosen.seconds >= lo && (chosen.seconds < hi || b == bins - 1)) {
       std::cout << "  <= SpTTN-Cyclops";

@@ -136,7 +136,7 @@ class Checker {
 
   std::string index_name(int id) const {
     if (id >= 0 && id < k_.num_indices()) return k_.index_name(id);
-    return "#" + std::to_string(id);
+    return std::string("#").append(std::to_string(id));
   }
 
   std::string term_name(int t) const {

@@ -26,7 +26,9 @@ double timed_run(Session& session, int kernel_id,
 }
 
 /// Index names i0..i{d-1} for the sparse modes.
-std::string mode_index(int m) { return "i" + std::to_string(m); }
+std::string mode_index(int m) {
+  return std::string("i").append(std::to_string(m));
+}
 
 /// "T(i0,i1,...,i{d-1})"
 std::string sparse_ref_expr(int d) {

@@ -29,7 +29,7 @@ std::string ContractionPath::to_string(const Kernel& kernel) const {
   const auto render_operand = [&](const PathOperand& op) {
     std::string name = op.kind == PathOperand::Kind::kInput
                            ? kernel.input(op.id).name
-                           : "X" + std::to_string(op.id + 1);
+                           : std::string("X").append(std::to_string(op.id + 1));
     std::string s = name + "(";
     bool first = true;
     // Render indices in kernel id order for intermediates; original order
@@ -57,7 +57,7 @@ std::string ContractionPath::to_string(const Kernel& kernel) const {
     if (i + 1 == num_terms()) {
       s += kernel.output().name;
     } else {
-      s += "X" + std::to_string(i + 1);
+      s.append("X").append(std::to_string(i + 1));
     }
     s += "(";
     bool first = true;

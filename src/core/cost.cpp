@@ -126,18 +126,16 @@ Cost CacheMissCost::phi(const PeelContext& ctx, const Cost& x) const {
   }
   Cost out = x;
   out.primary = loop_extent(ctx) * (static_cast<double>(tau) + x.primary);
-  if (buffer_traffic_) {
-    // Intermediates crossing this peel are zeroed and streamed once per
-    // iteration of the enclosing scope: charge 2 * elements / 8 misses.
-    for (int p = ctx.first; p < ctx.split_end; ++p) {
-      const int c = ctx.path->consumer_of(p);
-      if (c >= ctx.split_end && c < ctx.last) {
-        double size = 1;
-        for (int id : (ctx.path->term(p).out - ctx.removed).elements()) {
-          size *= static_cast<double>(ctx.kernel->index_dim(id));
-        }
-        out.primary += 2.0 * size / 8.0;
+  // Intermediates crossing this peel are zeroed and streamed once per
+  // iteration of the enclosing scope: charge 2 * elements / 8 misses.
+  for (int p = ctx.first; p < ctx.split_end; ++p) {
+    const int c = ctx.path->consumer_of(p);
+    if (c >= ctx.split_end && c < ctx.last) {
+      double size = 1;
+      for (int id : (ctx.path->term(p).out - ctx.removed).elements()) {
+        size *= static_cast<double>(ctx.kernel->index_dim(id));
       }
+      out.primary += 2.0 * size / 8.0;
     }
   }
   return out;

@@ -122,23 +122,19 @@ class MaxBufferSizeCost final : public TreeCost {
 /// for every tensor indexed by r that still has more than D unbound indices.
 /// phi = I(r) * (tau + x), ⊕ = +.
 ///
-/// Extension (the paper notes the model "can be extended"): when
-/// buffer_traffic is set, each intermediate crossing a peel also charges
-/// its zero + stream traffic (2 * elements / 8 line-sized misses) at its
-/// deepest common ancestor, so frequently reset large workspaces are
-/// penalized. This remains tree-separable (an additive term of the peel).
+/// Extension (the paper notes the model "can be extended"): each
+/// intermediate crossing a peel also charges its zero + stream traffic
+/// (2 * elements / 8 line-sized misses) at its deepest common ancestor, so
+/// frequently reset large workspaces are penalized. This remains
+/// tree-separable (an additive term of the peel).
 class CacheMissCost final : public TreeCost {
  public:
   /// `d` is the model's subtensor order D. When `stats` is provided and
   /// sparse_aware is true, sparse loops use expected CSF fan-out instead of
   /// the dense dimension for I(r).
   explicit CacheMissCost(int d = 1, const SparsityStats* stats = nullptr,
-                         bool sparse_aware = false,
-                         bool buffer_traffic = true)
-      : d_(d),
-        stats_(stats),
-        sparse_aware_(sparse_aware),
-        buffer_traffic_(buffer_traffic) {}
+                         bool sparse_aware = false)
+      : d_(d), stats_(stats), sparse_aware_(sparse_aware) {}
 
   Cost phi(const PeelContext& ctx, const Cost& x) const override;
   Cost combine(const Cost& a, const Cost& b) const override;
@@ -153,7 +149,6 @@ class CacheMissCost final : public TreeCost {
   int d_;
   const SparsityStats* stats_;
   bool sparse_aware_;
-  bool buffer_traffic_;
 };
 
 /// The Section-5 experiment metric: among loop nests whose intermediate

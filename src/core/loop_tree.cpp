@@ -288,7 +288,7 @@ std::string LoopTree::render(const Kernel& kernel,
   std::ostringstream os;
   const auto operand_str = [&](const PathOperand& op) {
     if (op.kind == PathOperand::Kind::kInput) return kernel.input(op.id).name;
-    return "X" + std::to_string(op.id + 1);
+    return std::string("X").append(std::to_string(op.id + 1));
   };
   const auto emit = [&](auto&& self, const std::vector<Action>& body,
                         int indent) -> void {
@@ -321,8 +321,9 @@ std::string LoopTree::render(const Kernel& kernel,
         case Action::Kind::kTerm: {
           const PathTerm& term = path.term(a.id);
           const bool last = (a.id + 1 == path.num_terms());
-          os << pad << (last ? kernel.output().name
-                             : "X" + std::to_string(a.id + 1))
+          os << pad
+             << (last ? kernel.output().name
+                      : std::string("X").append(std::to_string(a.id + 1)))
              << " += " << operand_str(term.lhs) << " * "
              << operand_str(term.rhs) << "\n";
           break;

@@ -1,9 +1,10 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -190,114 +191,108 @@ class PathSearch {
   bool exhausted_ = false;
 };
 
-/// Merge the DP results of paths [begin, end), one group, in path order:
-/// the first path with the group's lowest cost wins. Adds the group's
-/// search counts to `plan`; returns true, with plan's path, order and cost
-/// filled, when the group has a feasible nest.
-bool merge_group(const std::vector<ContractionPath>& paths,
-                 const std::vector<DpResult>& results, std::size_t begin,
-                 std::size_t end, Plan* plan) {
-  bool found = false;
-  for (std::size_t i = begin; i < end; ++i) {
-    const DpResult& r = results[i];
+/// One past the last path of the flop group that starts at path `begin`: a
+/// path joins the group while its flops stay within kFlopGroupTolerance of
+/// the group's first path.
+std::size_t group_end(const std::vector<double>& flops, std::size_t begin) {
+  std::size_t end = begin + 1;
+  while (end < flops.size() &&
+         flops[end] <= flops[begin] * kFlopGroupTolerance) {
+    ++end;
+  }
+  return end;
+}
+
+/// Algorithm 1 under `cost` on the paths `ids` names, in one fan-out on the
+/// process pool. Results come back in `ids` order and their DP counts are
+/// added to `plan`, so the Plan is the same on any lane count.
+std::vector<DpResult> run_dps(const Kernel& kernel,
+                              const std::vector<ContractionPath>& paths,
+                              const std::vector<std::size_t>& ids,
+                              const TreeCost& cost,
+                              const PlannerOptions& options, Plan* plan) {
+  DpOptions dp_options;
+  dp_options.restrict_csf_order = options.restrict_csf_order;
+  std::vector<DpResult> results(ids.size());
+  ThreadPool::global().parallel_apply(
+      static_cast<std::int64_t>(ids.size()), [&](std::int64_t i) {
+        const auto k = static_cast<std::size_t>(i);
+        results[k] = optimal_order(kernel, paths[ids[k]], cost, dp_options);
+      });
+  for (const DpResult& r : results) {
     plan->paths_searched += 1;
     plan->dp_subproblems += r.subproblems;
     plan->dp_evaluations += r.evaluations;
+  }
+  return results;
+}
+
+/// The nest chooser: Algorithm 1 under the configured cost at `bound` on
+/// the paths `ids` names. The lowest cost wins, the earliest path on ties.
+/// Returns whether any path is feasible; fills plan's path, order, cost and
+/// bound when one is.
+bool choose_nest(const Kernel& kernel, const SparsityStats& stats,
+                 const PlannerOptions& options,
+                 const std::vector<ContractionPath>& paths,
+                 const std::vector<std::size_t>& ids, int bound, Plan* plan) {
+  PlannerOptions bounded = options;
+  bounded.buffer_dim_bound = bound;
+  const std::vector<DpResult> results = run_dps(
+      kernel, paths, ids, *make_cost_model(bounded, &stats), options, plan);
+  bool found = false;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const DpResult& r = results[k];
     if (!r.feasible) continue;
     plan->paths_feasible += 1;
     if (!found || r.best_cost < plan->cost) {
-      plan->path = paths[i];
+      plan->path = paths[ids[k]];
       plan->order = r.best;
       plan->cost = r.best_cost;
+      plan->buffer_dim_bound = bound;
       found = true;
     }
   }
   return found;
 }
 
-/// Choose the loop nest among `found`'s paths (paper Section 5). Paths
-/// within kFlopGroupTolerance of their group's first path form one group.
-/// Algorithm 1 runs group by group, cheapest first; the first group with a
-/// feasible nest wins, with its lowest-cost nest (the earliest path on
-/// ties). When no group fits under the buffer bound and relaxation is
-/// allowed, the bound grows by one and the scan restarts. With
-/// `first_group_only` only the first group at the initial bound is tried,
-/// and nothing is returned when it has no feasible nest.
-///
-/// Each pass scans waves of groups whose DPs fan out together on the
-/// process pool; waves double in size when the pool has more than one
-/// lane. Results merge in path order and groups after the winner are
-/// discarded, so the Plan is the same on any lane count. Fills the nest,
-/// its bound and the DP counts. Throws spttn::Error when `found` holds no
-/// path, or when no nest fits and `first_group_only` is false.
-std::optional<Plan> select_nest(const Kernel& kernel,
-                                const SparsityStats& stats,
-                                const PlannerOptions& options,
-                                const SearchResult& found,
-                                bool first_group_only) {
-  const std::vector<ContractionPath>& paths = found.paths;
-  const std::vector<double>& flops = found.flops;
-  SPTTN_CHECK_MSG(!paths.empty(),
-                  "no single-CSF executable contraction path for kernel "
-                      << kernel.to_string());
-  // Group g holds paths [starts[g], starts[g + 1]): a path joins the open
-  // group while its flops stay within the tolerance of the group's first.
-  std::vector<std::size_t> starts;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (starts.empty() ||
-        flops[i] > flops[starts.back()] * kFlopGroupTolerance) {
-      starts.push_back(i);
-    }
-  }
-  const std::size_t groups = first_group_only ? 1 : starts.size();
-  starts.push_back(paths.size());
-
-  // Wave 1 holds only the optimal-complexity group, so the common case
-  // does exactly the sequential scan's work; later waves buy parallelism
-  // with bounded speculation (at most the winning wave's trailing groups,
-  // whose counts the merge never adds).
-  DpOptions dp_options;
-  dp_options.restrict_csf_order = options.restrict_csf_order;
-  std::vector<DpResult> results(paths.size());
-  PlannerOptions effective = options;
-  const int max_bound = std::max(options.buffer_dim_bound,
-                                 kernel.num_indices());
+/// The nest among every held path (paper Section 5: costlier groups, then
+/// looser bounds). Algorithm 1 under MaxBufferDimCost gives each path the
+/// least bound it can meet, since BoundedBufferBlasCost rejects a peel
+/// exactly when its crossing_buffer_dim exceeds the bound, over the same
+/// orders. So the bound is the initial one, raised to the least path's when
+/// relaxation applies. The group of the first path that meets it wins, and
+/// only its paths that meet it run the configured DP. Throws spttn::Error
+/// when no path has a nest.
+Plan choose_by_least_bound(const Kernel& kernel, const SparsityStats& stats,
+                           const PlannerOptions& options,
+                           const SearchResult& found) {
+  std::vector<std::size_t> ids(found.paths.size());
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
   Plan plan;
-  for (int bound = options.buffer_dim_bound; bound <= max_bound; ++bound) {
-    effective.buffer_dim_bound = bound;
-    const std::unique_ptr<TreeCost> cost = make_cost_model(effective, &stats);
-    std::size_t g = 0;
-    std::size_t wave = 1;
-    while (g < groups) {
-      const std::size_t wave_end = std::min(groups, g + wave);
-      const std::size_t lo = starts[g];
-      ThreadPool::global().parallel_apply(
-          static_cast<std::int64_t>(starts[wave_end] - lo),
-          [&](std::int64_t i) {
-            const std::size_t p = lo + static_cast<std::size_t>(i);
-            results[p] = optimal_order(kernel, paths[p], *cost, dp_options);
-          });
-      for (; g < wave_end; ++g) {
-        if (merge_group(paths, results, starts[g], starts[g + 1], &plan)) {
-          plan.flops = path_flops(kernel, plan.path, stats);
-          plan.buffer_dim_bound = bound;
-          plan.sparsity_fingerprint = stats.fingerprint();
-          plan.tree = LoopTree::build(kernel, plan.path, plan.order);
-          return plan;
-        }
-      }
-      // A one-lane pool runs a wave inline, where speculation would only
-      // add DP work.
-      if (ThreadPool::global().size() > 1) wave *= 2;
-    }
-    if (first_group_only) return std::nullopt;
-    if (!options.allow_bound_relaxation ||
-        options.cost != CostKind::kBoundedBufferBlas) {
-      break;
-    }
+  const std::vector<DpResult> dims =
+      run_dps(kernel, found.paths, ids, MaxBufferDimCost(), options, &plan);
+  const bool bounded = options.cost == CostKind::kBoundedBufferBlas;
+  int bound = options.buffer_dim_bound;
+  if (bounded && options.allow_bound_relaxation) {
+    // An infeasible DpResult's best_cost is Cost::inf().
+    double least = std::numeric_limits<double>::infinity();
+    for (const DpResult& d : dims) least = std::min(least, d.best_cost.primary);
+    if (std::isfinite(least)) bound = std::max(bound, static_cast<int>(least));
   }
-  SPTTN_CHECK_MSG(false, "no feasible loop nest found for kernel "
-                             << kernel.to_string());
+  const auto meets = [&](std::size_t p) {
+    return dims[p].feasible &&
+           (!bounded || dims[p].best_cost.primary <= bound);
+  };
+  std::size_t first = 0;
+  while (first < ids.size() && !meets(first)) ++first;
+  std::size_t end = 0;
+  while (end <= first && end < ids.size()) end = group_end(found.flops, end);
+  std::erase_if(ids, [&](std::size_t p) { return p >= end || !meets(p); });
+  const bool feasible =
+      !ids.empty() &&
+      choose_nest(kernel, stats, options, found.paths, ids, bound, &plan);
+  SPTTN_CHECK_MSG(feasible, "no feasible loop nest found for kernel "
+                                << kernel.to_string());
   return plan;
 }
 
@@ -331,36 +326,44 @@ Plan make_plan(const Kernel& kernel, const SparsityStats& stats,
         .run();
   };
   SearchResult found = search(kFlopGroupTolerance);
-  std::optional<Plan> plan =
-      select_nest(kernel, stats, options, found, /*first_group_only=*/true);
-  if (!plan) {
-    // Only the cheapest group was held; scan them all, then looser bounds,
-    // as the exhaustive list would be scanned.
+  SPTTN_CHECK_MSG(!found.paths.empty(),
+                  "no single-CSF executable contraction path for kernel "
+                      << kernel.to_string());
+  // The cheapest flop group at the initial bound. Only that group was held
+  // for certain, so when it has no nest, hold every group.
+  Plan plan;
+  std::vector<std::size_t> cheapest(group_end(found.flops, 0));
+  std::iota(cheapest.begin(), cheapest.end(), std::size_t{0});
+  if (!choose_nest(kernel, stats, options, found.paths, cheapest,
+                   options.buffer_dim_bound, &plan)) {
     found = search(0);
-    plan = select_nest(kernel, stats, options, found, false);
+    plan = choose_by_least_bound(kernel, stats, options, found);
   }
-  plan->paths_total =
+  plan.flops = path_flops(kernel, plan.path, stats);
+  plan.sparsity_fingerprint = stats.fingerprint();
+  plan.tree = LoopTree::build(kernel, plan.path, plan.order);
+  plan.paths_total =
       static_cast<std::int64_t>(count_paths(kernel.num_inputs()));
-  plan->paths_executable = found.reached;
-  plan->nodes_expanded = found.nodes;
-  plan->budget_exhausted = found.exhausted;
-  plan->flops_lower_bound = found.lower_bound;
+  plan.paths_executable = found.reached;
+  plan.nodes_expanded = found.nodes;
+  plan.budget_exhausted = found.exhausted;
+  plan.flops_lower_bound = found.lower_bound;
   // A path that meets the bound has no gap, also when both are 0 flops (a
   // tensor with no nonzeros), where the ratio would be NaN.
-  plan->optimality_gap = found.flops.front() == found.lower_bound
-                             ? 0.0
-                             : found.flops.front() / found.lower_bound - 1.0;
+  plan.optimality_gap = found.flops.front() == found.lower_bound
+                            ? 0.0
+                            : found.flops.front() / found.lower_bound - 1.0;
   // Always in Debug, opt-in via options.verify in Release, and always
   // under a node budget: a search cut short is only served behind the
   // static verifier.
 #ifndef NDEBUG
-  verify_plan_or_throw(kernel, *plan, options, &stats);
+  verify_plan_or_throw(kernel, plan, options, &stats);
 #else
   if (options.verify || options.budget.max_nodes > 0) {
-    verify_plan_or_throw(kernel, *plan, options, &stats);
+    verify_plan_or_throw(kernel, plan, options, &stats);
   }
 #endif
-  return std::move(*plan);
+  return plan;
 }
 
 }  // namespace spttn

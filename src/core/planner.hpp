@@ -9,9 +9,11 @@
 // exceeds kFlopGroupTolerance times the cheapest complete path so far; no
 // completion of such a prefix can join the cheapest flop group. When that
 // group has no feasible nest at the initial buffer bound, the search reruns
-// without the FLOP bound and the selector scans every group, then relaxes
-// the bound. So without a node budget the plan is exactly the one the
-// exhaustive enumeration would give.
+// without the FLOP bound, and Algorithm 1 under MaxBufferDimCost computes
+// each held path's least bound once. The bound is the initial one, raised
+// to the least path's when relaxation applies, and the first group with a
+// path that meets it wins. So without a node budget the plan is exactly the
+// one the exhaustive enumeration would give.
 #pragma once
 
 #include <memory>
@@ -64,8 +66,8 @@ struct PlannerOptions {
   CostKind cost = CostKind::kBoundedBufferBlas;
   /// Intermediate-dimension bound for kBoundedBufferBlas (paper uses 2).
   int buffer_dim_bound = 2;
-  /// Relax the bound (up to the kernel's index count) when no loop nest
-  /// fits; mirrors the runtime's constraint-relaxation loop.
+  /// When no loop nest fits, raise the bound to the least one a held path
+  /// can meet (at most the kernel's index count).
   bool allow_bound_relaxation = true;
   /// Sparse-carrying terms iterate sparse modes in CSF order.
   bool restrict_csf_order = true;
@@ -101,12 +103,12 @@ struct Plan {
   std::uint64_t sparsity_fingerprint = 0;
 
   // Search counts. paths_executable and the diagnostics below describe the
-  // path search whose paths the selector chose from; the DP counts
-  // accumulate over every group and buffer bound the selector tried.
+  // path search whose paths the selector chose from; the DP counts cover
+  // the Algorithm 1 runs of the pass that chose the nest.
   std::int64_t paths_total = 0;  ///< ordered contraction paths (count_paths)
   /// Complete single-CSF executable paths the search reached.
   std::int64_t paths_executable = 0;
-  int paths_searched = 0;       ///< paths run through the DP
+  int paths_searched = 0;       ///< DP runs, one path each
   int paths_feasible = 0;       ///< searched paths with a feasible nest
   std::int64_t dp_subproblems = 0;   ///< distinct memoized DP subproblems
   std::int64_t dp_evaluations = 0;   ///< DP (root, split) candidates examined

@@ -172,7 +172,8 @@ TEST(PathFlops, DenseFactorPairPaysFullExtentOutsideCsfPrefix) {
   const CooTensor t = hierarchical_coo({40, 40, 20000}, 8, {20, 4}, rng);
   const double r = 8;
   for (int m = 0; m < 3; ++m) {
-    k.set_index_dim(k.index_id("i" + std::to_string(m)), t.dim(m));
+    k.set_index_dim(k.index_id(std::string("i").append(std::to_string(m))),
+                    t.dim(m));
   }
   k.set_index_dim(k.index_id("r"), 8);
   const SparsityStats stats = SparsityStats::from_coo(t);

@@ -86,6 +86,21 @@ TEST_P(DpVsEnum, OptimumMatchesExhaustiveSearch) {
       }
     }
   }
+  // The nest selector computes the least buffer bound instead of searching
+  // for it: a path has a nest under BoundedBufferBlasCost(b) exactly when
+  // its MaxBufferDimCost optimum is at most b. Checked on every path at
+  // every bound. A change to the fiber-coordinate charge (ROADMAP item 2)
+  // must keep this equivalence, or change the selector with it.
+  for (const auto& path : paths) {
+    const DpResult dim =
+        optimal_order(kernel, path, MaxBufferDimCost(), dopts);
+    for (int b = 0; b <= kernel.num_indices(); ++b) {
+      const DpResult bounded = optimal_order(
+          kernel, path, BoundedBufferBlasCost(b, 1, &stats, true), dopts);
+      EXPECT_EQ(bounded.feasible, dim.feasible && dim.best_cost.primary <= b)
+          << kc.name << " bound " << b << " path=" << path.to_string(kernel);
+    }
+  }
   EXPECT_TRUE(paths_checked > 0 || oversized != nullptr);
   if (oversized != nullptr) {
     // Paths too large to enumerate (all of them for ttmc4_free and

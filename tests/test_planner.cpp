@@ -102,16 +102,34 @@ TEST(Planner, BoundZeroRelaxesWhenAllowed) {
   EXPECT_EQ(plan.tree.max_buffer_dim(), 0);
 }
 
-TEST(Planner, MttkrpNeedsBoundOne) {
-  // MTTKRP's factorized nest needs a rank-length accumulator: with bound 0
-  // and no relaxation only the (B*C)*T path with scalar buffers could
-  // qualify — verify relaxation reports the bound actually used.
-  const auto inst = testing::make_instance(paper_kernels()[0], 5);
-  PlannerOptions opts;
-  opts.buffer_dim_bound = 0;
-  opts.allow_bound_relaxation = true;
-  const Plan plan = plan_kernel(inst->bound, opts);
-  EXPECT_LE(plan.tree.max_buffer_dim(), plan.buffer_dim_bound);
+TEST(Planner, BoundZeroRelaxesToTheLeastFeasibleBound) {
+  // No ttmc4 or tttc4 nest fits scalar buffers: relaxation from bound 0
+  // must land on exactly bound 1 and report it, and without relaxation
+  // the planner must throw. mttkrp3 has a scalar-buffer nest, so it stays
+  // at bound 0.
+  for (const std::uint64_t seed : {5, 42}) {
+    for (const std::size_t k : {0, 3, 6}) {  // mttkrp3, ttmc4, tttc4
+      SCOPED_TRACE(paper_kernels()[k].name + " seed " +
+                   std::to_string(seed));
+      const auto inst = testing::make_instance(paper_kernels()[k], seed);
+      const int want = k == 0 ? 0 : 1;
+      PlannerOptions opts;
+      opts.buffer_dim_bound = 0;
+      const Plan plan = plan_kernel(inst->bound, opts);
+      EXPECT_EQ(plan.buffer_dim_bound, want);
+      EXPECT_EQ(plan.tree.max_buffer_dim(), want);
+      if (k == 0) continue;
+      opts.allow_bound_relaxation = false;
+      try {
+        plan_kernel(inst->bound, opts);
+        ADD_FAILURE() << "planned without relaxation";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("no feasible loop nest"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Planner, DiagnosticsPopulated) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,9 +68,9 @@ TEST(PlannerStrategy, GoldenEqualityAcrossSuiteAndOptionSets) {
   }
 }
 
-// The nest selector merges per-path DP results in path order, so neither a
-// one-lane pool (inline waves of one group) nor a four-lane pool (growing
-// waves fanned out) may change a byte.
+// The nest selector fans each pass's DPs out on the pool and chooses among
+// the results in path order, so neither a one-lane pool (every DP inline)
+// nor a four-lane pool may change a byte.
 TEST(PlannerStrategy, ParallelExactSearchMatchesGoldens) {
   for (int lanes : {1, 4}) {
     testing::ScopedLanes pool(lanes);
@@ -98,7 +99,7 @@ SuiteKernel to_suite(const GeneratedNetwork& net, double sparsity) {
 /// The nest the exhaustive enumeration gives, computed without the path
 /// search: every enumerated path, the single-CSF filter, path_flops, a
 /// stable sort (enumeration order on ties) cut to kMaxPathsSearched, then
-/// the selector's documented rule. Groups hold paths within
+/// the paper's rule, searched the long way. Groups hold paths within
 /// kFlopGroupTolerance of their first path; the first group with a
 /// feasible nest wins, with its lowest cost (the earliest path on ties);
 /// when no group fits, the bound grows by one and the scan restarts.
@@ -112,9 +113,10 @@ struct Reference {
   bool first_group_infeasible = false;
 };
 
-Reference exhaustive_reference(const Kernel& kernel,
-                               const SparsityStats& stats,
-                               const PlannerOptions& options) {
+/// None when no group fits at any bound the options allow.
+std::optional<Reference> exhaustive_reference(const Kernel& kernel,
+                                              const SparsityStats& stats,
+                                              const PlannerOptions& options) {
   std::vector<ContractionPath> paths;
   std::vector<double> flops;
   for (ContractionPath& p : enumerate_paths(kernel)) {
@@ -181,26 +183,30 @@ Reference exhaustive_reference(const Kernel& kernel,
       break;
     }
   }
-  ADD_FAILURE() << "no feasible nest for " << kernel.to_string();
-  return ref;
+  return std::nullopt;
 }
 
-/// make_plan against the exhaustive reference on one kernel; returns
-/// whether the reference's first group was infeasible at the initial bound.
-bool expect_matches_reference(const SuiteInstance& inst,
-                              const PlannerOptions& options) {
+/// make_plan against the exhaustive reference on one kernel: the same nest,
+/// or a throw where the reference has none. Returns the reference.
+std::optional<Reference> expect_matches_reference(
+    const SuiteInstance& inst, const PlannerOptions& options) {
   const Kernel& k = inst.bound.kernel;
-  const Reference want = exhaustive_reference(k, inst.bound.stats, options);
+  const std::optional<Reference> want =
+      exhaustive_reference(k, inst.bound.stats, options);
+  if (!want) {
+    EXPECT_THROW(make_plan(k, inst.bound.stats, options), Error);
+    return want;
+  }
   const Plan got = make_plan(k, inst.bound.stats, options);
-  EXPECT_EQ(got.path.to_string(k), want.path.to_string(k));
-  EXPECT_EQ(order_to_string(k, got.order), order_to_string(k, want.order));
-  EXPECT_TRUE(got.cost == want.cost)
-      << got.cost.to_string() << " vs " << want.cost.to_string();
-  EXPECT_EQ(got.flops, want.flops);
-  EXPECT_EQ(got.buffer_dim_bound, want.buffer_dim_bound);
+  EXPECT_EQ(got.path.to_string(k), want->path.to_string(k));
+  EXPECT_EQ(order_to_string(k, got.order), order_to_string(k, want->order));
+  EXPECT_TRUE(got.cost == want->cost)
+      << got.cost.to_string() << " vs " << want->cost.to_string();
+  EXPECT_EQ(got.flops, want->flops);
+  EXPECT_EQ(got.buffer_dim_bound, want->buffer_dim_bound);
   EXPECT_FALSE(got.budget_exhausted);
   EXPECT_EQ(got.optimality_gap, 0.0);
-  return want.first_group_infeasible;
+  return want;
 }
 
 // Without a budget the search is exact by construction: make_plan's path,
@@ -208,10 +214,12 @@ bool expect_matches_reference(const SuiteInstance& inst,
 // suite kernel under every unbudgeted lint set and at buffer bound 0
 // (relaxation), and on random networks of order 3 to 6 — among them draws
 // whose cheapest flop group has no feasible nest at the initial bound, the
-// case where the search reruns without its FLOP bound. Rng(13004) is the
-// draw that shows why every ordering is searched: keeping one ordering per
-// contraction tree served it (0,-4,480) at 900 flops, where the exhaustive
-// choice is (0,-5,214.75) at 366 flops.
+// case where the search reruns without its FLOP bound and the selector
+// computes the bound. The draws also run at bound 0, with relaxation and
+// without it, where make_plan must throw exactly when the reference finds
+// no nest. Rng(13004) is the draw that shows why every ordering is
+// searched: keeping one ordering per contraction tree served it (0,-4,480)
+// at 900 flops, where the exhaustive choice is (0,-5,214.75) at 366 flops.
 TEST(PlannerStrategy, MatchesExhaustiveReference) {
   PlannerOptions bound0;
   bound0.buffer_dim_bound = 0;
@@ -229,8 +237,11 @@ TEST(PlannerStrategy, MatchesExhaustiveReference) {
   // 34 draws each of orders 3 to 5 and 10 of order 6. The order-6 draws
   // start at seed 10 so that they include seeds 18 and 19, whose cheapest
   // group has no feasible nest at bound 2.
+  PlannerOptions strict0 = bound0;
+  strict0.allow_bound_relaxation = false;
   int draws = 0;
   int first_group_infeasible = 0;
+  std::vector<int> relaxed_to(3);  // draws planned at bound 0, 1, 2
   for (int order = 3; order <= 6; ++order) {
     const int first = order < 6 ? 0 : 10;
     for (int seed = first; seed < first + (order < 6 ? 34 : 10); ++seed) {
@@ -240,12 +251,21 @@ TEST(PlannerStrategy, MatchesExhaustiveReference) {
       SCOPED_TRACE("Rng(" + std::to_string(1000 * seed + order) +
                    "): " + net.expr);
       const auto inst = make_suite_instance(to_suite(net, 0.05), 42);
-      first_group_infeasible += expect_matches_reference(*inst, {});
+      const auto plain = expect_matches_reference(*inst, {});
+      const auto relaxed = expect_matches_reference(*inst, bound0);
+      const auto strict = expect_matches_reference(*inst, strict0);
+      ASSERT_TRUE(plain && relaxed && relaxed->buffer_dim_bound <= 2);
+      first_group_infeasible += plain->first_group_infeasible;
+      ++relaxed_to[static_cast<std::size_t>(relaxed->buffer_dim_bound)];
+      EXPECT_EQ(strict.has_value(), relaxed->buffer_dim_bound == 0);
       ++draws;
     }
   }
   EXPECT_EQ(draws, 112);
   EXPECT_EQ(first_group_infeasible, 2);
+  // At bound 0, 40 draws relax, and exactly those throw without relaxation.
+  EXPECT_EQ(relaxed_to[1], 22);
+  EXPECT_EQ(relaxed_to[2], 18);
 }
 
 // A node budget makes the search stop early, deterministically: two runs
