@@ -11,8 +11,10 @@
 #include "dist/dist_spttn.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
+#include <functional>
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
@@ -23,16 +25,41 @@ using namespace spttn::bench;
 
 namespace {
 
+// The host's own lane scaling: the speedup of one fixed compute batch (24
+// equal chunks of dependent square roots) on the pool at its current lanes
+// over the same batch on the calling thread alone. A shared host can run
+// two threads at one CPU's throughput for a while, so a row's speedup
+// speaks for the executor only beside a host speedup near the row's lanes.
+double host_speedup(int reps) {
+  constexpr std::int64_t kChunks = 24;  // even over 1, 2, 3, 4, 6 or 8 lanes
+  std::array<volatile double, kChunks> sink{};
+  const std::function<void(std::int64_t)> chunk = [&](std::int64_t c) {
+    double x = 2.0 + static_cast<double>(c);
+    for (int i = 0; i < 20000; ++i) x = std::sqrt(x + static_cast<double>(i));
+    sink[static_cast<std::size_t>(c)] = x;
+  };
+  const double alone = time_median(
+      [&] {
+        for (std::int64_t c = 0; c < kChunks; ++c) chunk(c);
+      },
+      reps);
+  const double pooled = time_median(
+      [&] { ThreadPool::global().parallel_apply(kChunks, chunk); }, reps);
+  return alone / pooled;
+}
+
 // Shared-memory strong scaling on the work-partitioned executor: one
 // process, the root loop chunked by subtree nnz over the persistent thread
-// pool. Correctness is checked every row against the 1-thread result.
+// pool. Correctness is checked every row against the 1-thread result, and
+// each row's host column is host_speedup on the row's pool, timed just
+// before the row.
 void thread_scaling_table(const std::string& title, const Problem& p,
                           const std::vector<int>& threads, int reps) {
   const Plan plan = plan_kernel(p.bound);
   FusedExecutor exec(p.kernel(), plan);
   Table table(title);
-  table.set_header({"threads", "parts", "time[s]", "speedup", "efficiency",
-                    "imbalance", "max|diff|"});
+  table.set_header({"threads", "parts", "time[s]", "speedup", "host",
+                    "efficiency", "imbalance", "max|diff|"});
   Output base = Output::make(p);
   Output out = Output::make(p);
   double t1 = 0;
@@ -42,6 +69,7 @@ void thread_scaling_table(const std::string& title, const Problem& p,
     // widest row the partials budget (clamped to the pool's lanes) would
     // silently keep the nested split out of the parts column.
     ThreadPool::set_global_threads(nt);
+    const double host = host_speedup(reps);
     ExecArgs args;
     args.sparse = &p.bound.csf;
     args.dense = p.bound.dense;
@@ -69,6 +97,7 @@ void thread_scaling_table(const std::string& title, const Problem& p,
     }
     table.add_row({std::to_string(nt), std::to_string(stats.threads_used),
                    strfmt("%.4f", secs), strfmt("%.2fx", t1 / secs),
+                   strfmt("%.2fx", host),
                    strfmt("%.0f%%", 100.0 * t1 / secs / nt),
                    strfmt("%.2f", stats.partition_imbalance),
                    strfmt("%.1e", diff)});
@@ -76,7 +105,9 @@ void thread_scaling_table(const std::string& title, const Problem& p,
   ThreadPool::set_global_threads(0);  // restore the default-sized pool
   table.add_note("root loop chunked by subtree nnz (nested second-level "
                  "split when small/skewed, stealing pool balances); outputs "
-                 "must match the 1-thread row to 1e-12");
+                 "must match the 1-thread row to 1e-12; host = the same "
+                 "pool's speedup on a fixed compute batch, timed just "
+                 "before the row");
   table.print(std::cout);
 }
 

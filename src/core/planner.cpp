@@ -330,14 +330,20 @@ Plan make_plan(const Kernel& kernel, const SparsityStats& stats,
                   "no single-CSF executable contraction path for kernel "
                       << kernel.to_string());
   // The cheapest flop group at the initial bound. Only that group was held
-  // for certain, so when it has no nest, hold every group.
+  // for certain, so when it has no nest, hold every group. The plan counts
+  // the DPs of both passes.
   Plan plan;
   std::vector<std::size_t> cheapest(group_end(found.flops, 0));
   std::iota(cheapest.begin(), cheapest.end(), std::size_t{0});
   if (!choose_nest(kernel, stats, options, found.paths, cheapest,
                    options.buffer_dim_bound, &plan)) {
+    const Plan first = std::move(plan);
     found = search(0);
     plan = choose_by_least_bound(kernel, stats, options, found);
+    plan.paths_searched += first.paths_searched;
+    plan.paths_feasible += first.paths_feasible;
+    plan.dp_subproblems += first.dp_subproblems;
+    plan.dp_evaluations += first.dp_evaluations;
   }
   plan.flops = path_flops(kernel, plan.path, stats);
   plan.sparsity_fingerprint = stats.fingerprint();

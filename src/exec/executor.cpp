@@ -885,7 +885,8 @@ struct ParTask {
 /// roots then keep only the tasks inside [root_begin, root_end). Outputs
 /// write directly when the final tasks are disjoint in the partitioned
 /// indices, otherwise into per-task partials folded by a tiled
-/// deterministic reduction.
+/// deterministic reduction. A region whose root chunks need full-size
+/// partials gets at most one task per partial length of its weight.
 void FusedExecutor::Impl::execute_parallel(
     lowered::ExecCtx& ctx, const Binding& bind, const ExecArgs& args,
     int want_threads, std::int64_t root_begin, std::int64_t root_end,
@@ -959,13 +960,21 @@ void FusedExecutor::Impl::execute_parallel(
     // smoothing weight imbalance the stealing pool can absorb, so
     // disjoint-write regions get a few tasks per lane. Regions whose root
     // chunks already need per-task output partials also pay a full output
-    // copy per task and get one task per lane.
+    // copy per task and get one task per lane, and only as many as carry
+    // at least one partial's length L of the weight W they run: B <=
+    // max(1, W / L). One task runs in place, with no partial and no fold.
     const bool flat_partials =
         (meta.writes_out_dense && !meta.out_dense_rooted) ||
         (meta.writes_out_sparse && !root.sparse);
-    const std::int64_t budget = std::min<std::int64_t>(
+    std::int64_t budget = std::min<std::int64_t>(
         std::min(want_threads, flat_partials ? pool.size() : 4 * pool.size()),
         total_w);
+    const std::int64_t partial_len =
+        meta.writes_out_dense ? dense_out_len : sparse_out_len;
+    if (flat_partials && partial_len > 0) {
+      budget = std::min(budget, std::max<std::int64_t>(
+                                    1, (prefix(hi) - prefix(lo)) / partial_len));
+    }
     const std::int64_t target = (total_w + budget - 1) / budget;
 
     std::vector<ParTask> tasks;
@@ -1084,8 +1093,9 @@ void FusedExecutor::Impl::execute_parallel(
     const auto n_tasks = static_cast<std::int64_t>(tasks.size());
     if (n_tasks < 2) {
       // Could not be split (single position, or all weight in unsplittable
-      // work). Report the skew against an even B-way split so the
-      // serialization is observable, then run in place.
+      // work), or priced to one task. Report the skew against an even B-way
+      // split so the serialization is observable (1.0 for a budget of one),
+      // then run in place.
       st.partition_imbalance =
           std::max(st.partition_imbalance, static_cast<double>(budget));
       run_action(ctx, t, root_begin, root_end);

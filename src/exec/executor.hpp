@@ -40,13 +40,15 @@ struct ExecStats {
   bool populated = false;
   int threads_requested = 1;
   /// Widest work partitioning of any root-loop region: its task count,
-  /// capped at threads_requested (1 when everything executed
-  /// sequentially). The splitter aims each region at a budget of B tasks
-  /// (see ExecArgs::num_threads); a re-walked heavy chunk may emit a few
-  /// more, which only smooth imbalance. Actual concurrency is additionally
-  /// bounded by the process pool's lane count.
+  /// capped at threads_requested (1 when everything executed sequentially,
+  /// a region priced to one task included). The splitter aims each region
+  /// at a budget of B tasks (see ExecArgs::num_threads); a re-walked heavy
+  /// chunk may emit a few more, which only smooth imbalance. Actual
+  /// concurrency is additionally bounded by the process pool's lane count.
   int threads_used = 1;
-  /// Top-level loops executed through the thread pool (>= 2 tasks).
+  /// Top-level loops executed through the thread pool (>= 2 tasks). A
+  /// region whose per-task output partials the budget priced down to one
+  /// task (see ExecArgs::num_threads) runs in place and is not counted.
   int parallel_regions = 0;
   /// Top-level loops that requested threads but could not be partitioned
   /// safely (e.g. a cross-root buffer not indexed by the root loop).
@@ -62,7 +64,8 @@ struct ExecStats {
   /// where weight is subtree nnz for sparse roots and iteration count for
   /// dense roots; 1.0 when balanced or when there was no work to split.
   /// A region left as a single task reports its task budget B (its skew
-  /// against an even B-way split), so a serialized region stays visible.
+  /// against an even B-way split), so a serialized region stays visible;
+  /// a region priced to one task has B = 1 and reports 1.0.
   double partition_imbalance = 1.0;
   /// Top-level loop regions that ran through the lowered program. It is
   /// the only program form, so this always equals total_regions; it is
@@ -100,6 +103,12 @@ struct ExecArgs {
   ///    the weight prefixes c*W/B into at most B = min(num_threads, lanes
   ///    or 4x lanes, W) chunks: one per lane when root chunks already need
   ///    per-task output partials, four per lane otherwise.
+  ///  - Such a full-size partial (a dense output not strided by the root,
+  ///    or a sparse output under a dense root) costs zeroing and folding
+  ///    its length L per task, so those regions take B = min(B, max(1,
+  ///    W' / L)), W' the weight of the roots this execution runs. A region
+  ///    priced to one task runs in place on the output, with no partial
+  ///    and no fold: its output is the 1-lane output bit for bit.
   ///  - A chunk heavier than 1.25x the per-task target T = ceil(W/B) is
   ///    re-walked when the region admits a nested split
   ///    (ParallelRegionInfo::nest_safe): positions heavier than T split

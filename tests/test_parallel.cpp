@@ -666,6 +666,81 @@ TEST(Parallel, UnskewedRegionKeepsPrefixCut) {
   }
 }
 
+// A region whose root chunks write the output through full-size per-task
+// partials gets at most one task per partial length L of its weight W, so
+// zeroing and folding the copies never outweighs the work they split. An
+// MTTKRP over the CSF's last mode writes A(k,r): with a long last mode and
+// few nonzeros (W < L) the region runs as one task in place, whose output
+// is the 1-thread output bit for bit at every thread count; with many more
+// nonzeros than B x L it still splits.
+TEST(Parallel, PartialsArePricedAgainstTheWorkTheySplit) {
+  ScopedLanes lanes(4);
+  constexpr std::int64_t kRank = 4;
+  Rng rng(71);
+  const auto run = [&](std::int64_t last_mode, std::int64_t every) {
+    CooTensor t({16, 12, last_mode});
+    for (std::int64_t i = 0; i < 16; ++i) {
+      for (std::int64_t j = 0; j < 12; ++j) {
+        for (std::int64_t k = 0; k < std::min<std::int64_t>(last_mode, 64);
+             ++k) {
+          if ((i * 12 * 64 + j * 64 + k) % every == 0) {
+            t.push_back({i, j, (k * 997 + i) % last_mode},
+                        rng.next_double() - 0.5);
+          }
+        }
+      }
+    }
+    t.sort_dedup();
+    const DenseTensor b = random_dense({16, kRank}, rng);
+    const DenseTensor c = random_dense({12, kRank}, rng);
+    const BoundKernel bound =
+        spttn::bind("A(k,r) = T(i,j,k)*B(i,r)*C(j,r)", t, {&b, &c});
+    const std::int64_t out_len = last_mode * kRank;
+    SCOPED_TRACE("nnz " + std::to_string(t.nnz()) + ", output length " +
+                 std::to_string(out_len));
+    const Plan plan = plan_kernel(bound);
+    FusedExecutor exec(bound.kernel, plan);
+    const auto regions = exec.parallel_regions();
+    ASSERT_EQ(regions.size(), 1u);
+    ASSERT_TRUE(regions[0].sparse && regions[0].par_safe);
+    ASSERT_TRUE(regions[0].writes_out_dense && !regions[0].out_dense_rooted)
+        << "precondition: the region must need per-task partials";
+
+    ExecArgs args;
+    args.sparse = &bound.csf;
+    args.dense = bound.dense;
+    DenseTensor seq = make_output(bound);
+    args.out_dense = &seq;
+    exec.execute(args);
+    for (int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      DenseTensor par = make_output(bound);
+      args.out_dense = &par;
+      args.num_threads = threads;
+      ExecStats stats;
+      args.stats = &stats;
+      exec.execute(args);
+      if (t.nnz() < out_len) {
+        EXPECT_EQ(stats.parallel_regions, 0);
+        EXPECT_EQ(stats.threads_used, 1);
+        EXPECT_EQ(stats.partition_imbalance, 1.0);
+        EXPECT_EQ(std::memcmp(seq.data(), par.data(),
+                              static_cast<std::size_t>(seq.size()) *
+                                  sizeof(double)),
+                  0)
+            << "priced-to-one-task output differs from the 1-thread output";
+      } else {
+        ASSERT_GT(t.nnz(), 8 * out_len) << "precondition: W > B x L";
+        EXPECT_EQ(stats.parallel_regions, 1);
+        EXPECT_EQ(stats.threads_used, std::min(threads, 4));
+        EXPECT_LT(seq.max_abs_diff(par), 1e-12);
+      }
+    }
+  };
+  run(4000, 7);  // 4000 x 4 output, 1,756 nonzeros
+  run(4, 1);     // 4 x 4 output, 768 nonzeros
+}
+
 // A sparse loop whose body is one term fuses into a chain, which carries
 // its own index's stride in the chain multipliers rather than in the
 // operand dependencies. A root or second-level chain writing the dense

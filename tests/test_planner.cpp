@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 
 #include "core/planner.hpp"
 #include "exec/reference.hpp"
@@ -130,6 +132,76 @@ TEST(Planner, BoundZeroRelaxesToTheLeastFeasibleBound) {
       }
     }
   }
+}
+
+// A relaxed plan counts the DPs of both passes. Recounted here from the
+// held paths: the first pass runs the configured DP at the initial bound on
+// the cheapest flop group (none feasible); the second runs MaxBufferDimCost
+// on every held path, then the configured DP at the least bound on the
+// paths of the groups up to the first path that meets it.
+TEST(Planner, RelaxedPlanCountsBothPasses) {
+  const auto inst = testing::make_instance(paper_kernels()[3], 42);  // ttmc4
+  const Kernel& k = inst->bound.kernel;
+  const SparsityStats& stats = inst->bound.stats;
+  PlannerOptions opts;
+  opts.buffer_dim_bound = 0;
+  const Plan plan = plan_kernel(inst->bound, opts);
+  ASSERT_EQ(plan.buffer_dim_bound, 1) << "precondition: the plan relaxes";
+
+  std::vector<double> flops;
+  const std::vector<ContractionPath> paths =
+      executable_paths(k, stats, nullptr, &flops);
+  const std::size_t held =
+      std::min(paths.size(), static_cast<std::size_t>(kMaxPathsSearched));
+  DpOptions dp_options;
+  dp_options.restrict_csf_order = opts.restrict_csf_order;
+  int searched = 0;
+  int feasible = 0;
+  std::int64_t subproblems = 0;
+  std::int64_t evaluations = 0;
+  const auto dp = [&](std::size_t p, const TreeCost& cost) {
+    const DpResult r = optimal_order(k, paths[p], cost, dp_options);
+    ++searched;
+    subproblems += r.subproblems;
+    evaluations += r.evaluations;
+    return r;
+  };
+  const auto group_end = [&](std::size_t begin) {
+    std::size_t end = begin + 1;
+    while (end < held && flops[end] <= flops[begin] * kFlopGroupTolerance) {
+      ++end;
+    }
+    return end;
+  };
+
+  const std::unique_ptr<TreeCost> at0 = make_cost_model(opts, &stats);
+  for (std::size_t p = 0; p < group_end(0); ++p) {
+    EXPECT_FALSE(dp(p, *at0).feasible);
+  }
+
+  std::vector<double> least_dim(held);
+  for (std::size_t p = 0; p < held; ++p) {
+    const DpResult r = dp(p, MaxBufferDimCost());
+    least_dim[p] = r.feasible ? r.best_cost.primary
+                              : std::numeric_limits<double>::infinity();
+  }
+  const double bound = *std::min_element(least_dim.begin(), least_dim.end());
+  ASSERT_EQ(bound, 1.0);
+  std::size_t first_meeting = 0;
+  while (least_dim[first_meeting] > bound) ++first_meeting;
+  std::size_t end = 0;
+  while (end <= first_meeting) end = group_end(end);
+  PlannerOptions relaxed = opts;
+  relaxed.buffer_dim_bound = 1;
+  const std::unique_ptr<TreeCost> at1 = make_cost_model(relaxed, &stats);
+  for (std::size_t p = 0; p < end; ++p) {
+    if (least_dim[p] <= bound) feasible += dp(p, *at1).feasible;
+  }
+
+  EXPECT_EQ(plan.paths_searched, searched);
+  EXPECT_EQ(plan.paths_feasible, feasible);
+  EXPECT_EQ(plan.dp_subproblems, subproblems);
+  EXPECT_EQ(plan.dp_evaluations, evaluations);
 }
 
 TEST(Planner, DiagnosticsPopulated) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <numeric>
 #include <optional>
@@ -212,14 +213,15 @@ std::optional<Reference> expect_matches_reference(
 // Without a budget the search is exact by construction: make_plan's path,
 // order, cost, flops and bound equal the exhaustive reference's on every
 // suite kernel under every unbudgeted lint set and at buffer bound 0
-// (relaxation), and on random networks of order 3 to 6 — among them draws
-// whose cheapest flop group has no feasible nest at the initial bound, the
-// case where the search reruns without its FLOP bound and the selector
-// computes the bound. The draws also run at bound 0, with relaxation and
-// without it, where make_plan must throw exactly when the reference finds
-// no nest. Rng(13004) is the draw that shows why every ordering is
-// searched: keeping one ordering per contraction tree served it (0,-4,480)
-// at 900 flops, where the exhaustive choice is (0,-5,214.75) at 366 flops.
+// (relaxation), and on random networks of order 3 to 6 (one test per
+// order, so they run concurrently) — among them draws whose cheapest flop
+// group has no feasible nest at the initial bound, the case where the
+// search reruns without its FLOP bound and the selector computes the bound.
+// The draws also run at bound 0, with relaxation and without it, where
+// make_plan must throw exactly when the reference finds no nest. Rng(13004)
+// is the draw that shows why every ordering is searched: keeping one
+// ordering per contraction tree served it (0,-4,480) at 900 flops, where
+// the exhaustive choice is (0,-5,214.75) at 366 flops.
 TEST(PlannerStrategy, MatchesExhaustiveReference) {
   PlannerOptions bound0;
   bound0.buffer_dim_bound = 0;
@@ -233,39 +235,82 @@ TEST(PlannerStrategy, MatchesExhaustiveReference) {
     SCOPED_TRACE(sk.name + " / bound 0");
     expect_matches_reference(*inst, bound0);
   }
+}
 
-  // 34 draws each of orders 3 to 5 and 10 of order 6. The order-6 draws
-  // start at seed 10 so that they include seeds 18 and 19, whose cheapest
-  // group has no feasible nest at bound 2.
+/// What the random draws of one order showed.
+struct DrawCounts {
+  int draws = 0;
+  /// Draws whose cheapest group has no feasible nest at the default bound.
+  int first_group_infeasible = 0;
+  /// Draws planned at bound 0, 1 and 2 from bound 0 with relaxation.
+  std::array<int, 3> relaxed_to{};
+};
+
+/// 34 draws of `order` for orders 3 to 5 and 10 of order 6, each planned
+/// under the default options and at bound 0 with and without relaxation
+/// against the exhaustive reference. The order-6 draws start at seed 10 so
+/// that they include seeds 18 and 19, whose cheapest group has no feasible
+/// nest at bound 2.
+DrawCounts match_random_draws(int order) {
+  PlannerOptions bound0;
+  bound0.buffer_dim_bound = 0;
   PlannerOptions strict0 = bound0;
   strict0.allow_bound_relaxation = false;
-  int draws = 0;
-  int first_group_infeasible = 0;
-  std::vector<int> relaxed_to(3);  // draws planned at bound 0, 1, 2
-  for (int order = 3; order <= 6; ++order) {
-    const int first = order < 6 ? 0 : 10;
-    for (int seed = first; seed < first + (order < 6 ? 34 : 10); ++seed) {
-      Rng rng(1000 * static_cast<std::uint64_t>(seed) +
-              static_cast<std::uint64_t>(order));
-      const GeneratedNetwork net = random_network(order, 4, 3, rng);
-      SCOPED_TRACE("Rng(" + std::to_string(1000 * seed + order) +
-                   "): " + net.expr);
-      const auto inst = make_suite_instance(to_suite(net, 0.05), 42);
-      const auto plain = expect_matches_reference(*inst, {});
-      const auto relaxed = expect_matches_reference(*inst, bound0);
-      const auto strict = expect_matches_reference(*inst, strict0);
-      ASSERT_TRUE(plain && relaxed && relaxed->buffer_dim_bound <= 2);
-      first_group_infeasible += plain->first_group_infeasible;
-      ++relaxed_to[static_cast<std::size_t>(relaxed->buffer_dim_bound)];
-      EXPECT_EQ(strict.has_value(), relaxed->buffer_dim_bound == 0);
-      ++draws;
-    }
+  DrawCounts counts;
+  const int first = order < 6 ? 0 : 10;
+  for (int seed = first; seed < first + (order < 6 ? 34 : 10); ++seed) {
+    Rng rng(1000 * static_cast<std::uint64_t>(seed) +
+            static_cast<std::uint64_t>(order));
+    const GeneratedNetwork net = random_network(order, 4, 3, rng);
+    SCOPED_TRACE("Rng(" + std::to_string(1000 * seed + order) +
+                 "): " + net.expr);
+    const auto inst = make_suite_instance(to_suite(net, 0.05), 42);
+    const auto plain = expect_matches_reference(*inst, {});
+    const auto relaxed = expect_matches_reference(*inst, bound0);
+    const auto strict = expect_matches_reference(*inst, strict0);
+    EXPECT_TRUE(plain && relaxed && relaxed->buffer_dim_bound <= 2);
+    if (!plain || !relaxed || relaxed->buffer_dim_bound > 2) continue;
+    counts.first_group_infeasible += plain->first_group_infeasible;
+    ++counts.relaxed_to[static_cast<std::size_t>(relaxed->buffer_dim_bound)];
+    // At bound 0, exactly the draws that relax throw without relaxation.
+    EXPECT_EQ(strict.has_value(), relaxed->buffer_dim_bound == 0);
+    ++counts.draws;
   }
-  EXPECT_EQ(draws, 112);
-  EXPECT_EQ(first_group_infeasible, 2);
-  // At bound 0, 40 draws relax, and exactly those throw without relaxation.
-  EXPECT_EQ(relaxed_to[1], 22);
-  EXPECT_EQ(relaxed_to[2], 18);
+  return counts;
+}
+
+// Over the four orders: 112 draws, 2 with the cheapest group infeasible,
+// 22 relaxed to bound 1 and 18 to bound 2.
+TEST(PlannerStrategy, MatchesExhaustiveReferenceOrder3) {
+  const DrawCounts c = match_random_draws(3);
+  EXPECT_EQ(c.draws, 34);
+  EXPECT_EQ(c.first_group_infeasible, 0);
+  EXPECT_EQ(c.relaxed_to[1], 0);
+  EXPECT_EQ(c.relaxed_to[2], 0);
+}
+
+TEST(PlannerStrategy, MatchesExhaustiveReferenceOrder4) {
+  const DrawCounts c = match_random_draws(4);
+  EXPECT_EQ(c.draws, 34);
+  EXPECT_EQ(c.first_group_infeasible, 0);
+  EXPECT_EQ(c.relaxed_to[1], 8);
+  EXPECT_EQ(c.relaxed_to[2], 0);
+}
+
+TEST(PlannerStrategy, MatchesExhaustiveReferenceOrder5) {
+  const DrawCounts c = match_random_draws(5);
+  EXPECT_EQ(c.draws, 34);
+  EXPECT_EQ(c.first_group_infeasible, 0);
+  EXPECT_EQ(c.relaxed_to[1], 12);
+  EXPECT_EQ(c.relaxed_to[2], 10);
+}
+
+TEST(PlannerStrategy, MatchesExhaustiveReferenceOrder6) {
+  const DrawCounts c = match_random_draws(6);
+  EXPECT_EQ(c.draws, 10);
+  EXPECT_EQ(c.first_group_infeasible, 2);
+  EXPECT_EQ(c.relaxed_to[1], 2);
+  EXPECT_EQ(c.relaxed_to[2], 8);
 }
 
 // A node budget makes the search stop early, deterministically: two runs
